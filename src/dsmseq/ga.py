@@ -1,16 +1,26 @@
 """Permutation genetic algorithm: tournament selection, ordered crossover,
-shuffle-index mutation, plain generational replacement (no elitism)."""
+shuffle-index mutation, plain generational replacement (no elitism).
+
+The operators are pure functions of explicit random draws (an entrant
+matrix, a cut pair, a swap list). run_ga searches over tuples of matrix row
+indices, takes every draw from one numpy Generator in bulk per block of
+generations, and maps back to node ids only for the returned best.
+"""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import AdjacencyMatrix
-from .scoring import score_sequence
+from .scoring import feedback_count, score_sequence
 from .solutions import SolutionRecord
 
 GENERATIONS_DEFAULT = 2000
+# generations whose random draws are taken in one batch; bounds the draw
+# arrays at _DRAW_BLOCK * population_size * n uniforms
+_DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -64,64 +74,75 @@ def preset_config(name: str, seed: int = 0, generations: int = GENERATIONS_DEFAU
     )
 
 
-def tournament_select(scored_pop: list[tuple[tuple[str, ...], int]], k: int, rng: random.Random) -> tuple[str, ...]:
-    """Sample k entrants uniformly with replacement, return the lowest score."""
-    best = None
-    for _ in range(k):
-        candidate = scored_pop[rng.randrange(len(scored_pop))]
-        if best is None or candidate[1] < best[1]:
-            best = candidate
-    return best[0]
+def tournament_select(population, scores, entrants) -> list:
+    """One winner per row of entrants, a 2-D array of population indices.
+
+    Each row is one tournament whose entrants were sampled uniformly with
+    replacement; the lowest score wins, and a tie goes to the entrant
+    sampled first (leftmost in the row).
+    """
+    entrants = np.asarray(entrants)
+    keys = np.asarray(scores)[entrants]
+    winners = entrants[np.arange(len(entrants)), keys.argmin(axis=1)]
+    return [population[i] for i in winners.tolist()]
 
 
-def shuffle_mutation(seq, indpb: float, rng: random.Random) -> tuple[str, ...]:
-    """Each position independently swaps with another uniform position with
-    probability indpb. Always returns a permutation of the input."""
+def shuffle_mutation(seq, swaps) -> tuple:
+    """Apply the position swaps (i, j), in order, to a copy of seq.
+
+    run_ga draws one swap per position with probability indpb, paired with
+    a uniform other position. Always returns a permutation of the input.
+    """
     out = list(seq)
     n = len(out)
-    for i in range(n):
-        if rng.random() < indpb:
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            out[i], out[j] = out[j], out[i]
+    for i, j in swaps:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"swap ({i}, {j}) is outside positions 0..{n - 1}")
+        out[i], out[j] = out[j], out[i]
     return tuple(out)
 
 
-def order_crossover(p1, p2, rng: random.Random) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Ordered crossover: keep a contiguous slice of one parent, fill the
-    remaining positions in the other parent's relative order, wrapping past
-    the slice end."""
-    p1, p2 = tuple(p1), tuple(p2)
-    if set(p1) != set(p2) or len(p1) != len(p2):
+def _check_parents(p1: tuple, p2: tuple) -> None:
+    genes = set(p1)
+    if len(p2) != len(p1) or len(genes) != len(p1) or genes != set(p2):
         raise ValueError("parents must be permutations of the same node set")
-    n = len(p1)
-    if n < 2:
-        return p1, p2
-    a, b = sorted(rng.sample(range(n), 2))
+
+
+def _check_cut(cut, n: int) -> tuple[int, int]:
+    a, b = cut
+    if not 0 <= a < b < n:
+        raise ValueError(f"cut must be two positions 0 <= a < b < {n}, got {tuple(cut)}")
+    return a, b
+
+
+def order_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
+    """Ordered crossover on the slice cut = (a, b), both ends inclusive.
+
+    Each child keeps its own parent's slice and fills the remaining
+    positions in the other parent's relative order, wrapping past the slice
+    end.
+    """
+    p1, p2 = tuple(p1), tuple(p2)
+    _check_parents(p1, p2)
+    a, b = _check_cut(cut, len(p1))
+    tail = len(p1) - 1 - b
 
     def ox(keep, other):
-        child: list = [None] * n
-        child[a : b + 1] = keep[a : b + 1]
-        used = set(keep[a : b + 1])
-        fill = [g for i in range(n) if (g := other[(b + 1 + i) % n]) not in used]
-        for offset, gene in enumerate(fill):
-            child[(b + 1 + offset) % n] = gene
-        return tuple(child)
+        kept = keep[a : b + 1]
+        used = set(kept)
+        fill = [g for g in other[b + 1 :] + other[: b + 1] if g not in used]
+        return tuple(fill[tail:]) + kept + tuple(fill[:tail])
 
     return ox(p1, p2), ox(p2, p1)
 
 
-def pmx_crossover(p1, p2, rng: random.Random) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Partially matched crossover on a random slice."""
-    p1, p2 = list(p1), list(p2)
-    if set(p1) != set(p2) or len(p1) != len(p2):
-        raise ValueError("parents must be permutations of the same node set")
-    n = len(p1)
-    if n < 2:
-        return tuple(p1), tuple(p2)
-    a, b = sorted(rng.sample(range(n), 2))
-    c1, c2 = p1[:], p2[:]
+def pmx_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
+    """Partially matched crossover on the slice cut = (a, b), both ends
+    inclusive."""
+    p1, p2 = tuple(p1), tuple(p2)
+    _check_parents(p1, p2)
+    a, b = _check_cut(cut, len(p1))
+    c1, c2 = list(p1), list(p2)
     pos1 = {g: i for i, g in enumerate(c1)}
     pos2 = {g: i for i, g in enumerate(c2)}
     for i in range(a, b + 1):
@@ -132,6 +153,44 @@ def pmx_crossover(p1, p2, rng: random.Random) -> tuple[tuple[str, ...], tuple[st
         pos1[g1], pos1[g2] = j1, i
         pos2[g2], pos2[g1] = j2, i
     return tuple(c1), tuple(c2)
+
+
+def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
+    """Yield the random draws of each generation, taken _DRAW_BLOCK at a time.
+
+    Each item is the tournament entrant matrix, the crossovers as (first
+    offspring index, cut pair) and the mutations as {offspring index: swap
+    list}. A mutation that draws no swap is left out: it is the identity.
+    """
+    pop = cfg.population_size
+    for done in range(0, cfg.generations, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, cfg.generations - done)
+        entrants = rng.integers(pop, size=(size, pop, cfg.tournament_size))
+
+        cx_gen, cx_pair = np.nonzero(rng.random((size, pop // 2)) < cfg.cxpb)
+        first = rng.integers(n, size=len(cx_gen))
+        second = rng.integers(n - 1, size=len(cx_gen))
+        second += second >= first
+        crossovers = [[] for _ in range(size)]
+        for g, pair, a, b in zip(
+            cx_gen.tolist(),
+            cx_pair.tolist(),
+            np.minimum(first, second).tolist(),
+            np.maximum(first, second).tolist(),
+        ):
+            crossovers[g].append((2 * pair, (a, b)))
+
+        mutating = rng.random((size, pop)) < cfg.mutpb
+        mut_gen, mut_row, swap_pos = np.nonzero(
+            mutating[:, :, None] & (rng.random((size, pop, n)) < cfg.indpb)
+        )
+        partner = rng.integers(n - 1, size=len(swap_pos))
+        partner += partner >= swap_pos
+        mutations: list[dict[int, list]] = [{} for _ in range(size)]
+        for g, row, i, j in zip(mut_gen.tolist(), mut_row.tolist(), swap_pos.tolist(), partner.tolist()):
+            mutations[g].setdefault(row, []).append((i, j))
+
+        yield from zip(entrants, crossovers, mutations)
 
 
 def run_ga(
@@ -146,26 +205,31 @@ def run_ga(
     individual is scored and one per strict improvement, each stamped with
     the number of distinct permutations evaluated so far. stop_score, when
     given, ends the run as soon as best <= stop_score (the series still
-    reflects everything evaluated).
+    reflects everything evaluated). Every random number comes from
+    numpy.random.default_rng(cfg.seed), so a seed fixes the run.
     """
-    rng = random.Random(cfg.seed)
-    ids = list(matrix.ids)
-    n = len(ids)
+    n = matrix.n
+    if n < 2:
+        raise ValueError(f"the GA needs at least 2 nodes, got {n}")
+    rng = np.random.default_rng(cfg.seed)
     crossover = order_crossover if cfg.crossover == "ox" else pmx_crossover
+    genes = set(range(n))
 
-    score_cache: dict[tuple[str, ...], int] = {}
+    score_cache: dict[tuple[int, ...], int] = {}
     unique_count = 0
-    best_seq: tuple[str, ...] | None = None
+    best_seq: tuple[int, ...] | None = None
     best_score: int | None = None
     best_generation = 0
     convergence: list[tuple[int, int]] = []
 
-    def evaluate(individual: tuple[str, ...], generation: int) -> int:
+    def score_new(individual: tuple[int, ...], generation: int) -> int:
         nonlocal unique_count, best_seq, best_score, best_generation
-        cached = score_cache.get(individual)
+        cached = score_cache.get(individual)  # met earlier in this generation
         if cached is not None:
             return cached
-        score = score_sequence(matrix, individual)
+        if len(individual) != n or set(individual) != genes:
+            raise RuntimeError(f"GA produced {individual}, not a permutation of range({n})")
+        score = feedback_count(matrix, np.fromiter(individual, dtype=np.int64, count=n))
         score_cache[individual] = score
         unique_count += 1
         if best_score is None or score < best_score:
@@ -173,28 +237,36 @@ def run_ga(
             convergence.append((unique_count, score))
         return score
 
-    population = [tuple(rng.sample(ids, n)) for _ in range(cfg.population_size)]
-    scores = [evaluate(ind, 0) for ind in population]
-
-    for generation in range(1, cfg.generations + 1):
-        if stop_score is not None and best_score is not None and best_score <= stop_score:
-            break
-        scored = list(zip(population, scores))
-        offspring = [
-            tournament_select(scored, cfg.tournament_size, rng)
-            for _ in range(cfg.population_size)
+    def evaluate(individuals: list[tuple[int, ...]], generation: int) -> list[int]:
+        cached = [score_cache.get(ind) for ind in individuals]
+        return [
+            score_new(ind, generation) if score is None else score
+            for ind, score in zip(individuals, cached)
         ]
-        for i in range(0, cfg.population_size - 1, 2):
-            if rng.random() < cfg.cxpb:
-                offspring[i], offspring[i + 1] = crossover(offspring[i], offspring[i + 1], rng)
-        for i in range(cfg.population_size):
-            if rng.random() < cfg.mutpb:
-                offspring[i] = shuffle_mutation(offspring[i], cfg.indpb, rng)
-        population = offspring
-        scores = [evaluate(ind, generation) for ind in population]
 
+    start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
+    population = [tuple(row) for row in start.tolist()]
+    scores = evaluate(population, 0)
+
+    for generation, (entrants, crossovers, mutations) in enumerate(_draws(rng, cfg, n), start=1):
+        if stop_score is not None and best_score <= stop_score:
+            break
+        offspring = tournament_select(population, scores, entrants)
+        for i, cut in crossovers:
+            # crossing a parent with itself reproduces it: skip the work
+            if offspring[i] != offspring[i + 1]:
+                offspring[i], offspring[i + 1] = crossover(offspring[i], offspring[i + 1], cut)
+        for i, swaps in mutations.items():
+            offspring[i] = shuffle_mutation(offspring[i], swaps)
+        population = offspring
+        scores = evaluate(population, generation)
+
+    best_ids = tuple(matrix.ids[i] for i in best_seq)
+    rescored = score_sequence(matrix, best_ids)
+    if rescored != best_score:
+        raise RuntimeError(f"GA best re-scores to {rescored}, not its recorded {best_score}")
     best = SolutionRecord(
-        sequence=best_seq,
+        sequence=best_ids,
         score=best_score,
         iteration_found=best_generation,
         source="ga",

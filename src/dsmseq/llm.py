@@ -66,6 +66,11 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        # below one request per minute the token bucket never holds a token
+        if self.requests_per_minute is not None and not self.requests_per_minute >= 1:
+            raise ValueError(
+                f"requests_per_minute must be None or >= 1, got {self.requests_per_minute}"
+            )
 
     def __repr__(self) -> str:  # keep the key out of logs and tracebacks
         masked = "***" if self.api_key else "(unset)"
@@ -125,7 +130,7 @@ class OpenAIChatProvider:
         self._transport = transport or _requests_transport
         self._sleep = sleep
         self._bucket = None
-        if config.requests_per_minute:
+        if config.requests_per_minute is not None:
             self._bucket = _TokenBucket(config.requests_per_minute, clock=clock, sleep=sleep)
 
     @classmethod

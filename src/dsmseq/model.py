@@ -72,6 +72,12 @@ def validate_case(case: DsmCase) -> None:
     for pos, node in enumerate(case.nodes):
         if not node.id:
             raise CaseError(f"nodes[{pos}]: empty id")
+        # LLM replies list ids comma-separated and stripped, so such an id
+        # could never be read back
+        if "," in node.id or node.id != node.id.strip():
+            raise CaseError(
+                f"nodes[{pos}]: id {node.id!r} contains ',' or leading/trailing whitespace"
+            )
         if node.id in seen:
             raise CaseError(f"nodes[{pos}]: duplicate node id {node.id!r}")
         seen.add(node.id)

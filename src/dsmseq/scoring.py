@@ -47,23 +47,31 @@ def is_valid_sequence(case_ids, candidate) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _positions(matrix: AdjacencyMatrix, order) -> np.ndarray:
+def _index_order(matrix: AdjacencyMatrix, order) -> np.ndarray:
+    """Validate an order of node ids and map it to matrix row indices."""
     order = list(order)
     ok, diag = is_valid_sequence(matrix, order)
     if not ok:
         raise ValueError(f"invalid sequence: {diag}")
+    return np.fromiter(map(matrix.index_of.__getitem__, order), dtype=np.int64, count=len(order))
+
+
+def feedback_count(matrix: AdjacencyMatrix, order: np.ndarray) -> int:
+    """Feedback count of an order given as matrix row indices, unchecked.
+
+    order must be a permutation of range(matrix.n); that is not checked
+    here, so callers validate first (score_sequence does).
+    """
+    if matrix.dep_idx is None or len(matrix.dep_idx) == 0:
+        return 0
     pos = np.empty(matrix.n, dtype=np.int64)
-    for place, node_id in enumerate(order):
-        pos[matrix.index_of[node_id]] = place
-    return pos
+    pos[order] = np.arange(matrix.n)
+    return int(np.count_nonzero(pos[matrix.dep_idx] < pos[matrix.pred_idx]))
 
 
 def score_sequence(matrix: AdjacencyMatrix, order) -> int:
     """Number of edges whose dependent is placed before its predecessor."""
-    pos = _positions(matrix, order)
-    if matrix.dep_idx is None or len(matrix.dep_idx) == 0:
-        return 0
-    return int(np.count_nonzero(pos[matrix.dep_idx] < pos[matrix.pred_idx]))
+    return feedback_count(matrix, _index_order(matrix, order))
 
 
 def reorder_matrix(matrix: AdjacencyMatrix, order) -> AdjacencyMatrix:
@@ -72,10 +80,7 @@ def reorder_matrix(matrix: AdjacencyMatrix, order) -> AdjacencyMatrix:
     Row/column k of the result corresponds to the k-th id in order.
     """
     order = list(order)
-    ok, diag = is_valid_sequence(matrix, order)
-    if not ok:
-        raise ValueError(f"invalid sequence: {diag}")
-    idx = np.array([matrix.index_of[node_id] for node_id in order], dtype=np.int64)
+    idx = _index_order(matrix, order)
     return matrix_from_array(matrix.a[np.ix_(idx, idx)], ids=tuple(order))
 
 

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dsmseq import (
     GaConfig,
+    matrix_from_array,
     order_crossover,
     pmx_crossover,
     preset_config,
@@ -13,6 +15,7 @@ from dsmseq import (
     shuffle_mutation,
     tournament_select,
 )
+from dsmseq.ga import _draws
 from conftest import adjacency, make_case, naive_score
 
 LETTERS = tuple("abcdefgh")
@@ -24,21 +27,6 @@ def chain_matrix(n=7):
 
 def cycle_matrix():
     return adjacency(make_case(3, [(1, 0), (2, 1), (0, 2)]))
-
-
-class FakeRng:
-    """Scripted stand-in for random.Random, for pinning operator internals."""
-
-    def __init__(self, sample_result=None, randrange_results=None):
-        self._sample = sample_result
-        self._randrange = list(randrange_results or [])
-
-    def sample(self, population, k):
-        assert k == len(self._sample)
-        return list(self._sample)
-
-    def randrange(self, n):
-        return self._randrange.pop(0)
 
 
 class TestPresets:
@@ -94,44 +82,62 @@ class TestConfigValidation:
             GaConfig(population_size=4, generations=10, indpb=0.1, tournament_size=2, cxpb=0.5, mutpb=0.5, crossover="uniform")
 
 
+def random_swaps(rng, n, count):
+    swaps = []
+    for _ in range(count):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        swaps.append((i, j + (j >= i)))
+    return swaps
+
+
 class TestMutation:
     def test_zero_rate_is_identity(self):
-        rng = random.Random(0)
-        assert shuffle_mutation(LETTERS, 0.0, rng) == LETTERS
+        assert shuffle_mutation(LETTERS, []) == LETTERS
 
     def test_always_a_permutation(self):
         rng = random.Random(1)
         for _ in range(200):
-            out = shuffle_mutation(LETTERS, 1.0, rng)
+            out = shuffle_mutation(LETTERS, random_swaps(rng, len(LETTERS), rng.randrange(1, 9)))
             assert sorted(out) == sorted(LETTERS)
 
     def test_deterministic_under_seed(self):
-        a = shuffle_mutation(LETTERS, 0.5, random.Random(9))
-        b = shuffle_mutation(LETTERS, 0.5, random.Random(9))
-        assert a == b
+        # the swaps are applied in list order, so their order matters
+        assert shuffle_mutation(LETTERS, [(0, 1), (1, 2)]) == tuple("bcadefgh")
+        assert shuffle_mutation(LETTERS, [(1, 2), (0, 1)]) == tuple("cabdefgh")
+        swaps = random_swaps(random.Random(9), len(LETTERS), 5)
+        assert shuffle_mutation(LETTERS, swaps) == shuffle_mutation(LETTERS, swaps)
 
     def test_swap_partner_is_never_self(self):
-        # with two positions, a triggered swap must exchange them
-        out = shuffle_mutation(("x", "y"), 1.0, FakeRngAlwaysSwap())
-        assert out in (("x", "y"), ("y", "x"))
-        assert sorted(out) == ["x", "y"]
+        # run_ga draws one partner per swapping position, uniform over the
+        # other positions; with two positions a swap must exchange them
+        cfg = GaConfig(population_size=6, generations=40, indpb=1.0, tournament_size=2, cxpb=0.0, mutpb=1.0)
+        swaps = [
+            swap
+            for _, _, mutations in _draws(np.random.default_rng(0), cfg, 2)
+            for row in mutations.values()
+            for swap in row
+        ]
+        assert len(swaps) == 40 * 6 * 2
+        assert set(swaps) == {(0, 1), (1, 0)}
+        assert shuffle_mutation(("x", "y"), [(0, 1)]) == ("y", "x")
+
+    def test_swap_outside_the_sequence_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            shuffle_mutation(LETTERS, [(0, 8)])
+        with pytest.raises(ValueError, match="outside"):
+            shuffle_mutation(LETTERS, [(-1, 2)])
 
 
-class FakeRngAlwaysSwap:
-    """random() below any threshold; randrange picks 0."""
-
-    def random(self):
-        return 0.0
-
-    def randrange(self, n):
-        return 0
+def random_cut(rng, n):
+    return tuple(sorted(rng.sample(range(n), 2)))
 
 
 class TestOrderCrossover:
     def test_hand_worked_slice(self):
         p1 = tuple("abcdefgh")
         p2 = tuple("hgfedcba")
-        c1, c2 = order_crossover(p1, p2, FakeRng(sample_result=[2, 4]))
+        c1, c2 = order_crossover(p1, p2, (2, 4))
         assert c1 == tuple("gfcdebah")
         assert c2 == tuple("bcfedgha")
 
@@ -141,24 +147,54 @@ class TestOrderCrossover:
         for _ in range(200):
             p1 = tuple(rng.sample(ids, 9))
             p2 = tuple(rng.sample(ids, 9))
-            c1, c2 = order_crossover(p1, p2, rng)
+            c1, c2 = order_crossover(p1, p2, random_cut(rng, 9))
             assert sorted(c1) == sorted(ids)
             assert sorted(c2) == sorted(ids)
 
     def test_equal_parents_reproduce(self):
         rng = random.Random(5)
         parent = tuple(rng.sample(list(LETTERS), len(LETTERS)))
-        c1, c2 = order_crossover(parent, parent, rng)
-        assert c1 == parent and c2 == parent
+        for cut in [(0, 1), (2, 5), (6, 7), (0, 7)]:
+            c1, c2 = order_crossover(parent, parent, cut)
+            assert c1 == parent and c2 == parent
+
+    def test_matches_positional_reference(self):
+        def reference(keep, other, a, b):
+            # fill positions b+1, b+2, ... (wrapping) in the other parent's order
+            n = len(keep)
+            child = [None] * n
+            child[a : b + 1] = keep[a : b + 1]
+            fill = [g for i in range(n) if (g := other[(b + 1 + i) % n]) not in keep[a : b + 1]]
+            for offset, gene in enumerate(fill):
+                child[(b + 1 + offset) % n] = gene
+            return tuple(child)
+
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            p1 = tuple(rng.sample(range(n), n))
+            p2 = tuple(rng.sample(range(n), n))
+            a, b = random_cut(rng, n)
+            assert order_crossover(p1, p2, (a, b)) == (reference(p1, p2, a, b), reference(p2, p1, a, b))
 
     def test_two_gene_parents(self):
-        c1, c2 = order_crossover(("x", "y"), ("y", "x"), random.Random(0))
+        c1, c2 = order_crossover(("x", "y"), ("y", "x"), (0, 1))
         assert sorted(c1) == ["x", "y"]
         assert sorted(c2) == ["x", "y"]
 
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError, match="permutations"):
-            order_crossover(("a", "b"), ("a", "c"), random.Random(0))
+            order_crossover(("a", "b"), ("a", "c"), (0, 1))
+
+    def test_repeated_genes_rejected(self):
+        # equal sets and lengths, but neither parent is a permutation
+        with pytest.raises(ValueError, match="permutations"):
+            order_crossover(("a", "a", "b"), ("a", "b", "b"), (0, 1))
+
+    @pytest.mark.parametrize("cut", [(1, 1), (2, 1), (-1, 2), (0, 8)])
+    def test_bad_cut_rejected(self, cut):
+        with pytest.raises(ValueError, match="cut"):
+            order_crossover(LETTERS, LETTERS[::-1], cut)
 
 
 class TestPmxCrossover:
@@ -168,60 +204,74 @@ class TestPmxCrossover:
         for _ in range(200):
             p1 = tuple(rng.sample(ids, 9))
             p2 = tuple(rng.sample(ids, 9))
-            c1, c2 = pmx_crossover(p1, p2, rng)
+            c1, c2 = pmx_crossover(p1, p2, random_cut(rng, 9))
             assert sorted(c1) == sorted(ids)
             assert sorted(c2) == sorted(ids)
 
     def test_equal_parents_reproduce(self):
         rng = random.Random(13)
         parent = tuple(rng.sample(list(LETTERS), len(LETTERS)))
-        c1, c2 = pmx_crossover(parent, parent, rng)
+        c1, c2 = pmx_crossover(parent, parent, (2, 5))
         assert c1 == parent and c2 == parent
 
     def test_deterministic_under_seed(self):
+        # hand-traced swap by swap over positions 2, 3, 4
         p1 = tuple("abcdefgh")
         p2 = tuple("cadbfehg")
-        first = pmx_crossover(p1, p2, random.Random(2))
-        second = pmx_crossover(p1, p2, random.Random(2))
-        assert first == second
+        assert pmx_crossover(p1, p2, (2, 4)) == (tuple("acdbfegh"), tuple("dabcefhg"))
+        assert pmx_crossover(p1, p2, (2, 4)) == pmx_crossover(p1, p2, (2, 4))
 
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError, match="permutations"):
-            pmx_crossover(("a", "b", "c"), ("a", "b", "d"), random.Random(0))
+            pmx_crossover(("a", "b", "c"), ("a", "b", "d"), (0, 1))
+
+    def test_repeated_genes_rejected(self):
+        with pytest.raises(ValueError, match="permutations"):
+            pmx_crossover(("a", "a", "b"), ("a", "b", "b"), (0, 1))
 
 
 class TestTournament:
     def test_size_one_is_a_uniform_pick(self):
-        pop = [(("a",), 5), (("b",), 1), (("c",), 3)]
-        rng = random.Random(0)
-        seen = {tournament_select(pop, 1, rng) for _ in range(200)}
-        assert seen == {("a",), ("b",), ("c",)}
+        pop = [("a",), ("b",), ("c",)]
+        assert tournament_select(pop, [5, 1, 3], [[2], [0], [1], [0]]) == [("c",), ("a",), ("b",), ("a",)]
+        # and run_ga draws each entrant uniformly over the population
+        cfg = GaConfig(population_size=3, generations=200, indpb=0.0, tournament_size=1, cxpb=0.0, mutpb=0.0)
+        entrants = np.concatenate([e for e, _, _ in _draws(np.random.default_rng(0), cfg, 4)])
+        counts = np.bincount(entrants.ravel(), minlength=3)
+        assert counts.sum() == 600
+        assert counts.min() > 150
 
     def test_large_tournament_finds_the_best(self):
-        pop = [((f"s{i}",), score) for i, score in enumerate([9, 4, 7, 0, 6])]
-        rng = random.Random(1)
-        for _ in range(50):
-            assert tournament_select(pop, 60, rng) == ("s3",)
+        pop = [(f"s{i}",) for i in range(5)]
+        entrants = np.random.default_rng(1).integers(5, size=(50, 60))
+        assert tournament_select(pop, [9, 4, 7, 0, 6], entrants) == [("s3",)] * 50
 
     def test_tie_keeps_first_sampled(self):
-        pop = [(("first",), 2), (("second",), 2)]
-        winner = tournament_select(pop, 2, FakeRng(randrange_results=[1, 0]))
-        assert winner == ("second",)
+        pop = [("first",), ("second",)]
+        assert tournament_select(pop, [2, 2], [[1, 0]]) == [("second",)]
+        assert tournament_select(pop, [2, 2], [[0, 1]]) == [("first",)]
 
     def test_oversized_tournament_allowed(self):
-        pop = [(("a",), 1), (("b",), 0)]
-        assert tournament_select(pop, 10, random.Random(3)) == ("b",)
+        pop = [("a",), ("b",)]
+        assert tournament_select(pop, [1, 0], [[0] * 9 + [1]]) == [("b",)]
 
 
 class TestRunGa:
     def test_solves_an_acyclic_network(self):
+        # chain-7 has one zero-feedback order in 5,040; 300 balanced
+        # generations find it in about 38 % of seeds. On seeds 0-59 the
+        # random.Random GA this one replaced scored 24 hits and this GA
+        # scores 23; 16 is two binomial standard deviations below 24.
         matrix = chain_matrix(7)
-        cfg = preset_config("balanced", seed=3, generations=300)
-        best, convergence = run_ga(matrix, cfg, stop_score=0)
-        assert best.score == 0
-        assert best.source == "ga"
-        assert sorted(best.sequence) == sorted(matrix.ids)
-        assert convergence[-1][1] == 0
+        hits = 0
+        for seed in range(60):
+            cfg = preset_config("balanced", seed=seed, generations=300)
+            best, convergence = run_ga(matrix, cfg, stop_score=0)
+            assert best.source == "ga"
+            assert sorted(best.sequence) == sorted(matrix.ids)
+            assert convergence[-1][1] == best.score
+            hits += best.score == 0
+        assert hits >= 16
 
     def test_cycle_floor_is_one(self):
         best, _ = run_ga(cycle_matrix(), preset_config("exploitation", seed=0, generations=50), stop_score=1)
@@ -269,6 +319,11 @@ class TestRunGa:
         assert best.score == 0
         # far fewer evaluations than the full budget would allow
         assert convergence[-1][0] < cfg.population_size * (cfg.generations + 1) / 10
+
+    def test_single_node_rejected(self):
+        matrix = matrix_from_array(np.zeros((1, 1), dtype=int))
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            run_ga(matrix, preset_config("balanced", generations=5))
 
     def test_pmx_variant_runs(self):
         cfg = GaConfig(

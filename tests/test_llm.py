@@ -213,3 +213,29 @@ class TestRateLimiter:
         # capacity 2: the third and fourth calls must wait for refill
         assert len(sleeps) >= 2
         assert all(duration > 0 for duration in sleeps)
+
+    @pytest.mark.parametrize("rate", [0, 0.5, -1.0, float("nan")])
+    def test_rate_below_one_rejected(self, rate):
+        # a bucket holding under one token would never grant a call
+        with pytest.raises(ValueError, match="requests_per_minute"):
+            ProviderConfig(api_key=KEY, model="m", requests_per_minute=rate)
+
+    def test_one_per_minute_grants_the_first_call_at_once(self):
+        clock_state = {"now": 0.0}
+        sleeps = []
+
+        def clock():
+            return clock_state["now"]
+
+        def sleep(duration):
+            sleeps.append(duration)
+            clock_state["now"] += duration
+
+        config = ProviderConfig(api_key=KEY, model="m", requests_per_minute=1)
+        transport = FakeTransport([(200, ok_body("a")), (200, ok_body("b"))])
+        provider = OpenAIChatProvider(config, transport=transport, sleep=sleep, clock=clock)
+        provider.complete(request())
+        assert sleeps == []
+        provider.complete(request())
+        # the second call waits one minute for the single token to refill
+        assert sum(sleeps) == pytest.approx(60.0)

@@ -62,6 +62,13 @@ class TestLoadAndValidate:
         with pytest.raises(CaseError, match="duplicate node id"):
             case_from_dict(payload)
 
+    @pytest.mark.parametrize("bad_id", ["a,b", " a", "a ", "a\t"])
+    def test_unparseable_id_rejected(self, bad_id):
+        # replies are split on "," and stripped, so these ids never come back
+        payload = {"nodes": [{"id": "ok"}, {"id": bad_id}], "edges": []}
+        with pytest.raises(CaseError, match=r"nodes\[1\]"):
+            case_from_dict(payload)
+
     def test_self_loop_rejected(self):
         payload = {
             "nodes": [{"id": "a"}, {"id": "b"}],
