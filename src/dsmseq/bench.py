@@ -9,6 +9,8 @@ Seeds are derived as base_seed + run index so a manifest replays exactly.
 from __future__ import annotations
 
 import csv
+import functools
+from collections import Counter
 import io
 import json
 import os
@@ -19,18 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .ga import GENERATIONS_DEFAULT, preset_config, run_ga
-from .model import DsmCase, anonymize_ids, build_adjacency, load_case
-from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
+from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, load_case
+from .optimizer import OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .llm import ProviderError
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import reorder_matrix, score_sequence
 from .solutions import SamplingPolicy, TerminationPolicy
-
-GA_METHODS = ("ga-exploration", "ga-exploitation", "ga-balanced")
-DET_METHODS = tuple(f"det-{name}" for name in DETERMINISTIC_METHODS)
-LLM_METHODS = ("llm-with-knowledge", "llm-without-knowledge")
-ALL_METHODS = LLM_METHODS + GA_METHODS + DET_METHODS
 
 CONVERGENCE_WINDOW = 10_000
 
@@ -56,6 +53,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
         if any(b < 1 for b in self.trial_budgets):
             raise ValueError("trial budgets must be >= 1")
+        stems = [Path(p).stem for p in self.cases]  # outputs are keyed by stem
+        for i, stem in enumerate(stems):
+            first = stems.index(stem)
+            if first < i:
+                raise ValueError(f"cases {str(self.cases[first])!r} and {str(self.cases[i])!r} share the name {stem!r}")
 
 
 def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
@@ -141,12 +143,20 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Atomically write a header line and then one line per row as CSV."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    _atomic_write_text(Path(path), buffer.getvalue())
+
+
+def write_jsonl(path: str | Path, rows: list[dict]) -> None:
+    """Atomically write one JSON object per line, keys sorted."""
+    _atomic_write_text(
+        Path(path), "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
+    )
 
 
 @dataclass
@@ -165,18 +175,46 @@ class ResultTable:
         ]
 
 
-def _llm_provider(spec: ExperimentSpec):
+@dataclass(frozen=True)
+class CellResult:
+    """What one grid cell produced: the best score per trial budget (the one
+    key None for single-shot methods), the GA curve and the LLM trace."""
+
+    scores: dict[int | None, float]
+    curve: list[tuple[int, int]] | None = None
+    trace: list[dict] | None = None
+
+
+# The runners look up the functions they call when called, not at import, so
+# a wrapper installed on a module attribute or DETERMINISTIC_METHODS key sees every call.
+def _deterministic_cell(
+    case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, key: str
+) -> CellResult:
+    ranking = DETERMINISTIC_METHODS[key](matrix, seed=seed, ascending=spec.ascending)
+    return CellResult(scores={None: score_sequence(matrix, ranking.order)})
+
+
+def _ga_cell(
+    case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, preset: str
+) -> CellResult:
+    cfg = preset_config(preset, seed=seed, generations=spec.ga_generations)
+    best, curve = run_ga(matrix, cfg)
+    return CellResult(
+        scores={None: best.score},
+        curve=[(x, y) for x, y in curve if x <= CONVERGENCE_WINDOW],
+    )
+
+
+def _llm_cell(
+    case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, knowledge_mode: str
+) -> CellResult:
+    """One anonymized optimization run; the trace is mapped back to the
+    case's original ids and read off at every trial budget."""
     provider = spec.provider
     if provider is None:
         raise ProviderError("auth", "LLM methods need a provider (or a provider factory)")
     if callable(provider) and not hasattr(provider, "complete"):
-        return provider()
-    return provider
-
-
-def _run_llm_cell(case: DsmCase, method: str, seed: int, spec: ExperimentSpec):
-    """One anonymized optimization run; returns (per-budget scores, trace in
-    the case's original id space)."""
+        provider = provider()  # a factory: one fresh provider per run
     anon_case, mapping = anonymize_ids(case, seed)
     inverse = {new: old for old, new in mapping.items()}
     budgets = sorted(spec.trial_budgets)
@@ -186,25 +224,37 @@ def _run_llm_cell(case: DsmCase, method: str, seed: int, spec: ExperimentSpec):
             max_iterations=max(budgets),
             optimal_threshold=case.known_optimum,
         ),
-        knowledge_mode=WITH_KNOWLEDGE if method == "llm-with-knowledge" else WITHOUT_KNOWLEDGE,
+        knowledge_mode=knowledge_mode,
         seed=seed,
     )
-    best, trace = run_optimization(anon_case, cfg, _llm_provider(spec))
+    _, trace = run_optimization(anon_case, cfg, provider)
     for row in trace:
         for key in ("sequence", "best_sequence"):
             if row[key] is not None:
                 row[key] = [inverse[i] for i in row[key]]
     last_iteration = trace[-1]["iteration"]
-    snapshots = {}
+    scores = {}
     for budget in budgets:
         upto = min(budget, last_iteration)
         rows = [r for r in trace if r["iteration"] <= upto]
-        snapshots[budget] = rows[-1]["best_score"]
-    return snapshots, trace
+        scores[budget] = rows[-1]["best_score"]
+    return CellResult(scores=scores, trace=trace)
 
 
-def _trace_jsonl(trace: list[dict]) -> str:
-    return "\n".join(json.dumps(row, sort_keys=True) for row in trace) + "\n"
+# Every method of the grid: name -> run(case, matrix, seed, spec) -> CellResult.
+METHODS = {
+    "llm-with-knowledge": functools.partial(_llm_cell, knowledge_mode=WITH_KNOWLEDGE),
+    "llm-without-knowledge": functools.partial(_llm_cell, knowledge_mode=WITHOUT_KNOWLEDGE),
+    **{
+        f"ga-{preset}": functools.partial(_ga_cell, preset=preset)
+        for preset in ("exploration", "exploitation", "balanced")
+    },
+    **{f"det-{key}": functools.partial(_deterministic_cell, key=key) for key in DETERMINISTIC_METHODS},
+}
+ALL_METHODS = tuple(METHODS)
+LLM_METHODS = tuple(m for m in ALL_METHODS if m.startswith("llm-"))
+GA_METHODS = tuple(m for m in ALL_METHODS if m.startswith("ga-"))
+DET_METHODS = tuple(m for m in ALL_METHODS if m.startswith("det-"))
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -212,8 +262,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     Writes results.csv (per-run rows), results_summary.csv (mean/std/best
     per cell), convergence/*.csv for stochastic methods, traces/*.jsonl for
-    LLM runs, and manifest.json with every seed used. A provider failure
-    marks that cell failed and the grid keeps going.
+    LLM runs, and manifest.json with every seed used. A cell that raises
+    is recorded in the failures with its exception type and message, and
+    the grid keeps going.
     """
     out = Path(spec.output_dir)
     rows: list[dict] = []
@@ -228,66 +279,41 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         for method in spec.methods:
             seeds = [spec.base_seed + run for run in range(spec.runs_per_method)]
             seeds_used[case_name][method] = seeds
-            ga_curves: list[list[tuple[int, int]]] = []
+            curves: list[list[tuple[int, int]]] = []
             for run, seed in enumerate(seeds):
+                cell = f"{case_name}__{method}__run{run}"
                 try:
-                    if method in DET_METHODS:
-                        ranking = DETERMINISTIC_METHODS[method.removeprefix("det-")](
-                            matrix, seed=seed, ascending=spec.ascending
-                        )
-                        score = score_sequence(matrix, ranking.order)
-                        rows.append(
-                            {"case": case_name, "method": method, "budget": None,
-                             "run": run, "seed": seed, "score": score}
-                        )
-                    elif method in GA_METHODS:
-                        cfg = preset_config(
-                            method.removeprefix("ga-"), seed=seed,
-                            generations=spec.ga_generations,
-                        )
-                        best, curve = run_ga(matrix, cfg)
-                        curve = [(x, y) for x, y in curve if x <= CONVERGENCE_WINDOW]
-                        ga_curves.append(curve)
-                        _atomic_write_text(
-                            out / "convergence" / f"{case_name}__{method}__run{run}.csv",
-                            _csv_text(["unique_count", "best_score"], [list(p) for p in curve]),
-                        )
-                        rows.append(
-                            {"case": case_name, "method": method, "budget": None,
-                             "run": run, "seed": seed, "score": best.score}
-                        )
-                    elif method in LLM_METHODS:
-                        snapshots, trace = _run_llm_cell(case, method, seed, spec)
-                        _atomic_write_text(
-                            out / "traces" / f"{case_name}__{method}__run{run}.jsonl",
-                            _trace_jsonl(trace),
-                        )
-                        for budget, score in snapshots.items():
-                            rows.append(
-                                {"case": case_name, "method": method, "budget": budget,
-                                 "run": run, "seed": seed, "score": score}
-                            )
-                except (ProviderError, OptimizationAborted) as exc:
+                    result = METHODS[method](case, matrix, seed, spec)
+                except Exception as exc:  # one bad cell must not lose the grid
                     failures.append(
                         {"case": case_name, "method": method, "run": run,
-                         "seed": seed, "error": str(exc)}
+                         "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
                     )
-            if ga_curves:
-                merged = merge_curves(ga_curves)
-                _atomic_write_text(
+                    continue
+                if result.curve is not None:
+                    curves.append(result.curve)
+                    write_csv(
+                        out / "convergence" / f"{cell}.csv", ["unique_count", "best_score"], result.curve
+                    )
+                if result.trace is not None:
+                    write_jsonl(out / "traces" / f"{cell}.jsonl", result.trace)
+                for budget, score in result.scores.items():
+                    rows.append(
+                        {"case": case_name, "method": method, "budget": budget,
+                         "run": run, "seed": seed, "score": score}
+                    )
+            if curves:
+                write_csv(
                     out / "convergence" / f"{case_name}__{method}__mean.csv",
-                    _csv_text(["unique_count", "mean_best_score"], [list(p) for p in merged]),
+                    ["unique_count", "mean_best_score"],
+                    merge_curves(curves),
                 )
 
     summary: list[dict] = []
     cells: dict[tuple, list[float]] = {}
     for row in rows:
         cells.setdefault((row["case"], row["method"], row["budget"]), []).append(row["score"])
-    failed_counts: dict[tuple, int] = {}
-    for failure in failures:
-        failed_counts[(failure["case"], failure["method"])] = (
-            failed_counts.get((failure["case"], failure["method"]), 0) + 1
-        )
+    failed_counts = Counter((failure["case"], failure["method"]) for failure in failures)
     for (case_name, method, budget), scores in sorted(
         cells.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] if kv[0][2] is not None else -1)
     ):
@@ -295,31 +321,27 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         summary.append(
             {"case": case_name, "method": method, "budget": budget,
              "runs": len(scores),
-             "failed": failed_counts.get((case_name, method), 0),
+             "failed": failed_counts[(case_name, method)],
              **stats}
         )
 
-    _atomic_write_text(
+    write_csv(
         out / "results.csv",
-        _csv_text(
-            ["case", "method", "budget", "run", "seed", "score"],
-            [
-                [r["case"], r["method"], "" if r["budget"] is None else r["budget"],
-                 r["run"], r["seed"], r["score"]]
-                for r in rows
-            ],
-        ),
+        ["case", "method", "budget", "run", "seed", "score"],
+        [
+            [r["case"], r["method"], "" if r["budget"] is None else r["budget"],
+             r["run"], r["seed"], r["score"]]
+            for r in rows
+        ],
     )
-    _atomic_write_text(
+    write_csv(
         out / "results_summary.csv",
-        _csv_text(
-            ["case", "method", "budget", "runs", "failed", "mean", "std", "best"],
-            [
-                [s["case"], s["method"], "" if s["budget"] is None else s["budget"],
-                 s["runs"], s["failed"], f"{s['mean']:.6f}", f"{s['std']:.6f}", s["best"]]
-                for s in summary
-            ],
-        ),
+        ["case", "method", "budget", "runs", "failed", "mean", "std", "best"],
+        [
+            [s["case"], s["method"], "" if s["budget"] is None else s["budget"],
+             s["runs"], s["failed"], f"{s['mean']:.6f}", f"{s['std']:.6f}", s["best"]]
+            for s in summary
+        ],
     )
     manifest = {
         "cases": [str(Path(p).name) for p in spec.cases],
@@ -406,9 +428,6 @@ def render_trajectory(
         svg_path = out / f"{prefix}_iter{iteration:03d}.svg"
         csv_path = out / f"{prefix}_iter{iteration:03d}.csv"
         _atomic_write_text(svg_path, _snapshot_svg(reordered.a, sequence, iteration, score))
-        _atomic_write_text(
-            csv_path,
-            _csv_text(list(sequence), [list(map(int, r)) for r in reordered.a]),
-        )
+        write_csv(csv_path, list(sequence), [list(map(int, r)) for r in reordered.a])
         written.extend([svg_path, csv_path])
     return written

@@ -70,10 +70,7 @@ def _cmd_ga(args) -> int:
     cfg = ga.preset_config(args.preset, seed=args.seed, generations=args.generations)
     best, convergence = ga.run_ga(matrix, cfg)
     if args.convergence_out:
-        bench._atomic_write_text(
-            Path(args.convergence_out),
-            bench._csv_text(["unique_count", "best_score"], [list(p) for p in convergence]),
-        )
+        bench.write_csv(args.convergence_out, ["unique_count", "best_score"], convergence)
     _emit(
         {
             "preset": args.preset,
@@ -105,7 +102,7 @@ def _cmd_llm(args) -> int:
     )
     best, trace = run_optimization(case, cfg, provider)
     if args.trace_out:
-        bench._atomic_write_text(Path(args.trace_out), bench._trace_jsonl(trace))
+        bench.write_jsonl(args.trace_out, trace)
     _emit(
         {
             "knowledge": args.knowledge,

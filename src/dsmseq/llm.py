@@ -210,7 +210,3 @@ class ScriptedProvider:
         text = self._responses[self._cursor]
         self._cursor += 1
         return ChatResult(text=text, usage={}, retries=0, model=self.model)
-
-
-def scripted_stub(responses: list[str]) -> ScriptedProvider:
-    return ScriptedProvider(responses)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 ALPHANUMERIC = string.ascii_uppercase + string.ascii_lowercase + string.digits
 ANON_ID_LENGTH = 5
@@ -290,21 +290,29 @@ class NetworkMetrics:
 def network_metrics(case: DsmCase) -> NetworkMetrics:
     n = case.n
     e = len(case.edges)
-    graph = nx.Graph()
-    graph.add_nodes_from(case.node_ids)
-    graph.add_edges_from((edge.predecessor, edge.dependent) for edge in case.edges)
-    connected = nx.is_connected(graph)
-    component = graph
-    if not connected:
-        largest = max(nx.connected_components(graph), key=len)
-        component = graph.subgraph(largest)
+    a = build_adjacency(case).a
+    undirected = ((a + a.T) > 0).astype(float)
+    count, labels = connected_components(undirected, directed=False)
+    # the largest component; among equal sizes, the one holding the lowest
+    # node index
+    sizes = np.bincount(labels)
+    members = np.flatnonzero(labels == labels[np.argmax(sizes[labels] == sizes.max())])
+    hops = shortest_path(undirected[np.ix_(members, members)], directed=False, unweighted=True)
+    k = len(members)
+    # local clustering 2T/(d(d-1)): ((F@F)*F) row sums count each triangle
+    # at a node twice; exact in float64 at these sizes
+    triangles = ((undirected @ undirected) * undirected).sum(axis=1)
+    degree = undirected.sum(axis=1)
+    pairs = degree * (degree - 1)
+    local = np.divide(triangles, pairs, out=np.zeros(n), where=pairs > 0)
     return NetworkMetrics(
         n=n,
         e=e,
-        diameter=int(nx.diameter(component)),
+        diameter=int(hops.max()),
         density=2.0 * e / (n * (n - 1)),
         average_degree=2.0 * e / n,
-        clustering_coefficient=float(nx.average_clustering(graph)),
-        average_path_length=float(nx.average_shortest_path_length(component)),
-        connected=connected,
+        # summed in node order, like a plain Python mean over the nodes
+        clustering_coefficient=sum(local.tolist()) / n,
+        average_path_length=int(hops.sum()) / (k * (k - 1)) if k > 1 else 0.0,
+        connected=bool(count == 1),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .llm import ChatRequest, ProviderError
@@ -19,8 +19,8 @@ from .prompts import (
     WITH_KNOWLEDGE,
     WITHOUT_KNOWLEDGE,
     OrderParseError,
-    PromptContext,
     build_prompt,
+    make_prompt_context,
     parse_order_response,
 )
 from .scoring import score_sequence
@@ -89,8 +89,10 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             source="initial-random",
         )
     )
-    edges_fixed = list(case.edges)
-    rng.shuffle(edges_fixed)
+    # one seeded edge order for every prompt, unless reshuffled each iteration
+    edges = list(case.edges)
+    rng.shuffle(edges)
+    fixed_edge_case = replace(case, edges=tuple(edges))
 
     def entry(iteration: int, **extra) -> dict:
         best = base.best()
@@ -103,7 +105,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             "failure": None,
             "duplicate": False,
             "attempts": 0,
-            "unique_count": base.unique_count,
+            "unique_count": len(base),
             "best_score": best.score,
             "best_sequence": list(best.sequence),
         }
@@ -118,20 +120,9 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         iteration += 1
         records = base.sample_for_prompt(cfg.sampling, rng)
         if cfg.reshuffle_edges_each_iteration:
-            edges = list(case.edges)
-            rng.shuffle(edges)
+            ctx = make_prompt_context(case, records, cfg.knowledge_mode, rng)
         else:
-            edges = edges_fixed
-        ctx = PromptContext(
-            network_description=case.description,
-            nodes=case.nodes,
-            edges=tuple(edges),
-            historical=tuple(
-                {"solution": ", ".join(r.sequence), "score": float(r.score)}
-                for r in records
-            ),
-            knowledge_mode=cfg.knowledge_mode,
-        )
+            ctx = make_prompt_context(fixed_edge_case, records, cfg.knowledge_mode, None)
         prompt = build_prompt(ctx)
 
         attempt_prompt = prompt

@@ -83,11 +83,13 @@ def make_prompt_context(
     case: DsmCase,
     records: list[SolutionRecord],
     knowledge_mode: str,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> PromptContext:
-    """Assemble a context from a case and archive sample, shuffling the edges."""
+    """Assemble a context from a case and archive sample, shuffling the edges
+    with rng, or keeping the case's edge order when rng is None."""
     edges = list(case.edges)
-    rng.shuffle(edges)
+    if rng is not None:
+        rng.shuffle(edges)
     historical = tuple(
         {"solution": ", ".join(r.sequence), "score": float(r.score)} for r in records
     )

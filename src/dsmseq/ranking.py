@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import shortest_path
 
 from .model import AdjacencyMatrix
 
@@ -121,6 +122,25 @@ def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool 
     return _rank("out-in-degree", matrix, out_deg - in_deg, None, seed, ascending)
 
 
+def _power_iteration(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Power iteration from the uniform vector with 1-norm normalization.
+
+    Returns (last iterate, converged). Stops early without converging on
+    breakdown, when the iterate leaves the matrix's range.
+    """
+    v = np.full(m.shape[0], 1.0 / m.shape[0])
+    for _ in range(POWER_MAX_ITER):
+        nxt = m @ v
+        norm = np.abs(nxt).sum()
+        if norm == 0.0:
+            return v, False
+        nxt = nxt / norm
+        if np.abs(nxt - v).sum() < POWER_TOL:
+            return nxt, True
+        v = nxt
+    return v, False
+
+
 def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
     """Rank by the dominant eigenvector of the dependency matrix.
 
@@ -133,40 +153,18 @@ def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = 
         keys = np.zeros(matrix.n)
         return _rank("eigenvector", matrix, keys, None, seed, ascending, warning="zero-matrix")
 
-    def power_iteration(m: np.ndarray) -> np.ndarray | None:
-        v = np.full(matrix.n, 1.0 / matrix.n)
-        for _ in range(POWER_MAX_ITER):
-            nxt = m @ v
-            norm = np.abs(nxt).sum()
-            if norm == 0.0:
-                return None  # breakdown: v left the matrix's range
-            nxt = nxt / norm
-            if np.abs(nxt - v).sum() < POWER_TOL:
-                return nxt
-            v = nxt
-        return None
-
-    vec = power_iteration(a)
+    vec, converged = _power_iteration(a)
     warning = None
-    if vec is None:
+    if not converged:
         warning = "power-iteration-fallback"
         warnings.warn(
             "power iteration on A failed to converge; retrying on A + eps*I",
             RuntimeWarning,
             stacklevel=2,
         )
-        vec = power_iteration(a + EIG_EPSILON * np.eye(matrix.n))
-        if vec is None:
-            # best effort: one long pass, keep the final iterate
-            v = np.full(matrix.n, 1.0 / matrix.n)
-            m = a + EIG_EPSILON * np.eye(matrix.n)
-            for _ in range(POWER_MAX_ITER):
-                nxt = m @ v
-                norm = np.abs(nxt).sum()
-                if norm == 0.0:
-                    break
-                v = nxt / norm
-            vec = v
+        # best effort if this fails too: keep its final iterate
+        vec, converged = _power_iteration(a + EIG_EPSILON * np.eye(matrix.n))
+        if not converged:
             warning = "power-iteration-no-convergence"
     return _rank("eigenvector", matrix, vec, None, seed, ascending, warning=warning)
 
@@ -213,18 +211,9 @@ def walk_resolvent_order(
 
 def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
     """Binary matrix with entry [i][j] = 1 iff some directed dependency
-    path (length >= 0) leads from j to i. Equals the binarized sum of
-    matrix powers A^0 .. A^n without ever forming the huge integer sums."""
-    a = matrix.a.astype(np.int64)
-    reach = np.eye(matrix.n, dtype=bool)
-    frontier = np.eye(matrix.n, dtype=np.int64)
-    for _ in range(matrix.n):
-        frontier = ((a @ frontier) > 0).astype(np.int64)
-        new = (frontier > 0) & ~reach
-        if not new.any():
-            break
-        reach |= new
-    return reach.astype(np.int64)
+    path (length >= 0) leads from j to i, found by breadth-first search."""
+    hops = shortest_path(np.ascontiguousarray(matrix.a.T), directed=True, unweighted=True)
+    return np.isfinite(hops).T.astype(np.int64)
 
 
 def visibility_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:

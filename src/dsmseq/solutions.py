@@ -63,10 +63,6 @@ class SolutionBase:
         return len(self._records)
 
     @property
-    def unique_count(self) -> int:
-        return len(self._records)
-
-    @property
     def records(self) -> tuple[SolutionRecord, ...]:
         return tuple(self._records)
 

@@ -24,6 +24,7 @@ from dsmseq import (
     ExperimentSpec,
     OptimizerConfig,
     SamplingPolicy,
+    ScriptedProvider,
     SolutionBase,
     SolutionRecord,
     TerminationPolicy,
@@ -40,7 +41,6 @@ from dsmseq import (
     run_ga,
     run_optimization,
     score_sequence,
-    scripted_stub,
     visibility_order,
     walk_exponential_order,
     walk_resolvent_order,
@@ -291,7 +291,7 @@ def test_06_scripted_loop_end_to_end():
             termination=TerminationPolicy(max_iterations=20, optimal_threshold=optimum),
             seed=77,
         )
-        best, trace = run_optimization(case, cfg, scripted_stub(list(responses)))
+        best, trace = run_optimization(case, cfg, ScriptedProvider(list(responses)))
         assert best.score == optimum
         assert trace[-1]["iteration"] == 3  # stopped at the threshold, not the budget
         assert [row["score"] for row in trace[1:]] == [3, 1, 0]
@@ -300,7 +300,7 @@ def test_06_scripted_loop_end_to_end():
         assert trace[0]["score"] > 3  # seeded start really was worst
         assert [row["unique_count"] for row in trace] == [1, 2, 3, 4]
 
-        _, replay = run_optimization(case, cfg, scripted_stub(list(responses)))
+        _, replay = run_optimization(case, cfg, ScriptedProvider(list(responses)))
         assert replay == trace
 
 

@@ -1,22 +1,25 @@
 """Experiment harness: stats, curves, the grid runner, and snapshot rendering."""
 
 import csv
+import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
 from dsmseq import (
     ChatResult,
     ExperimentSpec,
+    ScriptedProvider,
     aggregate_stats,
+    case_to_dict,
     convergence_curve,
     load_case,
     load_experiment_spec,
     merge_curves,
     render_trajectory,
     run_experiment,
-    scripted_stub,
 )
 from dsmseq.bench import (
     ALL_METHODS,
@@ -25,7 +28,7 @@ from dsmseq.bench import (
     LLM_METHODS,
     step_value,
 )
-from conftest import naive_score
+from conftest import make_case, naive_score
 
 
 def trace_row(unique_count, best_score, **extra):
@@ -168,6 +171,12 @@ class TestSpec:
                 trial_budgets=[0],
             )
 
+    def test_cases_sharing_a_file_stem_rejected(self, tmp_path):
+        first, second = tmp_path / "a" / "case.json", tmp_path / "b" / "case.json"
+        with pytest.raises(ValueError, match="share the name 'case'") as info:
+            ExperimentSpec(cases=[first, second], methods=["det-outin"], output_dir=tmp_path)
+        assert str(first) in str(info.value) and str(second) in str(info.value)
+
     def test_load_from_json(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -182,7 +191,7 @@ class TestSpec:
             ),
             encoding="utf-8",
         )
-        stub = scripted_stub([])
+        stub = ScriptedProvider([])
         spec = load_experiment_spec(spec_path, provider=stub)
         assert spec.cases == ["a.json"]
         assert spec.methods == ["det-outin", "ga-balanced"]
@@ -345,7 +354,7 @@ class TestRunExperiment:
             out,
             methods=["llm-with-knowledge", "det-outin"],
             runs_per_method=2,
-            provider=lambda: scripted_stub([]),  # exhausts immediately
+            provider=lambda: ScriptedProvider([]),  # exhausts immediately
         )
         table = run_experiment(spec)
         assert len(table.failures) == 2
@@ -364,6 +373,52 @@ class TestRunExperiment:
         table = run_experiment(spec)
         assert len(table.failures) == 1
         assert "provider" in table.failures[0]["error"]
+
+    def test_a_cell_that_raises_is_a_failure_not_a_crash(self, tmp_path):
+        # complete digraph on 41 nodes: delta * spectral radius = 0.025 * 40 = 1,
+        # so the resolvent refuses its singular system
+        n = 41
+        case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
+        path = tmp_path / "complete_41.json"
+        path.write_text(json.dumps(case_to_dict(case)), encoding="utf-8")
+        out = tmp_path / "out"
+        spec = ExperimentSpec(
+            cases=[path], methods=["det-outin", "det-resolvent"], output_dir=out, runs_per_method=1
+        )
+        table = run_experiment(spec)
+        assert len(table.scores_for("complete_41", "det-outin")) == 1
+        assert [r[1] for r in read_csv(out / "results.csv")[1:]] == ["det-outin"]
+        assert [(f["method"], f["run"]) for f in table.failures] == [("det-resolvent", 0)]
+        assert table.failures[0]["error"].startswith("ValueError: (I - delta*A) is near-singular")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failures"] == table.failures
+
+    def test_grid_outputs_match_golden_digests(self, data_dir, golden_dir, tmp_path):
+        """Every bundled case x every method: each output file's sha256 is
+        pinned in golden/grid_sha256.json, so the grid stays byte-identical
+        across versions. A change that alters outputs on purpose rewrites
+        that file and says so in CHANGES.md."""
+        out = tmp_path / "out"
+        spec = ExperimentSpec(
+            cases=sorted(data_dir.glob("*.json")),
+            methods=list(ALL_METHODS),
+            output_dir=out,
+            runs_per_method=2,
+            trial_budgets=[1, 3],
+            ga_generations=60,
+            provider=EchoProvider(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = run_experiment(spec)
+        assert table.failures == []
+        digests = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        expected = json.loads((golden_dir / "grid_sha256.json").read_text(encoding="utf-8"))
+        assert digests == expected
 
 
 class TestRenderTrajectory:

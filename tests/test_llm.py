@@ -9,7 +9,6 @@ from dsmseq import (
     ProviderConfig,
     ProviderError,
     ScriptedProvider,
-    scripted_stub,
 )
 
 KEY = "sk-test-SECRET-0123456789"
@@ -57,31 +56,31 @@ def provider_with(outcomes, **config_overrides):
 
 class TestScriptedStub:
     def test_replays_in_order(self):
-        stub = scripted_stub(["<order> a,b </order>", "second"])
+        stub = ScriptedProvider(["<order> a,b </order>", "second"])
         assert stub.complete(request()).text == "<order> a,b </order>"
         assert stub.complete(request()).text == "second"
 
     def test_exhaustion(self):
-        stub = scripted_stub(["only"])
+        stub = ScriptedProvider(["only"])
         stub.complete(request())
         with pytest.raises(ProviderError, match="script exhausted") as info:
             stub.complete(request())
         assert info.value.kind == "script-exhausted"
 
     def test_empty_script_fails_immediately(self):
-        stub = scripted_stub([])
+        stub = ScriptedProvider([])
         with pytest.raises(ProviderError, match="script exhausted"):
             stub.complete(request())
 
     def test_records_prompts(self):
-        stub = scripted_stub(["x", "y"])
+        stub = ScriptedProvider(["x", "y"])
         stub.complete(request("first prompt"))
         stub.complete(request("second prompt"))
         assert stub.prompts == ["first prompt", "second prompt"]
 
     def test_two_stubs_do_not_crosstalk(self):
-        a = scripted_stub(["from-a"])
-        b = scripted_stub(["from-b"])
+        a = ScriptedProvider(["from-a"])
+        b = ScriptedProvider(["from-b"])
         assert a.complete(request("pa")).text == "from-a"
         assert b.complete(request("pb")).text == "from-b"
         assert a.prompts == ["pa"]

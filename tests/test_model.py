@@ -1,15 +1,22 @@
 """Case loading, validation, adjacency construction, anonymization, metrics."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import dsmseq
 from dsmseq import (
     CaseError,
     DsmCase,
     Edge,
+    NetworkMetrics,
     Node,
     anonymize_ids,
     build_adjacency,
@@ -21,7 +28,7 @@ from dsmseq import (
     network_metrics,
 )
 
-from conftest import make_case, naive_score
+from conftest import make_case, naive_score, random_case
 
 
 class TestLoadAndValidate:
@@ -241,3 +248,64 @@ class TestMetrics:
         assert a.diameter == b.diameter
         assert a.clustering_coefficient == pytest.approx(b.clustering_coefficient)
         assert a.average_path_length == pytest.approx(b.average_path_length)
+
+    def test_equals_the_networkx_reference(self):
+        rng = random.Random(11)
+        # sparse draws are disconnected and leave isolated nodes
+        cases = [
+            random_case(rng, n, density)
+            for n in (5, 12, 30)
+            for density in (0.03, 0.1, 0.3, 0.8)
+            for _ in range(4)
+        ]
+        # two largest components of four nodes each, a path (diameter 3) and a
+        # complete graph (diameter 1), plus one isolated node; the component
+        # holding the lowest node index must win the tie
+        path = [(1, 0), (2, 1), (3, 2)]
+        complete = [(d, p) for d in range(4) for p in range(d)]
+        for first, second in ((path, complete), (complete, path)):
+            for place in (lambda i: i, lambda i: i + 4), (lambda i: 2 * i, lambda i: 2 * i + 1):
+                pairs = [(place[0](d), place[0](p)) for d, p in first]
+                pairs += [(place[1](d), place[1](p)) for d, p in second]
+                cases.append(make_case(9, pairs))
+        results = [(network_metrics(case), networkx_metrics(case)) for case in cases]
+        assert {ours.connected for ours, _ in results} == {True, False}
+        assert {ours.diameter for ours, _ in results[-4:]} == {1, 3}
+        for ours, reference in results:
+            assert ours == reference
+
+
+def networkx_metrics(case: DsmCase) -> NetworkMetrics:
+    """network_metrics as computed with networkx, kept as the reference."""
+    n, e = case.n, len(case.edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(case.node_ids)
+    graph.add_edges_from((edge.predecessor, edge.dependent) for edge in case.edges)
+    connected = nx.is_connected(graph)
+    component = graph
+    if not connected:
+        component = graph.subgraph(max(nx.connected_components(graph), key=len))
+    return NetworkMetrics(
+        n=n,
+        e=e,
+        diameter=int(nx.diameter(component)),
+        density=2.0 * e / (n * (n - 1)),
+        average_degree=2.0 * e / n,
+        clustering_coefficient=float(nx.average_clustering(graph)),
+        average_path_length=float(nx.average_shortest_path_length(component)),
+        connected=connected,
+    )
+
+
+def test_import_leaves_networkx_out():
+    src = str(Path(dsmseq.__file__).resolve().parents[1])
+    code = "import sys, dsmseq; print('networkx' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

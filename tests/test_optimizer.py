@@ -8,9 +8,9 @@ from dsmseq import (
     OptimizationAborted,
     OptimizerConfig,
     SamplingPolicy,
+    ScriptedProvider,
     TerminationPolicy,
     run_optimization,
-    scripted_stub,
 )
 from conftest import make_case, naive_score
 
@@ -51,7 +51,7 @@ class TestConfig:
 class TestHappyPath:
     def test_stops_at_optimal_threshold(self):
         case = chain_case()
-        stub = scripted_stub([f"<order> {TOPO_ORDER} </order>"] * 5)
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"] * 5)
         cfg = config(termination=TerminationPolicy(max_iterations=20, optimal_threshold=0))
         best, trace = run_optimization(case, cfg, stub)
         assert trace[0]["score"] > 0  # seeded start is not already optimal
@@ -69,7 +69,7 @@ class TestHappyPath:
             "<order> v00, v02, v01, v03, v04, v05 </order>",
         ]
         cfg = config(termination=TerminationPolicy(max_iterations=3))
-        best, trace = run_optimization(case, cfg, scripted_stub(responses))
+        best, trace = run_optimization(case, cfg, ScriptedProvider(responses))
         assert [row["iteration"] for row in trace] == [0, 1, 2, 3]
         assert best.score <= trace[0]["score"]
 
@@ -80,7 +80,7 @@ class TestHappyPath:
             "<order> v03, v01, v04, v00, v02, v05 </order>",
         ]
         cfg = config(termination=TerminationPolicy(max_iterations=2))
-        _, trace = run_optimization(case, cfg, scripted_stub(responses))
+        _, trace = run_optimization(case, cfg, ScriptedProvider(responses))
         for row in trace:
             assert row["score"] == naive_score(case, row["sequence"])
 
@@ -93,7 +93,7 @@ class TestHappyPath:
             "<order> v01, v02, v03, v04, v05, v00 </order>",
         ]
         cfg = config(termination=TerminationPolicy(max_iterations=4))
-        _, trace = run_optimization(case, cfg, scripted_stub(responses))
+        _, trace = run_optimization(case, cfg, ScriptedProvider(responses))
         best_scores = [row["best_score"] for row in trace]
         assert all(b <= a for a, b in zip(best_scores, best_scores[1:]))
         # the reversed order arrives after the optimum: best stays put
@@ -102,7 +102,7 @@ class TestHappyPath:
     def test_trace_schema(self):
         case = chain_case()
         cfg = config(termination=TerminationPolicy(max_iterations=1))
-        stub = scripted_stub([f"<order> {REVERSED_ORDER} </order>"])
+        stub = ScriptedProvider([f"<order> {REVERSED_ORDER} </order>"])
         _, trace = run_optimization(case, cfg, stub)
         expected_keys = {
             "iteration",
@@ -131,7 +131,7 @@ class TestDuplicates:
     def test_repeats_do_not_grow_the_archive(self):
         case = chain_case()
         cfg = config(termination=TerminationPolicy(max_iterations=4))
-        stub = scripted_stub([f"<order> {TOPO_ORDER} </order>"] * 4)
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"] * 4)
         _, trace = run_optimization(case, cfg, stub)
         assert trace[1]["duplicate"] is False
         assert all(row["duplicate"] for row in trace[2:])
@@ -145,7 +145,7 @@ class TestInvalidResponses:
             termination=TerminationPolicy(max_iterations=1),
             invalid_retry_budget=1,
         )
-        stub = scripted_stub(["no tags here", "still no tags"])
+        stub = ScriptedProvider(["no tags here", "still no tags"])
         best, trace = run_optimization(case, cfg, stub)
         row = trace[1]
         assert row["failure"] == "missing-tags"
@@ -163,7 +163,7 @@ class TestInvalidResponses:
             termination=TerminationPolicy(max_iterations=1),
             invalid_retry_budget=2,
         )
-        stub = scripted_stub(
+        stub = ScriptedProvider(
             [
                 "nonsense",
                 "<order> v00, v00, v01, v02, v03, v04 </order>",
@@ -183,7 +183,7 @@ class TestInvalidResponses:
             termination=TerminationPolicy(max_iterations=1),
             invalid_retry_budget=0,
         )
-        stub = scripted_stub(["garbage", "never consulted"])
+        stub = ScriptedProvider(["garbage", "never consulted"])
         _, trace = run_optimization(case, cfg, stub)
         assert trace[1]["attempts"] == 1
         assert len(stub.prompts) == 1
@@ -193,7 +193,7 @@ class TestAbort:
     def test_script_exhaustion_aborts_with_partial_trace(self):
         case = chain_case()
         cfg = config(termination=TerminationPolicy(max_iterations=3))
-        stub = scripted_stub([f"<order> {REVERSED_ORDER} </order>"])
+        stub = ScriptedProvider([f"<order> {REVERSED_ORDER} </order>"])
         with pytest.raises(OptimizationAborted) as info:
             run_optimization(case, cfg, stub)
         exc = info.value
@@ -211,7 +211,7 @@ class TestAudit:
             termination=TerminationPolicy(max_iterations=1),
             audit_dir=audit,
         )
-        stub = scripted_stub([f"<order> {TOPO_ORDER} </order>"])
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"])
         run_optimization(case, cfg, stub)
         prompt_file = audit / "iter001_attempt1_prompt.txt"
         response_file = audit / "iter001_attempt1_response.txt"
@@ -225,7 +225,7 @@ class TestAudit:
             invalid_retry_budget=1,
             audit_dir=tmp_path,
         )
-        run_optimization(case, cfg, scripted_stub(["bad", "also bad"]))
+        run_optimization(case, cfg, ScriptedProvider(["bad", "also bad"]))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
             "iter001_attempt1_prompt.txt",
@@ -242,7 +242,7 @@ class TestKnowledgeModes:
             knowledge_mode="without",
             termination=TerminationPolicy(max_iterations=1),
         )
-        stub = scripted_stub([f"<order> {TOPO_ORDER} </order>"])
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"])
         run_optimization(case, cfg, stub)
         prompt = stub.prompts[0]
         assert "test network" not in prompt
@@ -252,7 +252,7 @@ class TestKnowledgeModes:
     def test_with_knowledge_includes_them(self):
         case = make_case(6, CHAIN_EDGES, names=[f"Visible Step {i}" for i in range(6)])
         cfg = config(termination=TerminationPolicy(max_iterations=1))
-        stub = scripted_stub([f"<order> {TOPO_ORDER} </order>"])
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"])
         run_optimization(case, cfg, stub)
         prompt = stub.prompts[0]
         assert "test network" in prompt
@@ -267,16 +267,16 @@ class TestDeterminism:
             "<order> v01, v00, v02, v03, v04, v05 </order>",
         ]
         cfg = config(termination=TerminationPolicy(max_iterations=2))
-        _, first = run_optimization(case, cfg, scripted_stub(responses))
-        _, second = run_optimization(case, cfg, scripted_stub(responses))
+        _, first = run_optimization(case, cfg, ScriptedProvider(responses))
+        _, second = run_optimization(case, cfg, ScriptedProvider(responses))
         assert first == second
 
     def test_seed_changes_initial_order(self):
         case = chain_case()
         cfg_a = config(seed=1, termination=TerminationPolicy(max_iterations=1))
         cfg_b = config(seed=2, termination=TerminationPolicy(max_iterations=1))
-        _, trace_a = run_optimization(case, cfg_a, scripted_stub([f"<order> {TOPO_ORDER} </order>"]))
-        _, trace_b = run_optimization(case, cfg_b, scripted_stub([f"<order> {TOPO_ORDER} </order>"]))
+        _, trace_a = run_optimization(case, cfg_a, ScriptedProvider([f"<order> {TOPO_ORDER} </order>"]))
+        _, trace_b = run_optimization(case, cfg_b, ScriptedProvider([f"<order> {TOPO_ORDER} </order>"]))
         assert trace_a[0]["sequence"] != trace_b[0]["sequence"]
 
 
@@ -288,7 +288,7 @@ class TestEdgeShuffling:
     def test_fixed_by_default(self):
         case = make_case(8, [(i + 1, i) for i in range(7)] + [(0, 7), (2, 5)])
         cfg = config(termination=TerminationPolicy(max_iterations=2))
-        stub = scripted_stub(
+        stub = ScriptedProvider(
             ["<order> " + ", ".join(f"v{i:02d}" for i in range(8)) + " </order>"] * 2
         )
         run_optimization(case, cfg, stub)
@@ -300,7 +300,7 @@ class TestEdgeShuffling:
             termination=TerminationPolicy(max_iterations=2),
             reshuffle_edges_each_iteration=True,
         )
-        stub = scripted_stub(
+        stub = ScriptedProvider(
             ["<order> " + ", ".join(f"v{i:02d}" for i in range(8)) + " </order>"] * 2
         )
         run_optimization(case, cfg, stub)

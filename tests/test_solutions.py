@@ -45,12 +45,12 @@ class TestInsert:
         order = list(m.ids)
         assert base.insert(record_for(m, order)) is True
         assert base.insert(record_for(m, order, iteration=5)) is False
-        assert base.unique_count == 1
+        assert len(base) == 1
 
     def test_two_distinct(self, chain_case):
         m = build_adjacency(chain_case)
         base = filled_base(m, [list(m.ids), list(reversed(m.ids))])
-        assert base.unique_count == 2
+        assert len(base) == 2
 
     def test_score_must_match_evaluator(self, chain_case):
         m = build_adjacency(chain_case)
