@@ -22,7 +22,7 @@ import numpy as np
 
 from .ga import GENERATIONS_DEFAULT, preset_config, run_ga
 from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, load_case
-from .optimizer import OptimizerConfig, run_optimization
+from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .llm import ProviderError
 from .ranking import DETERMINISTIC_METHODS
@@ -61,9 +61,11 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON spec; relative case paths are read from the spec's directory."""
+    path = Path(path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
     return ExperimentSpec(
-        cases=raw["cases"],
+        cases=[path.parent / case for case in raw["cases"]],
         methods=raw.get("methods", list(ALL_METHODS)),
         output_dir=raw["output_dir"],
         runs_per_method=raw.get("runs_per_method", 10),
@@ -205,6 +207,14 @@ def _ga_cell(
     )
 
 
+def _restore_ids(trace: list[dict], inverse: dict[str, str]) -> None:
+    """Map the anonymized ids of a trace back to the case's, in place."""
+    for row in trace:
+        for key in ("sequence", "best_sequence"):
+            if row[key] is not None:
+                row[key] = [inverse[i] for i in row[key]]
+
+
 def _llm_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, knowledge_mode: str
 ) -> CellResult:
@@ -227,11 +237,12 @@ def _llm_cell(
         knowledge_mode=knowledge_mode,
         seed=seed,
     )
-    _, trace = run_optimization(anon_case, cfg, provider)
-    for row in trace:
-        for key in ("sequence", "best_sequence"):
-            if row[key] is not None:
-                row[key] = [inverse[i] for i in row[key]]
+    try:
+        _, trace = run_optimization(anon_case, cfg, provider)
+    except OptimizationAborted as exc:
+        _restore_ids(exc.trace, inverse)  # run_experiment keeps the partial trace
+        raise
+    _restore_ids(trace, inverse)
     last_iteration = trace[-1]["iteration"]
     scores = {}
     for budget in budgets:
@@ -264,7 +275,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     per cell), convergence/*.csv for stochastic methods, traces/*.jsonl for
     LLM runs, and manifest.json with every seed used. A cell that raises
     is recorded in the failures with its exception type and message, and
-    the grid keeps going.
+    the grid keeps going; an LLM run whose provider failed still writes the
+    trace of the iterations that ran.
     """
     out = Path(spec.output_dir)
     rows: list[dict] = []
@@ -285,6 +297,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                 try:
                     result = METHODS[method](case, matrix, seed, spec)
                 except Exception as exc:  # one bad cell must not lose the grid
+                    if isinstance(exc, OptimizationAborted):
+                        write_jsonl(out / "traces" / f"{cell}.jsonl", exc.trace)
                     failures.append(
                         {"case": case_name, "method": method, "run": run,
                          "seed": seed, "error": f"{type(exc).__name__}: {exc}"}

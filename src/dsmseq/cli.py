@@ -54,7 +54,7 @@ def _cmd_baseline(args) -> int:
     matrix = build_adjacency(case)
     method = args.method.removeprefix("det-")
     if method not in DETERMINISTIC_METHODS:
-        raise SystemExit(
+        raise ValueError(
             f"unknown baseline {args.method!r}; choose from {sorted(DETERMINISTIC_METHODS)}"
         )
     ranking = DETERMINISTIC_METHODS[method](matrix, seed=args.seed, ascending=args.ascending)
@@ -191,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input (CaseError included): one line, no traceback
+        raise SystemExit(f"dsm-seq: error: {exc}") from None
 
 
 if __name__ == "__main__":

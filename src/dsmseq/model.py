@@ -182,33 +182,26 @@ class AdjacencyMatrix:
     """Binary dependency matrix with its id bookkeeping.
 
     a[i][j] = 1 means node ids[i] depends on node ids[j]. dep_idx/pred_idx
-    are the matrix coordinates of each edge, kept for fast scoring.
+    are the matrix coordinates of each edge in row-major order, kept for
+    fast scoring.
     """
 
     n: int
     a: np.ndarray
     ids: tuple[str, ...]
     index_of: dict[str, int]
-    dep_idx: np.ndarray = field(repr=False, default=None)
-    pred_idx: np.ndarray = field(repr=False, default=None)
+    dep_idx: np.ndarray = field(repr=False)
+    pred_idx: np.ndarray = field(repr=False)
 
 
 def build_adjacency(case: DsmCase) -> AdjacencyMatrix:
     """Build the n-by-n 0/1 matrix in the case's node-list order."""
-    ids = case.node_ids
-    index_of = {node_id: i for i, node_id in enumerate(ids)}
-    n = len(ids)
-    a = np.zeros((n, n), dtype=np.int64)
-    dep_idx = np.fromiter(
-        (index_of[e.dependent] for e in case.edges), dtype=np.int64, count=len(case.edges)
-    )
-    pred_idx = np.fromiter(
-        (index_of[e.predecessor] for e in case.edges), dtype=np.int64, count=len(case.edges)
-    )
-    a[dep_idx, pred_idx] = 1
-    return AdjacencyMatrix(
-        n=n, a=a, ids=ids, index_of=index_of, dep_idx=dep_idx, pred_idx=pred_idx
-    )
+    index_of = {node_id: i for i, node_id in enumerate(case.node_ids)}
+    a = np.zeros((case.n, case.n), dtype=np.int64)
+    deps = [index_of[e.dependent] for e in case.edges]
+    preds = [index_of[e.predecessor] for e in case.edges]
+    a[deps, preds] = 1
+    return matrix_from_array(a, case.node_ids)
 
 
 def matrix_from_array(a: np.ndarray, ids: tuple[str, ...] | None = None) -> AdjacencyMatrix:

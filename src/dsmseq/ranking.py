@@ -202,8 +202,8 @@ def walk_resolvent_order(
         condition = np.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise ValueError(
-            f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}); "
-            "use a smaller delta"
+            f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}) "
+            f"at delta={delta:g}; pass a smaller one as walk_resolvent_order(..., delta=...)"
         )
     f = np.linalg.solve(system, np.eye(matrix.n))
     return _walk_rank("walk-resolvent", matrix, f, seed, ascending)

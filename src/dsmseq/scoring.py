@@ -9,6 +9,8 @@ columns into the sequence.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .model import AdjacencyMatrix, DsmCase, matrix_from_array
@@ -28,23 +30,17 @@ def is_valid_sequence(case_ids, candidate) -> tuple[bool, str]:
         expected = set(case_ids.ids)
     else:
         expected = set(case_ids)
-    candidate = list(candidate)
-    problems = []
-    counts: dict[str, int] = {}
-    for item in candidate:
-        counts[item] = counts.get(item, 0) + 1
-    duplicated = sorted(item for item, c in counts.items() if c > 1)
-    unknown = sorted(set(counts) - expected)
-    missing = sorted(expected - set(counts))
-    if duplicated:
-        problems.append(f"duplicated ids: {duplicated}")
-    if unknown:
-        problems.append(f"unknown ids: {unknown}")
-    if missing:
-        problems.append(f"missing ids: {missing}")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok"
+    counts = Counter(candidate)
+    problems = [
+        f"{kind} ids: {ids}"
+        for kind, ids in (
+            ("duplicated", sorted(item for item, c in counts.items() if c > 1)),
+            ("unknown", sorted(counts.keys() - expected)),
+            ("missing", sorted(expected - counts.keys())),
+        )
+        if ids
+    ]
+    return (False, "; ".join(problems)) if problems else (True, "ok")
 
 
 def _index_order(matrix: AdjacencyMatrix, order) -> np.ndarray:
@@ -62,8 +58,6 @@ def feedback_count(matrix: AdjacencyMatrix, order: np.ndarray) -> int:
     order must be a permutation of range(matrix.n); that is not checked
     here, so callers validate first (score_sequence does).
     """
-    if matrix.dep_idx is None or len(matrix.dep_idx) == 0:
-        return 0
     pos = np.empty(matrix.n, dtype=np.int64)
     pos[order] = np.arange(matrix.n)
     return int(np.count_nonzero(pos[matrix.dep_idx] < pos[matrix.pred_idx]))

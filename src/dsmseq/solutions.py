@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -50,14 +51,16 @@ class TerminationPolicy:
 class SolutionBase:
     """Stores every distinct explored sequence with its verified score.
 
-    Single-writer: the search loop inserts sequentially. Insertion order is
-    remembered, and score ties are broken by it wherever ordering matters.
+    Single-writer: the search loop inserts sequentially. The archive keeps
+    one ranking, (score, arrival index) pairs sorted as records arrive, so
+    a score tie always goes to the record inserted first.
     """
 
     def __init__(self, matrix: AdjacencyMatrix):
         self._matrix = matrix
         self._records: list[SolutionRecord] = []
         self._seen: set[tuple[str, ...]] = set()
+        self._ranking: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -81,40 +84,32 @@ class SolutionBase:
         if seq in self._seen:
             return False
         self._seen.add(seq)
+        bisect.insort(self._ranking, (record.score, len(self._records)))
         self._records.append(record)
         return True
-
-    def __contains__(self, sequence) -> bool:
-        return tuple(sequence) in self._seen
 
     def best(self) -> SolutionRecord:
         if not self._records:
             raise ValueError("solution base is empty")
-        return min(
-            self._records,
-            key=lambda r: (r.score, r.iteration_found, r.sequence),
-        )
+        return self._records[self._ranking[0][1]]
 
     def sample_for_prompt(
         self, policy: SamplingPolicy, rng: random.Random | int
     ) -> list[SolutionRecord]:
         """k_p best records plus k_q uniform picks from the rest, worst first.
 
-        The returned list is ordered by descending score so the best
-        precedent sits closest to the end of the prompt. Ties keep
-        insertion order throughout.
+        The k_p best are the head of the ranking (score, then arrival). The
+        returned list is ordered by descending score, stable over best then
+        picked, so the best precedent sits closest to the end of the prompt.
         """
         if not self._records:
             raise ValueError("solution base is empty")
         if isinstance(rng, int):
             rng = random.Random(rng)
-        ranked = sorted(
-            range(len(self._records)), key=lambda i: (self._records[i].score, i)
-        )
-        top = ranked[: policy.k_p]
-        rest = ranked[policy.k_p :]
-        picked = rng.sample(rest, min(policy.k_q, len(rest)))
-        chosen = [self._records[i] for i in top + picked]
+        top = self._ranking[: policy.k_p]
+        rest = range(len(top), len(self._ranking))  # rank positions below the top
+        picked = [self._ranking[j] for j in rng.sample(rest, min(policy.k_q, len(rest)))]
+        chosen = [self._records[i] for _, i in top + picked]
         return sorted(chosen, key=lambda r: -r.score)
 
     def should_terminate(self, policy: TerminationPolicy, iterations_done: int) -> bool:

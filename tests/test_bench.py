@@ -13,6 +13,7 @@ from dsmseq import (
     ExperimentSpec,
     ScriptedProvider,
     aggregate_stats,
+    anonymize_ids,
     case_to_dict,
     convergence_curve,
     load_case,
@@ -193,12 +194,46 @@ class TestSpec:
         )
         stub = ScriptedProvider([])
         spec = load_experiment_spec(spec_path, provider=stub)
-        assert spec.cases == ["a.json"]
+        assert spec.cases == [tmp_path / "a.json"]  # relative to the spec file
         assert spec.methods == ["det-outin", "ga-balanced"]
         assert spec.runs_per_method == 4
         assert spec.base_seed == 9
         assert spec.trial_budgets == [1, 5, 20]  # default
         assert spec.provider is stub
+
+
+    def test_relative_paths_resolve_against_the_spec_file(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        spec_dir = tmp_path / "specs"
+        (spec_dir / "cases").mkdir(parents=True)
+        case_text = (data_dir / "demo_gearbox_7.json").read_text(encoding="utf-8")
+        (spec_dir / "cases" / "gearbox.json").write_text(case_text, encoding="utf-8")
+        absolute = data_dir / "demo_gearbox_7.json"
+        spec_path = spec_dir / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "cases": ["cases/gearbox.json", str(absolute)],
+                    "methods": ["det-outin"],
+                    "output_dir": "out",
+                    "runs_per_method": 1,
+                }
+            ),
+            encoding="utf-8",
+        )
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        spec = load_experiment_spec(spec_path)
+        assert spec.cases == [spec_dir / "cases" / "gearbox.json", absolute]
+        table = run_experiment(spec)
+        assert table.failures == []
+        assert len(table.scores_for("gearbox", "det-outin")) == 1
+        assert len(table.scores_for("demo_gearbox_7", "det-outin")) == 1
+        # output_dir stays relative to the working directory
+        assert (elsewhere / "out" / "results.csv").is_file()
+        assert not (spec_dir / "out").exists()
 
 
 class TestRunExperiment:
@@ -364,6 +399,31 @@ class TestRunExperiment:
         assert len(manifest["failures"]) == 2
         # failed cells produced no rows, so no summary entry either
         assert all(s["method"] == "det-outin" for s in table.summary)
+
+    def test_failed_llm_cell_keeps_its_partial_trace(self, data_dir, demo_case, tmp_path):
+        # one valid reply in anonymized ids, then the script runs dry at iteration 2
+        _, mapping = anonymize_ids(demo_case, 0)
+        reply = "<order> " + ", ".join(mapping[i] for i in demo_case.node_ids) + " </order>"
+        out = tmp_path / "out"
+        spec = self.make_spec(
+            data_dir,
+            out,
+            methods=["llm-with-knowledge"],
+            runs_per_method=1,
+            trial_budgets=[1, 3],
+            provider=lambda: ScriptedProvider([reply]),
+        )
+        table = run_experiment(spec)
+        assert [(f["method"], f["run"]) for f in table.failures] == [("llm-with-knowledge", 0)]
+        assert table.failures[0]["error"].startswith("OptimizationAborted: provider failed at iteration 2")
+        trace_path = out / "traces" / "demo_gearbox_7__llm-with-knowledge__run0.jsonl"
+        rows = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
+        assert [r["iteration"] for r in rows] == [0, 1, 2]
+        assert rows[1]["sequence"] == list(demo_case.node_ids)
+        for row in rows:
+            assert sorted(row["best_sequence"]) == sorted(demo_case.node_ids)
+        assert rows[-1]["failure"] == "provider-error"
+        assert read_csv(out / "results.csv")[1:] == []
 
     def test_missing_provider_is_a_failure_not_a_crash(self, data_dir, tmp_path):
         out = tmp_path / "out"

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from dsmseq import ProviderError, brute_force_optimum
+from dsmseq import ProviderError, brute_force_optimum, case_to_dict
 from dsmseq.cli import main
-from conftest import adjacency, naive_score
+from conftest import adjacency, make_case, naive_score
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,28 @@ class TestBaseline:
     def test_unknown_method_exits(self, capsys, demo_path):
         with pytest.raises(SystemExit, match="unknown baseline"):
             main(["baseline", "det-sorcery", "--case", demo_path])
+
+    def test_library_error_is_one_line(self, capsys, tmp_path):
+        # complete digraph on 41 nodes: the resolvent's system is singular at
+        # the default delta
+        n = 41
+        case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
+        path = tmp_path / "complete_41.json"
+        path.write_text(json.dumps(case_to_dict(case)), encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["baseline", "resolvent", "--case", str(path)])
+        message = info.value.code
+        assert message.startswith("dsm-seq: error: (I - delta*A) is near-singular")
+        assert "delta=0.025" in message
+        assert "walk_resolvent_order(..., delta=...)" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_bad_case_file_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(SystemExit, match=r"^dsm-seq: error: .*not valid JSON"):
+            main(["metrics", "--case", str(path)])
 
     def test_ascending_flag(self, capsys, demo_path):
         _, down = run_cli(capsys, "baseline", "visibility", "--case", demo_path, "--seed", "0")

@@ -96,10 +96,63 @@ class TestBest:
         base.insert(record_for(m, s2, iteration=7))
         assert base.best().iteration_found == 2
 
+    def test_tie_goes_to_arrival_not_iteration(self, chain_case):
+        m = build_adjacency(chain_case)
+        base = SolutionBase(m)
+        s1 = ["v01", "v00", "v02", "v03"]
+        s2 = ["v00", "v02", "v01", "v03"]
+        base.insert(record_for(m, s2, iteration=7))
+        base.insert(record_for(m, s1, iteration=2))
+        assert base.best().iteration_found == 7
+
     def test_empty_base_errors(self, chain_case):
         base = SolutionBase(build_adjacency(chain_case))
         with pytest.raises(ValueError, match="empty"):
             base.best()
+
+
+def tied_archive(seed, inserts=60):
+    """An archive filled with random orders of a sparse 6-node case, so
+    many records share a score; returns it with the accepted records in
+    arrival order."""
+    rng = random.Random(seed)
+    case = make_case(6, [(1, 0), (2, 1), (4, 3), (5, 2)])
+    m = build_adjacency(case)
+    base = SolutionBase(m)
+    arrived = []
+    for _ in range(inserts):
+        record = record_for(m, rng.sample(list(m.ids), m.n), iteration=rng.randrange(100))
+        if base.insert(record):
+            arrived.append(record)
+    return base, arrived
+
+
+class TestRanking:
+    """The archive's ranking against a brute-force sort by (score, arrival)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_best_and_top_match_brute_force(self, seed):
+        base, arrived = tied_archive(seed)
+        ranked = [arrived[i] for i in sorted(range(len(arrived)), key=lambda i: (arrived[i].score, i))]
+        assert len({r.score for r in arrived}) < len(arrived) // 4  # heavy ties
+        assert base.best() == ranked[0]
+        for k_p in (1, 3, 10):
+            out = base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=0), rng=seed)
+            assert out == sorted(ranked[:k_p], key=lambda r: -r.score)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sample_draws_like_a_full_sort(self, seed):
+        # the same rng.sample call over the ranks below the top k_p, so a
+        # seeded run picks the same precedents as sorting the whole archive
+        base, arrived = tied_archive(seed)
+        ranked = sorted(range(len(arrived)), key=lambda i: (arrived[i].score, i))
+        for k_p, k_q in ((5, 5), (2, 9), (1, 0), (40, 5)):
+            rng_ref, rng = random.Random(seed), random.Random(seed)
+            rest = ranked[k_p:]
+            picked = rng_ref.sample(rest, min(k_q, len(rest)))
+            expected = sorted((arrived[i] for i in ranked[:k_p] + picked), key=lambda r: -r.score)
+            assert base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=k_q), rng) == expected
+            assert rng.random() == rng_ref.random()  # same number of draws
 
 
 class TestSampling:
