@@ -61,11 +61,26 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
-    """Read a JSON spec; relative case paths are read from the spec's directory."""
+    """Read a JSON spec; relative case paths are read from the spec's directory.
+
+    A missing required key or case file is a ValueError naming the spec.
+    """
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec {path}: top level must be an object")
+    for key in ("cases", "output_dir"):
+        if key not in raw:
+            raise ValueError(f"spec {path}: missing required key {key!r}")
+    cases = [path.parent / case for case in raw["cases"]]
+    for case in cases:
+        if not case.is_file():
+            raise ValueError(f"spec {path}: case file {case} does not exist")
     return ExperimentSpec(
-        cases=[path.parent / case for case in raw["cases"]],
+        cases=cases,
         methods=raw.get("methods", list(ALL_METHODS)),
         output_dir=raw["output_dir"],
         runs_per_method=raw.get("runs_per_method", 10),

@@ -87,16 +87,18 @@ def make_prompt_context(
 ) -> PromptContext:
     """Assemble a context from a case and archive sample, shuffling the edges
     with rng, or keeping the case's edge order when rng is None."""
-    edges = list(case.edges)
+    edges = case.edges
     if rng is not None:
-        rng.shuffle(edges)
+        shuffled = list(edges)
+        rng.shuffle(shuffled)
+        edges = tuple(shuffled)
     historical = tuple(
         {"solution": ", ".join(r.sequence), "score": float(r.score)} for r in records
     )
     return PromptContext(
         network_description=case.description,
         nodes=case.nodes,
-        edges=tuple(edges),
+        edges=edges,
         historical=historical,
         knowledge_mode=knowledge_mode,
     )
@@ -122,6 +124,53 @@ def _render_historical(historical: tuple[dict, ...]) -> str:
     return f"[\n{lines}\n]"
 
 
+def _split_template(template: str) -> tuple[str, str]:
+    """The template's text before and after the historical solutions field."""
+    head, tail = template.split("{selected_historical_solutions}")
+    # formatted like the whole template would be: escaped braces come out single
+    return head, tail.format()
+
+
+_TEMPLATE_PARTS = {
+    WITH_KNOWLEDGE: _split_template(TEMPLATE_WITH_KNOWLEDGE),
+    WITHOUT_KNOWLEDGE: _split_template(TEMPLATE_WITHOUT_KNOWLEDGE),
+}
+
+# (key, (head, tail)) of the last frame rendered; one tuple, replaced whole,
+# so a reader never pairs one key with another key's frame
+_last_frame: tuple = ((), ("", ""))
+
+
+def _frame(ctx: PromptContext) -> tuple[str, str]:
+    """The rendered text before and after the historical solutions.
+
+    It depends only on the topology and the knowledge mode, which stay fixed
+    through a run, so the last one is kept. The key is compared with == and
+    never hashed: equal tuples that share their elements compare by
+    identity, while hashing would walk every node and edge.
+    """
+    global _last_frame
+    key = (ctx.knowledge_mode, ctx.network_description, ctx.nodes, ctx.edges)
+    last_key, frame = _last_frame
+    if last_key == key:
+        return frame
+    head, tail = _TEMPLATE_PARTS[ctx.knowledge_mode]
+    if ctx.knowledge_mode == WITH_KNOWLEDGE:
+        head = head.format(
+            network_description=ctx.network_description,
+            node_list_with_description=_render_nodes_with_descriptions(ctx.nodes),
+            edge_list=_render_edge_list(ctx.edges),
+        )
+    else:
+        head = head.format(
+            node_list=repr(list(ctx.node_ids)),
+            edge_list=_render_edge_list(ctx.edges),
+        )
+    frame = (head, tail)
+    _last_frame = (key, frame)
+    return frame
+
+
 def build_prompt(ctx: PromptContext) -> str:
     """Render the prompt text. Pure; identical context gives identical bytes."""
     if not ctx.historical:
@@ -129,18 +178,8 @@ def build_prompt(ctx: PromptContext) -> str:
             "historical solutions must be non-empty: the loop always seeds "
             "the archive with one random order first"
         )
-    if ctx.knowledge_mode == WITH_KNOWLEDGE:
-        return TEMPLATE_WITH_KNOWLEDGE.format(
-            network_description=ctx.network_description,
-            node_list_with_description=_render_nodes_with_descriptions(ctx.nodes),
-            edge_list=_render_edge_list(ctx.edges),
-            selected_historical_solutions=_render_historical(ctx.historical),
-        )
-    return TEMPLATE_WITHOUT_KNOWLEDGE.format(
-        node_list=repr(list(ctx.node_ids)),
-        edge_list=_render_edge_list(ctx.edges),
-        selected_historical_solutions=_render_historical(ctx.historical),
-    )
+    head, tail = _frame(ctx)
+    return head + _render_historical(ctx.historical) + tail
 
 
 class OrderParseError(ValueError):

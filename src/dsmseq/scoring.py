@@ -21,15 +21,21 @@ EXHAUSTIVE_LIMIT = 10
 def is_valid_sequence(case_ids, candidate) -> tuple[bool, str]:
     """Check that candidate is a permutation of the node ids.
 
-    case_ids may be a DsmCase or any iterable of ids. Returns (ok,
-    diagnostic); the diagnostic names missing, duplicated, and unknown ids.
+    case_ids may be a DsmCase, an AdjacencyMatrix or any iterable of ids.
+    Returns (ok, diagnostic); the diagnostic names missing, duplicated, and
+    unknown ids.
     """
     if isinstance(case_ids, DsmCase):
         expected = set(case_ids.node_ids)
     elif isinstance(case_ids, AdjacencyMatrix):
-        expected = set(case_ids.ids)
+        expected = case_ids.index_of.keys()
     else:
         expected = set(case_ids)
+    if not isinstance(candidate, (list, tuple)):
+        candidate = list(candidate)
+    # as many ids as expected, and the same set: no room for a duplicate
+    if len(candidate) == len(expected) and set(candidate) == expected:
+        return True, "ok"
     counts = Counter(candidate)
     problems = [
         f"{kind} ids: {ids}"
@@ -40,12 +46,13 @@ def is_valid_sequence(case_ids, candidate) -> tuple[bool, str]:
         )
         if ids
     ]
-    return (False, "; ".join(problems)) if problems else (True, "ok")
+    return False, "; ".join(problems)
 
 
 def _index_order(matrix: AdjacencyMatrix, order) -> np.ndarray:
     """Validate an order of node ids and map it to matrix row indices."""
-    order = list(order)
+    if not isinstance(order, (list, tuple)):
+        order = list(order)
     ok, diag = is_valid_sequence(matrix, order)
     if not ok:
         raise ValueError(f"invalid sequence: {diag}")

@@ -178,7 +178,10 @@ class TestSpec:
             ExperimentSpec(cases=[first, second], methods=["det-outin"], output_dir=tmp_path)
         assert str(first) in str(info.value) and str(second) in str(info.value)
 
-    def test_load_from_json(self, tmp_path):
+    def test_load_from_json(self, data_dir, tmp_path):
+        (tmp_path / "a.json").write_text(
+            (data_dir / "demo_gearbox_7.json").read_text(encoding="utf-8"), encoding="utf-8"
+        )
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
             json.dumps(
@@ -201,6 +204,43 @@ class TestSpec:
         assert spec.trial_budgets == [1, 5, 20]  # default
         assert spec.provider is stub
 
+    @pytest.mark.parametrize("key", ["cases", "output_dir"])
+    def test_missing_required_key_names_spec_and_key(self, data_dir, tmp_path, key):
+        raw = {"cases": [str(data_dir / "demo_gearbox_7.json")], "output_dir": "out"}
+        del raw[key]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_experiment_spec(spec_path)
+        assert not isinstance(info.value, KeyError)
+        assert str(spec_path) in str(info.value) and repr(key) in str(info.value)
+
+    def test_missing_case_file_rejected_at_load(self, data_dir, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "cases": [str(data_dir / "demo_gearbox_7.json"), "nowhere.json"],
+                    "output_dir": str(tmp_path / "out"),
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="does not exist") as info:
+            load_experiment_spec(spec_path)
+        assert str(spec_path) in str(info.value)
+        assert str(tmp_path / "nowhere.json") in str(info.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_spec_file_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read spec"):
+            load_experiment_spec(tmp_path / "absent.json")
+
+    def test_spec_must_be_an_object(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError, match="top level must be an object"):
+            load_experiment_spec(spec_path)
 
     def test_relative_paths_resolve_against_the_spec_file(
         self, data_dir, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 """Command-line entry points, driven through main() with captured stdout."""
 
 import json
+import re
 
 import pytest
 
@@ -74,6 +75,15 @@ class TestBaseline:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SystemExit, match=r"^dsm-seq: error: .*not valid JSON"):
             main(["metrics", "--case", str(path)])
+
+    def test_missing_case_file_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as info:
+            main(["metrics", "--case", str(path)])
+        message = info.value.code
+        assert message.startswith("dsm-seq: error: ")
+        assert str(path) in message and "\n" not in message
+        assert capsys.readouterr().out == ""
 
     def test_ascending_flag(self, capsys, demo_path):
         _, down = run_cli(capsys, "baseline", "visibility", "--case", demo_path, "--seed", "0")
@@ -252,6 +262,31 @@ class TestRun:
         assert code == 0
         assert payload["failures"] == []
         assert (out_dir / "traces" / "demo_gearbox_7__llm-without-knowledge__run0.jsonl").is_file()
+
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ({"output_dir": "out"}, "missing required key 'cases'"),
+            ({"cases": ["demo.json"]}, "missing required key 'output_dir'"),
+            (
+                {"cases": ["nowhere.json"], "output_dir": "out"},
+                r"case file .*nowhere\.json does not exist",
+            ),
+        ],
+    )
+    def test_bad_spec_is_one_line(self, capsys, data_dir, tmp_path, raw, expected):
+        (tmp_path / "demo.json").write_text(
+            (data_dir / "demo_gearbox_7.json").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--spec", str(spec_path)])
+        message = info.value.code
+        prefix = re.escape(f"dsm-seq: error: spec {spec_path}: ")
+        assert re.fullmatch(prefix + expected, message)
+        assert capsys.readouterr().out == ""
 
 
 class TestParser:

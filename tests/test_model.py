@@ -115,6 +115,13 @@ class TestLoadAndValidate:
         with pytest.raises(CaseError, match="demo_gearbox_7"):
             bundled_case("no_such_network")
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_file_is_a_case_error(self, tmp_path, name):
+        path = tmp_path / name  # absent, or a directory
+        with pytest.raises(CaseError, match="cannot read case file") as info:
+            load_case(path)
+        assert str(path) in str(info.value)
+
 
 class TestAdjacency:
     def test_single_edge_position(self):

@@ -1,9 +1,11 @@
 """Prompt rendering (pinned by golden files) and response parsing."""
 
+import dataclasses
 import random
 
 import pytest
 
+from dsmseq import prompts
 from dsmseq import (
     Edge,
     Node,
@@ -68,6 +70,74 @@ class TestGolden:
         assert build_prompt(fixture_context("with")) == build_prompt(fixture_context("with"))
 
 
+def whole_template_render(ctx):
+    """The prompt formatted from the whole template in one str.format call."""
+    historical = prompts._render_historical(ctx.historical)
+    edges = prompts._render_edge_list(ctx.edges)
+    if ctx.knowledge_mode == "with":
+        return prompts.TEMPLATE_WITH_KNOWLEDGE.format(
+            network_description=ctx.network_description,
+            node_list_with_description=prompts._render_nodes_with_descriptions(ctx.nodes),
+            edge_list=edges,
+            selected_historical_solutions=historical,
+        )
+    return prompts.TEMPLATE_WITHOUT_KNOWLEDGE.format(
+        node_list=repr([node.id for node in ctx.nodes]),
+        edge_list=edges,
+        selected_historical_solutions=historical,
+    )
+
+
+# each changes one part of the frame: the text around the historical solutions
+FRAME_CHANGES = {
+    "topology": dict(nodes=FIXTURE_NODES[:4], edges=FIXTURE_EDGES[:3]),
+    "node-names": dict(nodes=tuple(Node(n.id, n.name.upper()) for n in FIXTURE_NODES)),
+    "edge-order": dict(edges=FIXTURE_EDGES[::-1]),
+    "description": dict(network_description="Another line."),
+}
+
+
+class TestFrameCache:
+    @pytest.mark.parametrize("change", sorted(FRAME_CHANGES))
+    @pytest.mark.parametrize("mode", ["with", "without"])
+    def test_interleaved_contexts_render_as_whole_template(self, mode, change):
+        first = fixture_context(mode)
+        second = dataclasses.replace(first, **FRAME_CHANGES[change])
+        for ctx in (first, second, first, second):
+            assert build_prompt(ctx) == whole_template_render(ctx)
+
+    def test_interleaved_knowledge_modes_render_as_whole_template(self):
+        first, second = fixture_context("with"), fixture_context("without")
+        for ctx in (first, second, first, second):
+            assert build_prompt(ctx) == whole_template_render(ctx)
+
+    def test_new_historical_on_the_same_frame(self):
+        ctx = fixture_context("with")
+        build_prompt(ctx)
+        again = dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL[::-1])
+        assert build_prompt(again) == whole_template_render(again)
+
+    def test_equal_topology_in_new_objects_gives_the_same_bytes(self):
+        copied = dataclasses.replace(
+            fixture_context("with"),
+            nodes=tuple(Node(n.id, n.name) for n in FIXTURE_NODES),
+            edges=tuple(Edge(e.dependent, e.predecessor) for e in FIXTURE_EDGES),
+        )
+        assert build_prompt(copied) == build_prompt(fixture_context("with"))
+
+    def test_seeded_reshuffles_render_as_whole_template(self, demo_case):
+        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+
+        m = build_adjacency(demo_case)
+        order = tuple(m.ids)
+        rec = SolutionRecord(order, score_sequence(m, order), 0, "initial-random")
+        rng = random.Random(3)
+        for mode in ("with", "without", "with"):
+            for _ in range(3):
+                ctx = make_prompt_context(demo_case, [rec], mode, rng)
+                assert build_prompt(ctx) == whole_template_render(ctx)
+
+
 class TestPromptContent:
     def test_without_mode_carries_no_knowledge(self):
         rendered = build_prompt(fixture_context("without"))
@@ -120,6 +190,10 @@ class TestMakeContext:
         assert ctx1.edges == ctx2.edges
         assert sorted(ctx1.edges, key=str) == sorted(demo_case.edges, key=str)
         assert ctx1.edges != ctx3.edges  # different seed, different arrangement
+
+    def test_without_rng_the_case_edges_pass_through(self, demo_case):
+        ctx = make_prompt_context(demo_case, [], "with", None)
+        assert ctx.edges is demo_case.edges
 
     def test_historical_scores_are_floats(self, demo_case):
         from dsmseq import SolutionRecord, build_adjacency, score_sequence

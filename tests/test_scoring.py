@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,6 +49,62 @@ class TestValidation:
         ok, diag = is_valid_sequence(case, ["v00", "zzzzz"])
         assert not ok
         assert "unknown" in diag and "zzzzz" in diag
+
+
+def counter_verdict(ids, candidate):
+    """The full Counter check, run on every candidate."""
+    expected = set(ids)
+    counts = Counter(candidate)
+    problems = [
+        f"{kind} ids: {found}"
+        for kind, found in (
+            ("duplicated", sorted(item for item, c in counts.items() if c > 1)),
+            ("unknown", sorted(counts.keys() - expected)),
+            ("missing", sorted(expected - counts.keys())),
+        )
+        if found
+    ]
+    return (False, "; ".join(problems)) if problems else (True, "ok")
+
+
+def candidate_kinds(rng, ids):
+    """(kind, candidate list) pairs covering every way a candidate can fail."""
+    perm = rng.sample(ids, len(ids))
+    dup = list(perm)
+    i, j = rng.sample(range(len(ids)), 2)
+    dup[i] = dup[j]
+    unknown = list(perm)
+    unknown[rng.randrange(len(ids))] = "zz" + str(rng.randrange(100))
+    return [
+        ("permutation", perm),
+        ("duplicate-and-missing", dup),
+        ("unknown", unknown),
+        ("unknown-extra", perm + ["zz"]),
+        ("short", perm[: rng.randrange(len(ids))]),
+        ("long", perm + [rng.choice(ids)]),
+        ("empty", []),
+    ]
+
+
+class TestValidationFastPath:
+    @pytest.mark.parametrize("target", ["case", "matrix", "ids"])
+    def test_matches_the_counter_check(self, target):
+        rng = random.Random(11)
+        for trial in range(60):
+            case = random_case(rng, rng.randint(2, 12), 0.3)
+            ids = list(case.node_ids)
+            check = {"case": case, "matrix": build_adjacency(case), "ids": ids}[target]
+            for kind, candidate in candidate_kinds(rng, ids):
+                expected = counter_verdict(ids, candidate)
+                assert expected[0] == (kind == "permutation"), (trial, kind)
+                assert is_valid_sequence(check, candidate) == expected, (trial, kind)
+                assert is_valid_sequence(check, tuple(candidate)) == expected
+                assert is_valid_sequence(check, (c for c in candidate)) == expected
+
+    def test_plain_iterable_of_ids_may_be_a_generator(self):
+        ids = ["a", "b", "c"]
+        assert is_valid_sequence((i for i in ids), ["c", "a", "b"]) == (True, "ok")
+        assert is_valid_sequence((i for i in ids), ["c", "a"]) == (False, "missing ids: ['b']")
 
 
 class TestScoreSequence:
