@@ -15,7 +15,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,10 @@ from .solutions import SamplingPolicy, TerminationPolicy
 CONVERGENCE_WINDOW = 10_000
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     cases: list[str | Path]
@@ -46,8 +50,29 @@ class ExperimentSpec:
     provider: object = None
 
     def __post_init__(self) -> None:
+        # a spec read from JSON may hold any type in any field
+        for name in ("runs_per_method", "base_seed", "ga_generations"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name, ok, what in (
+            ("trial_budgets", _is_int, "ints"),
+            ("methods", lambda item: isinstance(item, str), "strs"),
+            ("cases", lambda item: isinstance(item, (str, os.PathLike)), "paths"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, list) and all(map(ok, value))):
+                raise ValueError(f"{name} must be a list of {what}, got {value!r}")
+        if not isinstance(self.ascending, bool):
+            raise ValueError(f"ascending must be a bool, got {self.ascending!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         if self.runs_per_method < 1:
             raise ValueError("runs_per_method must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")  # numpy's generators refuse it
+        if self.ga_generations < 1:
+            raise ValueError("ga_generations must be >= 1")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
@@ -63,7 +88,8 @@ class ExperimentSpec:
 def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
     """Read a JSON spec; relative case paths are read from the spec's directory.
 
-    A missing required key or case file is a ValueError naming the spec.
+    A missing required key or case file, or a field of the wrong type, is a
+    ValueError naming the spec.
     """
     path = Path(path)
     try:
@@ -75,21 +101,25 @@ def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
     for key in ("cases", "output_dir"):
         if key not in raw:
             raise ValueError(f"spec {path}: missing required key {key!r}")
-    cases = [path.parent / case for case in raw["cases"]]
+    try:
+        spec = ExperimentSpec(
+            cases=raw["cases"],
+            methods=raw.get("methods", list(ALL_METHODS)),
+            output_dir=raw["output_dir"],
+            runs_per_method=raw.get("runs_per_method", 10),
+            trial_budgets=raw.get("trial_budgets", [1, 5, 20]),
+            base_seed=raw.get("base_seed", 0),
+            ga_generations=raw.get("ga_generations", GENERATIONS_DEFAULT),
+            ascending=raw.get("ascending", False),
+            provider=provider,
+        )
+    except ValueError as exc:
+        raise ValueError(f"spec {path}: {exc}") from exc
+    cases = [path.parent / case for case in spec.cases]
     for case in cases:
         if not case.is_file():
             raise ValueError(f"spec {path}: case file {case} does not exist")
-    return ExperimentSpec(
-        cases=cases,
-        methods=raw.get("methods", list(ALL_METHODS)),
-        output_dir=raw["output_dir"],
-        runs_per_method=raw.get("runs_per_method", 10),
-        trial_budgets=raw.get("trial_budgets", [1, 5, 20]),
-        base_seed=raw.get("base_seed", 0),
-        ga_generations=raw.get("ga_generations", GENERATIONS_DEFAULT),
-        ascending=raw.get("ascending", False),
-        provider=provider,
-    )
+    return replace(spec, cases=cases)
 
 
 def aggregate_stats(scores) -> dict:

@@ -22,6 +22,7 @@ from .prompts import (
     build_prompt,
     make_prompt_context,
     parse_order_response,
+    prompt_sha256,
 )
 from .scoring import score_sequence
 from .solutions import SamplingPolicy, SolutionBase, SolutionRecord, TerminationPolicy
@@ -74,7 +75,8 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     per LLM iteration after that, with prompt/response hashes, the parsed
     sequence or failure kind, and the running unique count and best-so-far.
     Raises OptimizationAborted if the provider fails; the exception carries
-    the partial trace.
+    the partial trace. The archive scores each order once; the returned
+    best is re-scored independently, and a mismatch raises RuntimeError.
     """
     matrix = build_adjacency(case)
     rng = random.Random(cfg.seed)
@@ -84,7 +86,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     base.insert(
         SolutionRecord(
             sequence=initial,
-            score=score_sequence(matrix, initial),
+            score=base.score(initial),
             iteration_found=0,
             source="initial-random",
         )
@@ -137,7 +139,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
                 trace.append(
                     entry(
                         iteration,
-                        prompt_sha256=_sha256(attempt_prompt),
+                        prompt_sha256=prompt_sha256(attempt_prompt),
                         failure="provider-error",
                         attempts=attempts,
                     )
@@ -168,7 +170,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             trace.append(
                 entry(
                     iteration,
-                    prompt_sha256=_sha256(attempt_prompt),
+                    prompt_sha256=prompt_sha256(attempt_prompt),
                     response_sha256=_sha256(response_text),
                     failure=failure,
                     attempts=attempts,
@@ -177,7 +179,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             continue
 
         sequence = tuple(parsed)
-        score = score_sequence(matrix, sequence)
+        score = base.score(sequence)
         inserted = base.insert(
             SolutionRecord(
                 sequence=sequence, score=score, iteration_found=iteration, source="llm"
@@ -186,7 +188,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         trace.append(
             entry(
                 iteration,
-                prompt_sha256=_sha256(attempt_prompt),
+                prompt_sha256=prompt_sha256(attempt_prompt),
                 response_sha256=_sha256(response_text),
                 sequence=list(sequence),
                 score=score,
@@ -195,4 +197,8 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             )
         )
 
-    return base.best(), trace
+    best = base.best()
+    rescored = score_sequence(matrix, best.sequence)
+    if rescored != best.score:
+        raise RuntimeError(f"LLM best re-scores to {rescored}, not its recorded {best.score}")
+    return best, trace

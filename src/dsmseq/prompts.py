@@ -8,13 +8,13 @@ function of PromptContext and is pinned byte-for-byte by golden-file tests.
 
 from __future__ import annotations
 
+import hashlib
 import random
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import DsmCase, Edge, Node
 from .scoring import is_valid_sequence
-from .solutions import SolutionRecord
+from .solutions import SolutionRecord, historical_line
 
 WITH_KNOWLEDGE = "with"
 WITHOUT_KNOWLEDGE = "without"
@@ -69,6 +69,9 @@ class PromptContext:
     edges: tuple[Edge, ...]
     historical: tuple[dict, ...]
     knowledge_mode: str = WITH_KNOWLEDGE
+    # the rendered lines of historical when make_prompt_context has them from
+    # its records; not an init field, so dataclasses.replace drops them
+    _lines: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
@@ -92,16 +95,16 @@ def make_prompt_context(
         shuffled = list(edges)
         rng.shuffle(shuffled)
         edges = tuple(shuffled)
-    historical = tuple(
-        {"solution": ", ".join(r.sequence), "score": float(r.score)} for r in records
-    )
-    return PromptContext(
+    historical = tuple({"solution": r.solution_text, "score": float(r.score)} for r in records)
+    ctx = PromptContext(
         network_description=case.description,
         nodes=case.nodes,
         edges=edges,
         historical=historical,
         knowledge_mode=knowledge_mode,
     )
+    object.__setattr__(ctx, "_lines", tuple(r.prompt_line for r in records))
+    return ctx
 
 
 def _render_nodes_with_descriptions(nodes: tuple[Node, ...]) -> str:
@@ -117,11 +120,11 @@ def _render_edge_list(edges: tuple[Edge, ...]) -> str:
 
 
 def _render_historical(historical: tuple[dict, ...]) -> str:
-    lines = ",\n".join(
-        f"{{'solution': {h['solution']!r}, 'score': {float(h['score'])!r}}}"
-        for h in historical
-    )
-    return f"[\n{lines}\n]"
+    return _render_lines([historical_line(h["solution"], h["score"]) for h in historical])
+
+
+def _render_lines(lines) -> str:
+    return "[\n" + ",\n".join(lines) + "\n]"
 
 
 def _split_template(template: str) -> tuple[str, str]:
@@ -136,13 +139,15 @@ _TEMPLATE_PARTS = {
     WITHOUT_KNOWLEDGE: _split_template(TEMPLATE_WITHOUT_KNOWLEDGE),
 }
 
-# (key, (head, tail)) of the last frame rendered; one tuple, replaced whole,
-# so a reader never pairs one key with another key's frame
-_last_frame: tuple = ((), ("", ""))
+# (key, (head, tail, sha256 state fed the head's bytes)) of the last frame
+# rendered; one tuple, replaced whole, so a reader never pairs one key with
+# another key's frame
+_last_frame: tuple = ((), ("", "", hashlib.sha256()))
 
 
-def _frame(ctx: PromptContext) -> tuple[str, str]:
-    """The rendered text before and after the historical solutions.
+def _frame(ctx: PromptContext) -> tuple:
+    """The rendered text before and after the historical solutions, and
+    the digest state of the text before.
 
     It depends only on the topology and the knowledge mode, which stay fixed
     through a run, so the last one is kept. The key is compared with == and
@@ -166,7 +171,7 @@ def _frame(ctx: PromptContext) -> tuple[str, str]:
             node_list=repr(list(ctx.node_ids)),
             edge_list=_render_edge_list(ctx.edges),
         )
-    frame = (head, tail)
+    frame = (head, tail, hashlib.sha256(head.encode("utf-8")))
     _last_frame = (key, frame)
     return frame
 
@@ -178,8 +183,25 @@ def build_prompt(ctx: PromptContext) -> str:
             "historical solutions must be non-empty: the loop always seeds "
             "the archive with one random order first"
         )
-    head, tail = _frame(ctx)
-    return head + _render_historical(ctx.historical) + tail
+    head, tail, _ = _frame(ctx)
+    if ctx._lines is None:
+        return head + _render_historical(ctx.historical) + tail
+    return head + _render_lines(ctx._lines) + tail
+
+
+def prompt_sha256(prompt: str) -> str:
+    """Hex sha256 of the prompt's UTF-8 bytes.
+
+    A prompt that starts with the head of the last rendered frame, as every
+    prompt and retry prompt of a run does, resumes from the head's digest
+    state and hashes only the rest.
+    """
+    _, (head, _, head_state) = _last_frame
+    if not prompt.startswith(head):
+        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    digest = head_state.copy()
+    digest.update(prompt[len(head):].encode("utf-8"))
+    return digest.hexdigest()
 
 
 class OrderParseError(ValueError):
@@ -194,7 +216,24 @@ class OrderParseError(ValueError):
         self.kind = kind
 
 
-_ORDER_RE = re.compile(r"<order>(.*?)</order>", re.DOTALL | re.IGNORECASE)
+_OPEN_TAG = "<order>"
+_CLOSE_TAG = "</order>"
+# lowercases ASCII letters only: one character for one, so positions in the
+# folded text are positions in the raw text
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+
+
+def _order_span(raw: str) -> str | None:
+    """The text of the first <order>...</order> span, tags in any case."""
+    folded = raw.lower() if raw.isascii() else raw.translate(_ASCII_LOWER)
+    start = folded.find(_OPEN_TAG)
+    if start < 0:
+        return None
+    start += len(_OPEN_TAG)
+    end = folded.find(_CLOSE_TAG, start)
+    if end < 0:
+        return None
+    return raw[start:end]
 
 
 def parse_order_response(raw: str, case) -> list[str]:
@@ -204,11 +243,10 @@ def parse_order_response(raw: str, case) -> list[str]:
     Surrounding prose is tolerated; the tagged span must contain a
     comma-separated permutation of the node ids.
     """
-    match = _ORDER_RE.search(raw)
-    if match is None:
+    span = _order_span(raw)
+    if span is None:
         raise OrderParseError("missing-tags", "no <order>...</order> span in response")
-    items = [part.strip() for part in match.group(1).split(",")]
-    items = [part for part in items if part]
+    items = list(filter(None, map(str.strip, span.split(","))))
     ok, diag = is_valid_sequence(case, items)
     if not ok:
         raise OrderParseError("invalid-sequence", diag)

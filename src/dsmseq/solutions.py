@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import VALID_SOURCES, AdjacencyMatrix
 from .scoring import score_sequence
@@ -22,6 +23,24 @@ class SolutionRecord:
             raise ValueError(f"unknown source {self.source!r}, expected one of {VALID_SOURCES}")
         if self.score < 0:
             raise ValueError("score must be non-negative")
+
+    # a record never changes once made, so its prompt text is rendered on
+    # first use and kept with the record
+
+    @cached_property
+    def solution_text(self) -> str:
+        """The ids joined as a prompt lists them."""
+        return ", ".join(self.sequence)
+
+    @cached_property
+    def prompt_line(self) -> str:
+        """This record's entry in a prompt's list of previous orders."""
+        return historical_line(self.solution_text, self.score)
+
+
+def historical_line(solution: str, score) -> str:
+    """One entry of a prompt's list of previous orders."""
+    return f"{{'solution': {solution!r}, 'score': {float(score)!r}}}"
 
 
 @dataclass(frozen=True)
@@ -61,6 +80,8 @@ class SolutionBase:
         self._records: list[SolutionRecord] = []
         self._seen: set[tuple[str, ...]] = set()
         self._ranking: list[tuple[int, int]] = []
+        # (sequence, score) of the last score() call, for insert to check against
+        self._verdict: tuple[tuple[str, ...], int] | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -69,14 +90,30 @@ class SolutionBase:
     def records(self) -> tuple[SolutionRecord, ...]:
         return tuple(self._records)
 
+    def score(self, sequence) -> int:
+        """Validate and score sequence on the archive's matrix.
+
+        The verdict is kept, so inserting a record of this sequence next
+        does not score it again.
+        """
+        seq = tuple(sequence)
+        actual = score_sequence(self._matrix, seq)  # also validates the permutation
+        self._verdict = (seq, actual)
+        return actual
+
     def insert(self, record: SolutionRecord) -> bool:
         """Add a record; returns False (and stores nothing) for a repeat sequence.
 
-        The stored score must equal the evaluator's verdict on the sequence;
-        a mismatch means the caller scored against the wrong matrix.
+        The stored score must equal the evaluator's verdict on the sequence:
+        the kept verdict of score() when it was for this sequence, else a
+        fresh one. A mismatch means the caller scored against the wrong matrix.
         """
         seq = tuple(record.sequence)
-        actual = score_sequence(self._matrix, seq)  # also validates the permutation
+        verdict = self._verdict
+        if verdict is not None and verdict[0] == seq:
+            actual = verdict[1]
+        else:
+            actual = self.score(seq)
         if actual != record.score:
             raise ValueError(
                 f"record score {record.score} does not match evaluated score {actual}"

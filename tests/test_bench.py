@@ -172,6 +172,40 @@ class TestSpec:
                 trial_budgets=[0],
             )
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("runs_per_method", "3", "an int"),
+            ("runs_per_method", True, "an int"),
+            ("base_seed", 1.5, "an int"),
+            ("ga_generations", None, "an int"),
+            ("trial_budgets", 5, "a list of ints"),
+            ("trial_budgets", [1, "5"], "a list of ints"),
+            ("trial_budgets", [1, False], "a list of ints"),
+            ("methods", "det-outin", "a list of strs"),
+            ("methods", [1], "a list of strs"),
+            ("cases", "x.json", "a list of paths"),
+            ("cases", [3], "a list of paths"),
+            ("ascending", "yes", "a bool"),
+            ("ascending", 0, "a bool"),
+            ("output_dir", 3, "a path"),
+        ],
+    )
+    def test_field_types_checked(self, tmp_path, field, value, expected):
+        fields = dict(cases=["x.json"], methods=["det-outin"], output_dir=tmp_path)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be {expected}, got "):
+            ExperimentSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [("base_seed", -1, "base_seed must be >= 0"), ("ga_generations", 0, "ga_generations must be >= 1")],
+    )
+    def test_field_ranges_checked(self, tmp_path, field, value, expected):
+        fields = dict(cases=["x.json"], methods=["det-outin"], output_dir=tmp_path, **{field: value})
+        with pytest.raises(ValueError, match=expected):
+            ExperimentSpec(**fields)
+
     def test_cases_sharing_a_file_stem_rejected(self, tmp_path):
         first, second = tmp_path / "a" / "case.json", tmp_path / "b" / "case.json"
         with pytest.raises(ValueError, match="share the name 'case'") as info:

@@ -273,6 +273,14 @@ class TestRun:
                 {"cases": ["nowhere.json"], "output_dir": "out"},
                 r"case file .*nowhere\.json does not exist",
             ),
+            (
+                {"cases": ["demo.json"], "output_dir": "out", "runs_per_method": "3"},
+                "runs_per_method must be an int, got '3'",
+            ),
+            (
+                {"cases": "demo.json", "output_dir": "out"},
+                r"cases must be a list of paths, got 'demo\.json'",
+            ),
         ],
     )
     def test_bad_spec_is_one_line(self, capsys, data_dir, tmp_path, raw, expected):

@@ -305,3 +305,66 @@ class TestEdgeShuffling:
         )
         run_optimization(case, cfg, stub)
         assert self.edges_block(stub.prompts[0]) != self.edges_block(stub.prompts[1])
+
+
+SCORE_ONCE_REPLIES = [
+    f"<order> {REVERSED_ORDER} </order>",
+    "no tags here",  # retried within the budget
+    "<order> v01, v00, v02, v03, v04, v05 </order>",
+    f"<order> {REVERSED_ORDER} </order>",  # a duplicate is still scored once
+    "<order> v00, v00, v01, v02, v03, v04 </order>",
+    "still no tags",
+    "nor here",  # the iteration fails: nothing parsed, nothing scored
+    f"<order> {TOPO_ORDER} </order>",
+]
+
+
+class TestScoreOnce:
+    def counted(self, monkeypatch, module, calls):
+        original = module.score_sequence
+
+        def counting(matrix, order):
+            calls.append(module.__name__)
+            return original(matrix, order)
+
+        monkeypatch.setattr(module, "score_sequence", counting)
+
+    def test_one_call_per_parsed_reply_plus_initial_and_final(self, monkeypatch):
+        from dsmseq import optimizer, solutions
+
+        calls = []
+        self.counted(monkeypatch, solutions, calls)
+        self.counted(monkeypatch, optimizer, calls)
+        cfg = config(termination=TerminationPolicy(max_iterations=5), invalid_retry_budget=2)
+        best, trace = run_optimization(chain_case(), cfg, ScriptedProvider(SCORE_ONCE_REPLIES))
+        parsed = [row for row in trace[1:] if row["sequence"] is not None]
+        assert len(parsed) == 4 and sum(row["duplicate"] for row in parsed) == 1
+        # the archive scores the initial order and each parsed reply; the
+        # optimizer re-scores the final best
+        assert calls == ["dsmseq.solutions"] * (1 + len(parsed)) + ["dsmseq.optimizer"]
+        assert best.score == 0
+
+    def test_trace_prompt_digests_are_sha256_of_the_last_attempt(self):
+        for reshuffle in (False, True):
+            stub = ScriptedProvider(SCORE_ONCE_REPLIES)
+            cfg = config(
+                termination=TerminationPolicy(max_iterations=5),
+                reshuffle_edges_each_iteration=reshuffle,
+            )
+            _, trace = run_optimization(chain_case(), cfg, stub)
+            attempts = [row["attempts"] for row in trace[1:]]
+            last = [sum(attempts[: k + 1]) - 1 for k in range(len(attempts))]
+            assert [row["prompt_sha256"] for row in trace[1:]] == [
+                sha(stub.prompts[k]) for k in last
+            ]
+
+    def test_corrupted_best_raises(self, monkeypatch):
+        from dsmseq import solutions
+
+        original = solutions.score_sequence
+        # the archive agrees with itself, but not with an independent count
+        monkeypatch.setattr(solutions, "score_sequence", lambda m, order: original(m, order) + 1)
+        cfg = config(termination=TerminationPolicy(max_iterations=2))
+        stub = ScriptedProvider([f"<order> {REVERSED_ORDER} </order>"] * 2)
+        with pytest.raises(RuntimeError, match="re-scores to"):
+            run_optimization(chain_case(), cfg, stub)

@@ -1,7 +1,9 @@
 """Prompt rendering (pinned by golden files) and response parsing."""
 
 import dataclasses
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -241,3 +243,127 @@ class TestParseOrder:
     def test_whitespace_and_newlines_tolerated(self):
         raw = "<order>\n  v00 ,\n  v01\n</order>"
         assert parse_order_response(raw, self.case) == ["v00", "v01"]
+
+
+# the tag search that parse_order_response replaced, kept as the reference
+REFERENCE_ORDER_RE = re.compile(r"<order>(.*?)</order>", re.DOTALL | re.IGNORECASE)
+REPLY_PIECES = (
+    "<order>", "<ORDER>", "<Order>", "</order>", "</ORDER>", "</oRdEr>",
+    "<order", "order>", "</ord", "< order>", "v00", "v01", ", ", ",", " ",
+    "\n", "Sure, here it is:", "é", "İ", "K", "ſ", "",
+)
+
+
+def generated_replies(count, seed=0):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choice(REPLY_PIECES) for _ in range(rng.randrange(1, 12)))
+
+
+class TestOrderSpan:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "<ORDER> v00, v01 </Order>",
+            "<order> v00, v01 and no closing tag",
+            "<order> v00 </order> then <order> v01 </order>",
+            "<order>\nv00,\nv01\n</order>",
+            "Here: <order>v01, v00</order> as asked.",
+            "<order></order>",
+            "</order> <order> v00 </order>",
+            "<order> <order> v00 </order>",
+            "İ <order> v00, v01 </ORDER> K",
+        ],
+    )
+    def test_matches_reference_regex(self, raw):
+        match = REFERENCE_ORDER_RE.search(raw)
+        assert prompts._order_span(raw) == (match.group(1) if match else None)
+
+    def test_generated_replies_match_reference_regex(self):
+        for raw in generated_replies(5000):
+            match = REFERENCE_ORDER_RE.search(raw)
+            assert prompts._order_span(raw) == (match.group(1) if match else None), raw
+
+    def test_empty_span_is_invalid_sequence(self):
+        with pytest.raises(OrderParseError) as info:
+            parse_order_response("<order> </order>", make_case(2, [(1, 0)]))
+        assert info.value.kind == "invalid-sequence"
+
+
+def sha256_hex(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPromptDigest:
+    def test_frame_hit(self):
+        ctx = fixture_context("with")
+        build_prompt(ctx)
+        prompt = build_prompt(dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL[::-1]))
+        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+
+    def test_frame_miss(self):
+        prompt = build_prompt(fixture_context("with"))
+        build_prompt(fixture_context("without"))  # replaces the kept frame
+        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+
+    def test_retry_suffix(self):
+        prompt = build_prompt(fixture_context("without")) + "\n\nYour previous response was invalid."
+        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+
+    def test_reshuffled_edges_each_prompt(self, demo_case):
+        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+
+        m = build_adjacency(demo_case)
+        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids), 0, "initial-random")
+        rng = random.Random(7)
+        for mode in ("with", "without"):
+            for _ in range(3):
+                prompt = build_prompt(make_prompt_context(demo_case, [rec], mode, rng))
+                assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+
+    @pytest.mark.parametrize("text", ["", "unrelated text", "Ünïcödé ✓"])
+    def test_unrelated_string(self, text):
+        build_prompt(fixture_context("with"))
+        assert prompts.prompt_sha256(text) == sha256_hex(text)
+
+
+AWKWARD_IDS = ("it's", 'say "hi"', "back\\slash", "Ünïcödé", "节点", "tab\there")
+
+
+class TestCachedLines:
+    def test_record_line_matches_rendered_dict(self):
+        from dsmseq import SolutionRecord
+
+        for k in range(len(AWKWARD_IDS)):
+            sequence = AWKWARD_IDS[k:] + AWKWARD_IDS[:k]
+            rec = SolutionRecord(sequence, k, 0, "llm")
+            plain = ({"solution": ", ".join(sequence), "score": float(k)},)
+            assert prompts._render_lines([rec.prompt_line]) == prompts._render_historical(plain)
+
+    def test_prompt_from_records_matches_prompt_from_dicts(self):
+        from dsmseq import DsmCase, SolutionRecord
+
+        case = DsmCase(
+            nodes=tuple(Node(i, f"Task {i}") for i in AWKWARD_IDS),
+            edges=(Edge(AWKWARD_IDS[1], AWKWARD_IDS[0]), Edge(AWKWARD_IDS[3], AWKWARD_IDS[4])),
+            description="ids that repr has to escape",
+        )
+        records = [
+            SolutionRecord(AWKWARD_IDS[::-1], 2, 0, "initial-random"),
+            SolutionRecord(AWKWARD_IDS, 1, 1, "llm"),
+        ]
+        for mode in ("with", "without"):
+            ctx = make_prompt_context(case, records, mode, None)
+            assert ctx._lines == tuple(r.prompt_line for r in records)
+            from_dicts = dataclasses.replace(ctx)
+            assert from_dicts._lines is None
+            assert build_prompt(ctx) == build_prompt(from_dicts) == whole_template_render(ctx)
+
+    def test_replaced_historical_drops_the_lines(self, demo_case):
+        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+
+        m = build_adjacency(demo_case)
+        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids), 0, "initial-random")
+        ctx = make_prompt_context(demo_case, [rec], "with", None)
+        again = dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL)
+        assert build_prompt(again) == whole_template_render(again)

@@ -241,3 +241,48 @@ def test_snapshot_shape(chain_case):
     assert len(snap) == 2
     assert snap[0].keys() == {"sequence", "score", "iteration_found", "source"}
     assert snap[0]["score"] == 0
+
+
+class TestScoreOnce:
+    def counting_base(self, monkeypatch, matrix):
+        from dsmseq import solutions
+
+        calls = []
+        original = solutions.score_sequence
+
+        def counting(m, order):
+            calls.append(tuple(order))
+            return original(m, order)
+
+        monkeypatch.setattr(solutions, "score_sequence", counting)
+        return SolutionBase(matrix), calls
+
+    def test_insert_after_score_uses_the_kept_verdict(self, monkeypatch, chain_case):
+        m = build_adjacency(chain_case)
+        base, calls = self.counting_base(monkeypatch, m)
+        order = tuple(m.ids)
+        score = base.score(order)
+        assert base.insert(SolutionRecord(order, score, 0, "llm")) is True
+        assert calls == [order]
+
+    def test_insert_after_score_of_another_sequence_rescores(self, monkeypatch, chain_case):
+        m = build_adjacency(chain_case)
+        base, calls = self.counting_base(monkeypatch, m)
+        scored, inserted = tuple(m.ids), tuple(reversed(m.ids))
+        base.score(scored)
+        base.insert(SolutionRecord(inserted, score_sequence(m, inserted), 0, "llm"))
+        assert calls == [scored, inserted]
+
+    def test_mismatch_after_score_raises(self, chain_case):
+        m = build_adjacency(chain_case)
+        base = SolutionBase(m)
+        order = tuple(m.ids)
+        score = base.score(order)
+        with pytest.raises(ValueError, match="does not match"):
+            base.insert(SolutionRecord(order, score + 1, 0, "llm"))
+        assert len(base) == 0
+
+    def test_score_validates(self, chain_case):
+        base = SolutionBase(build_adjacency(chain_case))
+        with pytest.raises(ValueError, match="invalid sequence"):
+            base.score(("v00", "v00", "v01", "v02"))
