@@ -27,11 +27,22 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
+def _load_script(path: str) -> list[str]:
+    """The canned responses in a --script file, which must be a JSON list of strings."""
+    try:
+        responses = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise ValueError(f"--script {path}: {exc}") from None
+    if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+        raise ValueError(f"--script {path}: expected a JSON list of strings")
+    return responses
+
+
 def _cmd_run(args) -> int:
     provider = None
     if args.script:
-        responses = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        provider = lambda: ScriptedProvider(list(responses))  # noqa: E731 - fresh stub per run
+        responses = _load_script(args.script)
+        provider = lambda: ScriptedProvider(responses)  # noqa: E731 - fresh stub per run
     spec = bench.load_experiment_spec(args.spec, provider=provider)
     if provider is None and any(m in bench.LLM_METHODS for m in spec.methods):
         spec.provider = OpenAIChatProvider.from_env()
@@ -86,8 +97,7 @@ def _cmd_ga(args) -> int:
 def _cmd_llm(args) -> int:
     case = load_case(args.case)
     if args.script:
-        responses = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        provider = ScriptedProvider(list(responses))
+        provider = ScriptedProvider(_load_script(args.script))
     else:
         provider = OpenAIChatProvider.from_env(model=args.model)
     cfg = OptimizerConfig(

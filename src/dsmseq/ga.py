@@ -32,7 +32,6 @@ class GaConfig:
     cxpb: float
     mutpb: float
     seed: int = 0
-    crossover: str = "ox"  # "ox" or "pmx"
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -46,8 +45,6 @@ class GaConfig:
         if self.tournament_size < 1:
             # larger than the population is fine: sampling is with replacement
             raise ValueError("tournament_size must be >= 1")
-        if self.crossover not in ("ox", "pmx"):
-            raise ValueError(f"crossover must be 'ox' or 'pmx', got {self.crossover!r}")
 
 
 # population / indpb / tournament size / cxpb / mutpb
@@ -138,7 +135,7 @@ def order_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
 
 def pmx_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
     """Partially matched crossover on the slice cut = (a, b), both ends
-    inclusive."""
+    inclusive. A standalone operator: run_ga always uses order_crossover."""
     p1, p2 = tuple(p1), tuple(p2)
     _check_parents(p1, p2)
     a, b = _check_cut(cut, len(p1))
@@ -212,7 +209,6 @@ def run_ga(
     if n < 2:
         raise ValueError(f"the GA needs at least 2 nodes, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    crossover = order_crossover if cfg.crossover == "ox" else pmx_crossover
     genes = set(range(n))
 
     score_cache: dict[tuple[int, ...], int] = {}
@@ -255,7 +251,7 @@ def run_ga(
         for i, cut in crossovers:
             # crossing a parent with itself reproduces it: skip the work
             if offspring[i] != offspring[i + 1]:
-                offspring[i], offspring[i + 1] = crossover(offspring[i], offspring[i + 1], cut)
+                offspring[i], offspring[i + 1] = order_crossover(offspring[i], offspring[i + 1], cut)
         for i, swaps in mutations.items():
             offspring[i] = shuffle_mutation(offspring[i], swaps)
         population = offspring

@@ -8,11 +8,10 @@ and are never echoed into errors, logs, or reprs.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -62,10 +61,14 @@ class ProviderConfig:
     requests_per_minute: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"endpoint must start with http:// or https://, got {self.endpoint!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
         # below one request per minute the token bucket never holds a token
         if self.requests_per_minute is not None and not self.requests_per_minute >= 1:
             raise ValueError(
@@ -82,14 +85,29 @@ class ProviderConfig:
         )
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout: float):
-    """Default transport: POST JSON, return (status_code, parsed body)."""
-    response = requests.post(url, headers=headers, json=body, timeout=timeout)
+def _urllib_transport(url: str, headers: dict, body: dict, timeout: float):
+    """Default transport: POST JSON, return (status code, parsed body).
+
+    An HTTP error status is read back like a success, so the provider's
+    status handling sees it; a body that is not JSON parses to {}. The HTTP
+    modules load on the first call, so importing dsmseq loads no network code.
+    """
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
-        payload = response.json()
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as err:
+        with err:  # closes the error's response once its body is read
+            status, raw = err.code, err.read()
+    try:
+        payload = json.loads(raw)
     except ValueError:
         payload = {}
-    return response.status_code, payload
+    return status, payload
 
 
 class _TokenBucket:
@@ -127,7 +145,7 @@ class OpenAIChatProvider:
             raise ProviderError("auth", "no API key configured")
         self.config = config
         self.model = config.model
-        self._transport = transport or _requests_transport
+        self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._bucket = None
         if config.requests_per_minute is not None:
@@ -144,6 +162,10 @@ class OpenAIChatProvider:
         return cls(config)
 
     def complete(self, req: ChatRequest) -> ChatResult:
+        # OSError covers refused connections, timeouts and URLError;
+        # IncompleteRead and BadStatusLine are HTTPExceptions, not OSErrors
+        from http.client import HTTPException
+
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         headers = {
             "Authorization": f"Bearer {self.config.api_key}",
@@ -159,7 +181,7 @@ class OpenAIChatProvider:
                 self._bucket.acquire()
             try:
                 status, payload = self._transport(url, headers, body, self.config.timeout)
-            except requests.RequestException as exc:
+            except (OSError, HTTPException) as exc:
                 last_failure = f"transport error: {type(exc).__name__}"
                 status = None
                 payload = None

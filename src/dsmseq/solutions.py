@@ -86,10 +86,6 @@ class SolutionBase:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def records(self) -> tuple[SolutionRecord, ...]:
-        return tuple(self._records)
-
     def score(self, sequence) -> int:
         """Validate and score sequence on the archive's matrix.
 

@@ -181,6 +181,17 @@ class TestLlm:
         assert payload["best_score"] == optimal_score == 2
         assert payload["iterations_run"] == 1  # stopped as soon as it hit the floor
 
+    def test_endpoint_without_scheme_is_one_line(self, capsys, demo_path, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        monkeypatch.setenv("OPENAI_API_BASE", "api.example.com/v1")
+        with pytest.raises(SystemExit) as info:
+            main(["llm", "--knowledge", "on", "--case", demo_path])
+        assert info.value.code == (
+            "dsm-seq: error: endpoint must start with http:// or https://, "
+            "got 'api.example.com/v1'"
+        )
+        assert capsys.readouterr().out == ""
+
     def test_knowledge_flag_required(self, demo_path):
         with pytest.raises(SystemExit):
             main(["llm", "--case", demo_path])
@@ -295,6 +306,51 @@ class TestRun:
         prefix = re.escape(f"dsm-seq: error: spec {spec_path}: ")
         assert re.fullmatch(prefix + expected, message)
         assert capsys.readouterr().out == ""
+
+
+class TestScriptFile:
+    """`run --script` and `llm --script` share one loader with one-line errors."""
+
+    @pytest.fixture(params=["run", "llm"])
+    def argv(self, request, data_dir, tmp_path):
+        case = str(data_dir / "demo_gearbox_7.json")
+        if request.param == "llm":
+            return ["llm", "--knowledge", "off", "--case", case]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "cases": [case],
+            "methods": ["llm-without-knowledge"],
+            "output_dir": str(tmp_path / "results"),
+            "runs_per_method": 1,
+        }), encoding="utf-8")
+        return ["run", "--spec", str(spec_path)]
+
+    def fails_with(self, capsys, argv, script):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--script", str(script)])
+        assert capsys.readouterr().out == ""
+        assert "\n" not in info.value.code
+        return info.value.code
+
+    def test_missing_file(self, capsys, argv, tmp_path):
+        script = tmp_path / "nowhere.json"
+        message = self.fails_with(capsys, argv, script)
+        assert message.startswith(f"dsm-seq: error: --script {script}: ")
+        assert "No such file or directory" in message
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"reply": "x"}', '"<order> a </order>"',
+                                         '["ok", null]'])
+    def test_not_a_list_of_strings(self, capsys, argv, tmp_path, content):
+        script = tmp_path / "script.json"
+        script.write_text(content, encoding="utf-8")
+        message = self.fails_with(capsys, argv, script)
+        assert message == f"dsm-seq: error: --script {script}: expected a JSON list of strings"
+
+    def test_not_json(self, capsys, argv, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text("[unquoted]", encoding="utf-8")
+        message = self.fails_with(capsys, argv, script)
+        assert message.startswith(f"dsm-seq: error: --script {script}: Expecting value")
 
 
 class TestParser:

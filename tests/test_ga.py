@@ -47,7 +47,6 @@ class TestPresets:
         assert cfg.mutpb == mutpb
         assert cfg.generations == 2000
         assert cfg.seed == 7
-        assert cfg.crossover == "ox"
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -76,10 +75,6 @@ class TestConfigValidation:
     def test_tournament_floor(self):
         with pytest.raises(ValueError, match="tournament_size"):
             GaConfig(population_size=4, generations=10, indpb=0.1, tournament_size=0, cxpb=0.5, mutpb=0.5)
-
-    def test_crossover_name(self):
-        with pytest.raises(ValueError, match="crossover"):
-            GaConfig(population_size=4, generations=10, indpb=0.1, tournament_size=2, cxpb=0.5, mutpb=0.5, crossover="uniform")
 
 
 def random_swaps(rng, n, count):
@@ -324,18 +319,3 @@ class TestRunGa:
         matrix = matrix_from_array(np.zeros((1, 1), dtype=int))
         with pytest.raises(ValueError, match="at least 2 nodes"):
             run_ga(matrix, preset_config("balanced", generations=5))
-
-    def test_pmx_variant_runs(self):
-        cfg = GaConfig(
-            population_size=12,
-            generations=80,
-            indpb=0.05,
-            tournament_size=4,
-            cxpb=0.8,
-            mutpb=0.3,
-            seed=6,
-            crossover="pmx",
-        )
-        best, _ = run_ga(chain_matrix(5), cfg, stop_score=0)
-        assert sorted(best.sequence) == sorted(chain_matrix(5).ids)
-        assert best.score >= 0

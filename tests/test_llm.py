@@ -1,8 +1,17 @@
 """Providers: scripted stub behavior and the HTTP client's retry contract."""
 
-import pytest
-import requests
+import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
+import pytest
+
+import dsmseq
 from dsmseq import (
     ChatRequest,
     OpenAIChatProvider,
@@ -10,6 +19,7 @@ from dsmseq import (
     ProviderError,
     ScriptedProvider,
 )
+from dsmseq.llm import _urllib_transport
 
 KEY = "sk-test-SECRET-0123456789"
 
@@ -110,7 +120,7 @@ class TestHttpProvider:
 
     def test_retries_on_transport_exception(self):
         provider, _, _ = provider_with(
-            [requests.ConnectionError("boom"), (200, ok_body("ok"))]
+            [ConnectionError("boom"), (200, ok_body("ok"))]
         )
         assert provider.complete(request()).text == "ok"
 
@@ -238,3 +248,152 @@ class TestRateLimiter:
         provider.complete(request())
         # the second call waits one minute for the single token to refill
         assert sum(sleeps) == pytest.approx(60.0)
+
+
+class TestProviderConfigChecks:
+    @pytest.mark.parametrize("endpoint", ["api.example.com/v1", "ftp://example.com/v1", ""])
+    def test_endpoint_needs_http_scheme(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint must start with http:// or https://"):
+            ProviderConfig(endpoint=endpoint, api_key=KEY, model="m")
+
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1:8000/v1", "HTTPS://llm.example/v1"])
+    def test_http_endpoints_accepted(self, endpoint):
+        assert ProviderConfig(endpoint=endpoint, api_key=KEY, model="m").endpoint == endpoint
+
+    @pytest.mark.parametrize("backoff", [-0.5, float("nan")])
+    def test_negative_backoff_rejected(self, backoff):
+        with pytest.raises(ValueError, match="backoff must be >= 0"):
+            ProviderConfig(api_key=KEY, model="m", backoff=backoff)
+
+    def test_zero_backoff_accepted(self):
+        assert ProviderConfig(api_key=KEY, model="m", backoff=0).backoff == 0
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, raw body) pair;
+    a status of None writes the raw bytes with no HTTP status line."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.seen.append(
+            {"path": self.path, "headers": dict(self.headers), "body": self.rfile.read(length)}
+        )
+        status, raw = self.server.replies.pop(0)
+        if status is None:
+            self.wfile.write(raw)
+            return
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, format, *args):  # keep test output quiet
+        pass
+
+
+@pytest.fixture()
+def local_server():
+    """An HTTP server on 127.0.0.1 in a thread of the test process."""
+    server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.seen = [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join()
+    server.server_close()
+
+
+def live_provider(endpoint, max_retries=3):
+    config = ProviderConfig(endpoint=endpoint, api_key=KEY, model="test-model",
+                            timeout=10.0, max_retries=max_retries, backoff=0.5)
+    sleeps = []
+    return OpenAIChatProvider(config, sleep=sleeps.append), sleeps
+
+
+class TestUrllibTransport:
+    """The default transport against a real socket: statuses, bodies, refusals."""
+
+    def endpoint(self, server):
+        return f"http://127.0.0.1:{server.server_address[1]}/v1/"
+
+    def test_success_with_usage(self, local_server):
+        local_server.replies.append((200, json.dumps(ok_body("hi")).encode()))
+        provider, sleeps = live_provider(self.endpoint(local_server))
+        result = provider.complete(ChatRequest.single_turn("", "p", temperature=0.2))
+        assert result.text == "hi"
+        assert result.usage == {"prompt_tokens": 5, "completion_tokens": 7}
+        assert (result.retries, result.model, sleeps) == (0, "test-model", [])
+        (seen,) = local_server.seen
+        assert seen["path"] == "/v1/chat/completions"
+        assert seen["headers"]["Authorization"] == f"Bearer {KEY}"
+        assert seen["headers"]["Content-Type"] == "application/json"
+        assert json.loads(seen["body"]) == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "p"}],
+            "temperature": 0.2,
+        }
+
+    def test_429_then_success_is_one_retry(self, local_server):
+        local_server.replies += [(429, b"{}"), (200, json.dumps(ok_body("ok")).encode())]
+        provider, sleeps = live_provider(self.endpoint(local_server))
+        result = provider.complete(request())
+        assert (result.text, result.retries, sleeps) == ("ok", 1, [0.5])
+        assert len(local_server.seen) == 2
+
+    def test_401_is_auth_and_not_retried(self, local_server):
+        local_server.replies.append((401, b'{"error": {"message": "bad key"}}'))
+        provider, sleeps = live_provider(self.endpoint(local_server))
+        with pytest.raises(ProviderError, match=r"HTTP 401") as info:
+            provider.complete(request())
+        assert info.value.kind == "auth"
+        assert (len(local_server.seen), sleeps) == (1, [])
+
+    def test_500_with_non_json_body(self, local_server):
+        local_server.replies += [(500, b"<html>Internal Server Error</html>")] * 2
+        provider, sleeps = live_provider(self.endpoint(local_server), max_retries=1)
+        with pytest.raises(ProviderError, match="last failure: HTTP 500") as info:
+            provider.complete(request())
+        assert info.value.kind == "transport"
+        assert (len(local_server.seen), sleeps) == (2, [0.5])
+
+    def test_non_json_body_parses_to_empty(self, local_server):
+        local_server.replies.append((500, b"not json"))
+        url = self.endpoint(local_server) + "chat/completions"
+        assert _urllib_transport(url, {}, {"a": 1}, 10.0) == (500, {})
+
+    def test_bad_status_line_is_a_transport_error(self, local_server):
+        # http.client raises BadStatusLine, an HTTPException but not an OSError
+        local_server.replies += [(None, b"NOT HTTP\r\n\r\n")] * 2
+        provider, _ = live_provider(self.endpoint(local_server), max_retries=1)
+        with pytest.raises(ProviderError, match="transport error: BadStatusLine") as info:
+            provider.complete(request())
+        assert info.value.kind == "transport"
+
+    def test_refused_port(self):
+        with socket.socket() as probe:  # a port that was free a moment ago
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        provider, sleeps = live_provider(f"http://127.0.0.1:{port}/v1", max_retries=2)
+        with pytest.raises(ProviderError, match="transport error: URLError") as info:
+            provider.complete(request())
+        assert info.value.kind == "transport"
+        assert sleeps == [0.5, 1.0]
+
+
+def test_import_loads_no_http_module():
+    src = str(Path(dsmseq.__file__).resolve().parents[1])
+    code = (
+        "import sys, dsmseq; "
+        "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'ssl') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -83,7 +83,7 @@ class TestBest:
         while len(orders) < 20:
             orders.add(tuple(rng.sample(list(m.ids), m.n)))
         base = filled_base(m, sorted(orders))
-        expected = min(base.records, key=lambda r: r.score).score
+        expected = min(row["score"] for row in base.snapshot())
         assert base.best().score == expected
 
     def test_tie_broken_by_iteration(self, chain_case):
