@@ -15,7 +15,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentSpec:
     cases: list[str | Path]
-    methods: list[str]
+    methods: list[str] = field(default_factory=lambda: list(ALL_METHODS))
     output_dir: str | Path
     runs_per_method: int = 10
     trial_budgets: list[int] = field(default_factory=lambda: [1, 5, 20])
@@ -76,6 +76,8 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
+        if not self.trial_budgets:
+            raise ValueError("trial_budgets must not be empty")
         if any(b < 1 for b in self.trial_budgets):
             raise ValueError("trial budgets must be >= 1")
         stems = [Path(p).stem for p in self.cases]  # outputs are keyed by stem
@@ -88,8 +90,8 @@ class ExperimentSpec:
 def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
     """Read a JSON spec; relative case paths are read from the spec's directory.
 
-    A missing required key or case file, or a field of the wrong type, is a
-    ValueError naming the spec.
+    A key that is not a spec field, a missing required key or case file, or
+    a field of the wrong type, is a ValueError naming the spec.
     """
     path = Path(path)
     try:
@@ -98,21 +100,15 @@ def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
         raise ValueError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"spec {path}: top level must be an object")
+    known = {f.name for f in fields(ExperimentSpec)} - {"provider"}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"spec {path}: unknown keys {unknown}; known keys are {sorted(known)}")
     for key in ("cases", "output_dir"):
         if key not in raw:
             raise ValueError(f"spec {path}: missing required key {key!r}")
     try:
-        spec = ExperimentSpec(
-            cases=raw["cases"],
-            methods=raw.get("methods", list(ALL_METHODS)),
-            output_dir=raw["output_dir"],
-            runs_per_method=raw.get("runs_per_method", 10),
-            trial_budgets=raw.get("trial_budgets", [1, 5, 20]),
-            base_seed=raw.get("base_seed", 0),
-            ga_generations=raw.get("ga_generations", GENERATIONS_DEFAULT),
-            ascending=raw.get("ascending", False),
-            provider=provider,
-        )
+        spec = ExperimentSpec(**raw, provider=provider)
     except ValueError as exc:
         raise ValueError(f"spec {path}: {exc}") from exc
     cases = [path.parent / case for case in spec.cases]

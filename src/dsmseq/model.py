@@ -136,12 +136,14 @@ def case_from_dict(raw: dict, where: str = "<dict>") -> DsmCase:
     except (KeyError, TypeError) as exc:
         raise CaseError(f"{where}: malformed node or edge entry: {exc}") from exc
     known = raw.get("known_optimum")
+    if known is not None and (not isinstance(known, int) or isinstance(known, bool)):
+        raise CaseError(f"{where}: known_optimum must be an integer, got {known!r}")
     try:
         return DsmCase(
             nodes=nodes,
             edges=edges,
             description=str(raw.get("description", "")),
-            known_optimum=None if known is None else int(known),
+            known_optimum=known,
         )
     except CaseError as exc:
         raise CaseError(f"{where}: {exc}") from exc

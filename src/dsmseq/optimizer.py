@@ -1,9 +1,9 @@
 """The iterative LLM search loop over sequences.
 
 Each iteration samples precedent solutions from the archive, renders the
-prompt, asks the provider for one candidate order, validates and scores it,
-and inserts it back into the archive. The loop stops at the iteration
-budget or when the best score reaches a known optimal threshold.
+prompt, asks the provider for one candidate order, parses it, and files it
+in the archive, which scores each new order once. The loop stops at the
+iteration budget or when the best score reaches a known optimal threshold.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class OptimizerConfig:
     knowledge_mode: str = WITH_KNOWLEDGE
     seed: int = 0
     invalid_retry_budget: int = 2
-    reshuffle_edges_each_iteration: bool = False
     audit_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -75,26 +74,19 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     per LLM iteration after that, with prompt/response hashes, the parsed
     sequence or failure kind, and the running unique count and best-so-far.
     Raises OptimizationAborted if the provider fails; the exception carries
-    the partial trace. The archive scores each order once; the returned
-    best is re-scored independently, and a mismatch raises RuntimeError.
+    the partial trace. The archive scores each distinct order once and
+    answers a repeat from its record; the returned best is re-scored
+    independently, and a mismatch raises RuntimeError.
     """
     matrix = build_adjacency(case)
     rng = random.Random(cfg.seed)
     base = SolutionBase(matrix)
 
-    initial = tuple(rng.sample(list(case.node_ids), case.n))
-    base.insert(
-        SolutionRecord(
-            sequence=initial,
-            score=base.score(initial),
-            iteration_found=0,
-            source="initial-random",
-        )
-    )
-    # one seeded edge order for every prompt, unless reshuffled each iteration
+    initial, _ = base.insert(rng.sample(list(case.node_ids), case.n), 0, "initial-random")
+    # one seeded edge order for every prompt of the run
     edges = list(case.edges)
     rng.shuffle(edges)
-    fixed_edge_case = replace(case, edges=tuple(edges))
+    shuffled_case = replace(case, edges=tuple(edges))
 
     def entry(iteration: int, **extra) -> dict:
         best = base.best()
@@ -114,18 +106,14 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         row.update(extra)
         return row
 
-    trace = [entry(0, sequence=list(initial), score=base.best().score)]
+    trace = [entry(0, sequence=list(initial.sequence), score=initial.score)]
 
     model_name = getattr(client, "model", "") or ""
     iteration = 0
     while not base.should_terminate(cfg.termination, iteration):
         iteration += 1
         records = base.sample_for_prompt(cfg.sampling, rng)
-        if cfg.reshuffle_edges_each_iteration:
-            ctx = make_prompt_context(case, records, cfg.knowledge_mode, rng)
-        else:
-            ctx = make_prompt_context(fixed_edge_case, records, cfg.knowledge_mode, None)
-        prompt = build_prompt(ctx)
+        prompt = build_prompt(make_prompt_context(shuffled_case, records, cfg.knowledge_mode))
 
         attempt_prompt = prompt
         parsed = None
@@ -178,21 +166,15 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             )
             continue
 
-        sequence = tuple(parsed)
-        score = base.score(sequence)
-        inserted = base.insert(
-            SolutionRecord(
-                sequence=sequence, score=score, iteration_found=iteration, source="llm"
-            )
-        )
+        record, is_new = base.insert(parsed, iteration, "llm")
         trace.append(
             entry(
                 iteration,
                 prompt_sha256=prompt_sha256(attempt_prompt),
                 response_sha256=_sha256(response_text),
-                sequence=list(sequence),
-                score=score,
-                duplicate=not inserted,
+                sequence=parsed,
+                score=record.score,
+                duplicate=not is_new,
                 attempts=attempts,
             )
         )

@@ -1,20 +1,20 @@
 """Prompt construction and response parsing for the LLM search loop.
 
-The prompt has four parts: network topology (edge list, shuffled), optional
-contextual knowledge (network description and node names), meta-instructions,
-and a worst-to-best list of previously scored orders. Rendering is a pure
-function of PromptContext and is pinned byte-for-byte by golden-file tests.
+The prompt has four parts: network topology (edge list, shuffled once per
+run), optional contextual knowledge (network description and node names),
+meta-instructions, and a worst-to-best list of previously scored orders.
+Rendering is a pure function of PromptContext and is pinned byte-for-byte by
+golden-file tests.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import DsmCase, Edge, Node
 from .scoring import is_valid_sequence
-from .solutions import SolutionRecord, historical_line
+from .solutions import SolutionRecord
 
 WITH_KNOWLEDGE = "with"
 WITHOUT_KNOWLEDGE = "without"
@@ -67,11 +67,8 @@ class PromptContext:
     network_description: str
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-    historical: tuple[dict, ...]
+    historical: tuple[SolutionRecord, ...]
     knowledge_mode: str = WITH_KNOWLEDGE
-    # the rendered lines of historical when make_prompt_context has them from
-    # its records; not an init field, so dataclasses.replace drops them
-    _lines: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
@@ -83,28 +80,17 @@ class PromptContext:
 
 
 def make_prompt_context(
-    case: DsmCase,
-    records: list[SolutionRecord],
-    knowledge_mode: str,
-    rng: random.Random | None,
+    case: DsmCase, records: list[SolutionRecord], knowledge_mode: str
 ) -> PromptContext:
-    """Assemble a context from a case and archive sample, shuffling the edges
-    with rng, or keeping the case's edge order when rng is None."""
-    edges = case.edges
-    if rng is not None:
-        shuffled = list(edges)
-        rng.shuffle(shuffled)
-        edges = tuple(shuffled)
-    historical = tuple({"solution": r.solution_text, "score": float(r.score)} for r in records)
-    ctx = PromptContext(
+    """Assemble a context from a case, edges in the case's order, and an
+    archive sample."""
+    return PromptContext(
         network_description=case.description,
         nodes=case.nodes,
-        edges=edges,
-        historical=historical,
+        edges=case.edges,
+        historical=tuple(records),
         knowledge_mode=knowledge_mode,
     )
-    object.__setattr__(ctx, "_lines", tuple(r.prompt_line for r in records))
-    return ctx
 
 
 def _render_nodes_with_descriptions(nodes: tuple[Node, ...]) -> str:
@@ -117,14 +103,6 @@ def _render_edge_list(edges: tuple[Edge, ...]) -> str:
         f"{{'dependent': {e.dependent!r}, 'predecessor': {e.predecessor!r}}}" for e in edges
     )
     return f"[\n{lines}\n]"
-
-
-def _render_historical(historical: tuple[dict, ...]) -> str:
-    return _render_lines([historical_line(h["solution"], h["score"]) for h in historical])
-
-
-def _render_lines(lines) -> str:
-    return "[\n" + ",\n".join(lines) + "\n]"
 
 
 def _split_template(template: str) -> tuple[str, str]:
@@ -184,9 +162,8 @@ def build_prompt(ctx: PromptContext) -> str:
             "the archive with one random order first"
         )
     head, tail, _ = _frame(ctx)
-    if ctx._lines is None:
-        return head + _render_historical(ctx.historical) + tail
-    return head + _render_lines(ctx._lines) + tail
+    lines = ",\n".join([record.prompt_line for record in ctx.historical])
+    return head + "[\n" + lines + "\n]" + tail
 
 
 def prompt_sha256(prompt: str) -> str:

@@ -24,23 +24,14 @@ class SolutionRecord:
         if self.score < 0:
             raise ValueError("score must be non-negative")
 
-    # a record never changes once made, so its prompt text is rendered on
-    # first use and kept with the record
-
-    @cached_property
-    def solution_text(self) -> str:
-        """The ids joined as a prompt lists them."""
-        return ", ".join(self.sequence)
-
     @cached_property
     def prompt_line(self) -> str:
-        """This record's entry in a prompt's list of previous orders."""
-        return historical_line(self.solution_text, self.score)
+        """This record's entry in a prompt's list of previous orders.
 
-
-def historical_line(solution: str, score) -> str:
-    """One entry of a prompt's list of previous orders."""
-    return f"{{'solution': {solution!r}, 'score': {float(score)!r}}}"
+        A record never changes once made, so the line is rendered on first
+        use and kept with the record.
+        """
+        return f"{{'solution': {', '.join(self.sequence)!r}, 'score': {float(self.score)!r}}}"
 
 
 @dataclass(frozen=True)
@@ -68,58 +59,41 @@ class TerminationPolicy:
 
 
 class SolutionBase:
-    """Stores every distinct explored sequence with its verified score.
+    """Stores every distinct explored sequence with the score it computed.
 
-    Single-writer: the search loop inserts sequentially. The archive keeps
-    one ranking, (score, arrival index) pairs sorted as records arrive, so
-    a score tie always goes to the record inserted first.
+    insert is the only way in: the archive scores each new sequence once on
+    its own matrix and answers a repeat from the stored record. Single-writer:
+    the search loop inserts sequentially. The archive keeps one ranking,
+    (score, arrival index) pairs sorted as records arrive, so a score tie
+    always goes to the record inserted first.
     """
 
     def __init__(self, matrix: AdjacencyMatrix):
         self._matrix = matrix
         self._records: list[SolutionRecord] = []
-        self._seen: set[tuple[str, ...]] = set()
+        self._index: dict[tuple[str, ...], int] = {}  # sequence -> arrival index
         self._ranking: list[tuple[int, int]] = []
-        # (sequence, score) of the last score() call, for insert to check against
-        self._verdict: tuple[tuple[str, ...], int] | None = None
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def score(self, sequence) -> int:
-        """Validate and score sequence on the archive's matrix.
+    def insert(self, sequence, iteration_found: int, source: str) -> tuple[SolutionRecord, bool]:
+        """File a sequence; returns (its record, whether it is new).
 
-        The verdict is kept, so inserting a record of this sequence next
-        does not score it again.
+        A repeat returns the stored record without scoring it again. A new
+        sequence is validated and scored once; an invalid one raises
+        ValueError and stores nothing.
         """
         seq = tuple(sequence)
-        actual = score_sequence(self._matrix, seq)  # also validates the permutation
-        self._verdict = (seq, actual)
-        return actual
-
-    def insert(self, record: SolutionRecord) -> bool:
-        """Add a record; returns False (and stores nothing) for a repeat sequence.
-
-        The stored score must equal the evaluator's verdict on the sequence:
-        the kept verdict of score() when it was for this sequence, else a
-        fresh one. A mismatch means the caller scored against the wrong matrix.
-        """
-        seq = tuple(record.sequence)
-        verdict = self._verdict
-        if verdict is not None and verdict[0] == seq:
-            actual = verdict[1]
-        else:
-            actual = self.score(seq)
-        if actual != record.score:
-            raise ValueError(
-                f"record score {record.score} does not match evaluated score {actual}"
-            )
-        if seq in self._seen:
-            return False
-        self._seen.add(seq)
-        bisect.insort(self._ranking, (record.score, len(self._records)))
+        index = self._index.get(seq)
+        if index is not None:
+            return self._records[index], False
+        record = SolutionRecord(seq, score_sequence(self._matrix, seq), iteration_found, source)
+        index = len(self._records)
+        self._index[seq] = index
+        bisect.insort(self._ranking, (record.score, index))
         self._records.append(record)
-        return True
+        return record, True
 
     def best(self) -> SolutionRecord:
         if not self._records:

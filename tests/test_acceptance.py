@@ -26,7 +26,6 @@ from dsmseq import (
     SamplingPolicy,
     ScriptedProvider,
     SolutionBase,
-    SolutionRecord,
     TerminationPolicy,
     brute_force_optimum,
     build_adjacency,
@@ -318,11 +317,7 @@ def test_07_sampling_contract():
             sequence = tuple(list(reversed(ids[: k + 1])) + ids[k + 1 :])
             score = score_sequence(matrix, sequence)
             assert score == k  # reversing a k+1 prefix creates exactly k feedbacks
-            base.insert(
-                SolutionRecord(
-                    sequence=sequence, score=score, iteration_found=k, source="llm"
-                )
-            )
+            base.insert(sequence, k, "llm")
 
         policy = SamplingPolicy(k_p=5, k_q=5)
         counts = {score: 0 for score in range(5, 20)}

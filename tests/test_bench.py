@@ -199,7 +199,11 @@ class TestSpec:
 
     @pytest.mark.parametrize(
         "field, value, expected",
-        [("base_seed", -1, "base_seed must be >= 0"), ("ga_generations", 0, "ga_generations must be >= 1")],
+        [
+            ("base_seed", -1, "base_seed must be >= 0"),
+            ("ga_generations", 0, "ga_generations must be >= 1"),
+            ("trial_budgets", [], "trial_budgets must not be empty"),
+        ],
     )
     def test_field_ranges_checked(self, tmp_path, field, value, expected):
         fields = dict(cases=["x.json"], methods=["det-outin"], output_dir=tmp_path, **{field: value})
@@ -237,6 +241,20 @@ class TestSpec:
         assert spec.base_seed == 9
         assert spec.trial_budgets == [1, 5, 20]  # default
         assert spec.provider is stub
+
+    @pytest.mark.parametrize(
+        "extra, unknown",
+        [
+            ({"runs_per_methods": 2, "method": ["det-outin"]}, ["method", "runs_per_methods"]),
+            ({"provider": "scripted"}, ["provider"]),
+        ],
+    )
+    def test_unknown_keys_name_spec_and_keys(self, data_dir, tmp_path, extra, unknown):
+        raw = {"cases": [str(data_dir / "demo_gearbox_7.json")], "output_dir": "out", **extra}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"spec {spec_path}: unknown keys {unknown}")):
+            load_experiment_spec(spec_path)
 
     @pytest.mark.parametrize("key", ["cases", "output_dir"])
     def test_missing_required_key_names_spec_and_key(self, data_dir, tmp_path, key):

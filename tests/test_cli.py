@@ -292,6 +292,10 @@ class TestRun:
                 {"cases": "demo.json", "output_dir": "out"},
                 r"cases must be a list of paths, got 'demo\.json'",
             ),
+            (
+                {"cases": ["demo.json"], "output_dir": "out", "runs_per_methods": 2, "method": []},
+                r"unknown keys \['method', 'runs_per_methods'\]; known keys are \[.*\]",
+            ),
         ],
     )
     def test_bad_spec_is_one_line(self, capsys, data_dir, tmp_path, raw, expected):

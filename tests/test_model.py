@@ -122,6 +122,22 @@ class TestLoadAndValidate:
             load_case(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("known", [2.7, 3.0, True, "3", "abc", [3]])
+    def test_known_optimum_must_be_a_json_integer(self, tmp_path, known):
+        payload = {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"dependent": "b", "predecessor": "a"}],
+            "known_optimum": known,
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CaseError, match="known_optimum must be an integer") as info:
+            load_case(path)
+        assert str(path) in str(info.value)
+        payload["known_optimum"] = 0
+        path.write_text(json.dumps(payload))
+        assert load_case(path).known_optimum == 0
+
 
 class TestAdjacency:
     def test_single_edge_position(self):

@@ -294,24 +294,12 @@ class TestEdgeShuffling:
         run_optimization(case, cfg, stub)
         assert self.edges_block(stub.prompts[0]) == self.edges_block(stub.prompts[1])
 
-    def test_reshuffle_toggle(self):
-        case = make_case(8, [(i + 1, i) for i in range(7)] + [(0, 7), (2, 5)])
-        cfg = config(
-            termination=TerminationPolicy(max_iterations=2),
-            reshuffle_edges_each_iteration=True,
-        )
-        stub = ScriptedProvider(
-            ["<order> " + ", ".join(f"v{i:02d}" for i in range(8)) + " </order>"] * 2
-        )
-        run_optimization(case, cfg, stub)
-        assert self.edges_block(stub.prompts[0]) != self.edges_block(stub.prompts[1])
-
 
 SCORE_ONCE_REPLIES = [
     f"<order> {REVERSED_ORDER} </order>",
     "no tags here",  # retried within the budget
     "<order> v01, v00, v02, v03, v04, v05 </order>",
-    f"<order> {REVERSED_ORDER} </order>",  # a duplicate is still scored once
+    f"<order> {REVERSED_ORDER} </order>",  # a duplicate is answered from the archive
     "<order> v00, v00, v01, v02, v03, v04 </order>",
     "still no tags",
     "nor here",  # the iteration fails: nothing parsed, nothing scored
@@ -339,24 +327,22 @@ class TestScoreOnce:
         best, trace = run_optimization(chain_case(), cfg, ScriptedProvider(SCORE_ONCE_REPLIES))
         parsed = [row for row in trace[1:] if row["sequence"] is not None]
         assert len(parsed) == 4 and sum(row["duplicate"] for row in parsed) == 1
-        # the archive scores the initial order and each parsed reply; the
-        # optimizer re-scores the final best
-        assert calls == ["dsmseq.solutions"] * (1 + len(parsed)) + ["dsmseq.optimizer"]
+        # the archive scores the initial order and each distinct parsed reply
+        # once; the optimizer re-scores the final best
+        distinct = len({tuple(row["sequence"]) for row in parsed})
+        assert distinct == 3
+        assert calls == ["dsmseq.solutions"] * (1 + distinct) + ["dsmseq.optimizer"]
         assert best.score == 0
 
     def test_trace_prompt_digests_are_sha256_of_the_last_attempt(self):
-        for reshuffle in (False, True):
-            stub = ScriptedProvider(SCORE_ONCE_REPLIES)
-            cfg = config(
-                termination=TerminationPolicy(max_iterations=5),
-                reshuffle_edges_each_iteration=reshuffle,
-            )
-            _, trace = run_optimization(chain_case(), cfg, stub)
-            attempts = [row["attempts"] for row in trace[1:]]
-            last = [sum(attempts[: k + 1]) - 1 for k in range(len(attempts))]
-            assert [row["prompt_sha256"] for row in trace[1:]] == [
-                sha(stub.prompts[k]) for k in last
-            ]
+        stub = ScriptedProvider(SCORE_ONCE_REPLIES)
+        cfg = config(termination=TerminationPolicy(max_iterations=5))
+        _, trace = run_optimization(chain_case(), cfg, stub)
+        attempts = [row["attempts"] for row in trace[1:]]
+        last = [sum(attempts[: k + 1]) - 1 for k in range(len(attempts))]
+        assert [row["prompt_sha256"] for row in trace[1:]] == [
+            sha(stub.prompts[k]) for k in last
+        ]
 
     def test_corrupted_best_raises(self, monkeypatch):
         from dsmseq import solutions

@@ -13,6 +13,7 @@ from dsmseq import (
     Node,
     OrderParseError,
     PromptContext,
+    SolutionRecord,
     build_prompt,
     make_prompt_context,
     parse_order_response,
@@ -38,8 +39,8 @@ FIXTURE_EDGES = (
     Edge("aK3vQ", "Hs7fc"),
 )
 FIXTURE_HISTORICAL = (
-    {"solution": "Hs7fc, e9DnU, Wx51b, q2RtY, Zp8Lm, aK3vQ", "score": 6.0},
-    {"solution": "aK3vQ, Zp8Lm, q2RtY, Wx51b, e9DnU, Hs7fc", "score": 1.0},
+    SolutionRecord(("Hs7fc", "e9DnU", "Wx51b", "q2RtY", "Zp8Lm", "aK3vQ"), 6, 0, "initial-random"),
+    SolutionRecord(("aK3vQ", "Zp8Lm", "q2RtY", "Wx51b", "e9DnU", "Hs7fc"), 1, 1, "llm"),
 )
 FIXTURE_DESCRIPTION = (
     "Design tasks for an automated conveyor line. Nodes are tasks; a directed "
@@ -73,8 +74,10 @@ class TestGolden:
 
 
 def whole_template_render(ctx):
-    """The prompt formatted from the whole template in one str.format call."""
-    historical = prompts._render_historical(ctx.historical)
+    """The prompt formatted from the whole template in one str.format call,
+    each previous order rendered as the repr of a plain dict."""
+    rows = [{"solution": ", ".join(r.sequence), "score": float(r.score)} for r in ctx.historical]
+    historical = "[\n" + ",\n".join(map(repr, rows)) + "\n]"
     edges = prompts._render_edge_list(ctx.edges)
     if ctx.knowledge_mode == "with":
         return prompts.TEMPLATE_WITH_KNOWLEDGE.format(
@@ -88,6 +91,13 @@ def whole_template_render(ctx):
         edge_list=edges,
         selected_historical_solutions=historical,
     )
+
+
+def shuffled(case, rng):
+    """The case with its edges in a seeded random order."""
+    edges = list(case.edges)
+    rng.shuffle(edges)
+    return dataclasses.replace(case, edges=tuple(edges))
 
 
 # each changes one part of the frame: the text around the historical solutions
@@ -128,7 +138,7 @@ class TestFrameCache:
         assert build_prompt(copied) == build_prompt(fixture_context("with"))
 
     def test_seeded_reshuffles_render_as_whole_template(self, demo_case):
-        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+        from dsmseq import build_adjacency, score_sequence
 
         m = build_adjacency(demo_case)
         order = tuple(m.ids)
@@ -136,7 +146,7 @@ class TestFrameCache:
         rng = random.Random(3)
         for mode in ("with", "without", "with"):
             for _ in range(3):
-                ctx = make_prompt_context(demo_case, [rec], mode, rng)
+                ctx = make_prompt_context(shuffled(demo_case, rng), [rec], mode)
                 assert build_prompt(ctx) == whole_template_render(ctx)
 
 
@@ -180,32 +190,19 @@ class TestPromptContent:
 
 
 class TestMakeContext:
-    def test_edges_are_seeded_shuffle(self, demo_case):
-        from dsmseq import SolutionRecord, build_adjacency, score_sequence
-
-        m = build_adjacency(demo_case)
-        order = tuple(m.ids)
-        rec = SolutionRecord(order, score_sequence(m, order), 0, "initial-random")
-        ctx1 = make_prompt_context(demo_case, [rec], "with", random.Random(4))
-        ctx2 = make_prompt_context(demo_case, [rec], "with", random.Random(4))
-        ctx3 = make_prompt_context(demo_case, [rec], "with", random.Random(5))
-        assert ctx1.edges == ctx2.edges
-        assert sorted(ctx1.edges, key=str) == sorted(demo_case.edges, key=str)
-        assert ctx1.edges != ctx3.edges  # different seed, different arrangement
-
     def test_without_rng_the_case_edges_pass_through(self, demo_case):
-        ctx = make_prompt_context(demo_case, [], "with", None)
+        ctx = make_prompt_context(demo_case, [], "with")
         assert ctx.edges is demo_case.edges
 
     def test_historical_scores_are_floats(self, demo_case):
-        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+        from dsmseq import build_adjacency, score_sequence
 
         m = build_adjacency(demo_case)
         order = tuple(m.ids)
         rec = SolutionRecord(order, score_sequence(m, order), 0, "initial-random")
-        ctx = make_prompt_context(demo_case, [rec], "without", random.Random(0))
-        assert isinstance(ctx.historical[0]["score"], float)
-        assert ctx.historical[0]["solution"] == ", ".join(order)
+        ctx = make_prompt_context(demo_case, [rec], "without")
+        assert ctx.historical == (rec,)
+        assert f"'score': {float(rec.score)!r}}}" in build_prompt(ctx)
 
 
 class TestParseOrder:
@@ -311,14 +308,14 @@ class TestPromptDigest:
         assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
 
     def test_reshuffled_edges_each_prompt(self, demo_case):
-        from dsmseq import SolutionRecord, build_adjacency, score_sequence
+        from dsmseq import build_adjacency, score_sequence
 
         m = build_adjacency(demo_case)
         rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids), 0, "initial-random")
         rng = random.Random(7)
         for mode in ("with", "without"):
             for _ in range(3):
-                prompt = build_prompt(make_prompt_context(demo_case, [rec], mode, rng))
+                prompt = build_prompt(make_prompt_context(shuffled(demo_case, rng), [rec], mode))
                 assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
 
     @pytest.mark.parametrize("text", ["", "unrelated text", "Ünïcödé ✓"])
@@ -332,16 +329,13 @@ AWKWARD_IDS = ("it's", 'say "hi"', "back\\slash", "Ünïcödé", "节点", "tab\
 
 class TestCachedLines:
     def test_record_line_matches_rendered_dict(self):
-        from dsmseq import SolutionRecord
-
         for k in range(len(AWKWARD_IDS)):
             sequence = AWKWARD_IDS[k:] + AWKWARD_IDS[:k]
             rec = SolutionRecord(sequence, k, 0, "llm")
-            plain = ({"solution": ", ".join(sequence), "score": float(k)},)
-            assert prompts._render_lines([rec.prompt_line]) == prompts._render_historical(plain)
+            assert rec.prompt_line == repr({"solution": ", ".join(sequence), "score": float(k)})
 
     def test_prompt_from_records_matches_prompt_from_dicts(self):
-        from dsmseq import DsmCase, SolutionRecord
+        from dsmseq import DsmCase
 
         case = DsmCase(
             nodes=tuple(Node(i, f"Task {i}") for i in AWKWARD_IDS),
@@ -353,17 +347,6 @@ class TestCachedLines:
             SolutionRecord(AWKWARD_IDS, 1, 1, "llm"),
         ]
         for mode in ("with", "without"):
-            ctx = make_prompt_context(case, records, mode, None)
-            assert ctx._lines == tuple(r.prompt_line for r in records)
-            from_dicts = dataclasses.replace(ctx)
-            assert from_dicts._lines is None
-            assert build_prompt(ctx) == build_prompt(from_dicts) == whole_template_render(ctx)
-
-    def test_replaced_historical_drops_the_lines(self, demo_case):
-        from dsmseq import SolutionRecord, build_adjacency, score_sequence
-
-        m = build_adjacency(demo_case)
-        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids), 0, "initial-random")
-        ctx = make_prompt_context(demo_case, [rec], "with", None)
-        again = dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL)
-        assert build_prompt(again) == whole_template_render(again)
+            ctx = make_prompt_context(case, records, mode)
+            assert ctx.historical == tuple(records)
+            assert build_prompt(ctx) == whole_template_render(ctx)

@@ -22,19 +22,10 @@ def chain_case():
     return make_case(4, [(1, 0), (2, 1), (3, 2)])
 
 
-def record_for(matrix, order, iteration=0, source="llm"):
-    return SolutionRecord(
-        sequence=tuple(order),
-        score=score_sequence(matrix, order),
-        iteration_found=iteration,
-        source=source,
-    )
-
-
 def filled_base(matrix, orders, start_iteration=0):
     base = SolutionBase(matrix)
     for k, order in enumerate(orders):
-        base.insert(record_for(matrix, order, iteration=start_iteration + k))
+        base.insert(order, start_iteration + k, "llm")
     return base
 
 
@@ -43,8 +34,11 @@ class TestInsert:
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
         order = list(m.ids)
-        assert base.insert(record_for(m, order)) is True
-        assert base.insert(record_for(m, order, iteration=5)) is False
+        first, is_new = base.insert(order, 0, "llm")
+        assert is_new is True and first.sequence == tuple(order)
+        again, is_new = base.insert(order, 5, "initial-random")
+        assert is_new is False
+        assert again is first  # the stored record, as first found
         assert len(base) == 1
 
     def test_two_distinct(self, chain_case):
@@ -55,20 +49,19 @@ class TestInsert:
     def test_score_must_match_evaluator(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        bogus = SolutionRecord(
-            sequence=tuple(m.ids), score=2, iteration_found=0, source="llm"
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            base.insert(bogus)
+        rng = random.Random(1)
+        for k in range(10):
+            order = rng.sample(list(m.ids), m.n)
+            record, _ = base.insert(order, k, "llm")
+            assert record.score == score_sequence(m, order)
+        assert base.best().score == min(r["score"] for r in base.snapshot())
 
     def test_invalid_sequence_rejected(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        bad = SolutionRecord(
-            sequence=("v00", "v00", "v01", "v02"), score=0, iteration_found=0, source="llm"
-        )
         with pytest.raises(ValueError, match="invalid sequence"):
-            base.insert(bad)
+            base.insert(("v00", "v00", "v01", "v02"), 0, "llm")
+        assert len(base) == 0
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="unknown source"):
@@ -92,8 +85,8 @@ class TestBest:
         s1 = ["v01", "v00", "v02", "v03"]  # one feedback (v01 before v00)
         s2 = ["v00", "v02", "v01", "v03"]  # one feedback (v02 before v01)
         assert score_sequence(m, s1) == score_sequence(m, s2) == 1
-        base.insert(record_for(m, s1, iteration=2))
-        base.insert(record_for(m, s2, iteration=7))
+        base.insert(s1, 2, "llm")
+        base.insert(s2, 7, "llm")
         assert base.best().iteration_found == 2
 
     def test_tie_goes_to_arrival_not_iteration(self, chain_case):
@@ -101,8 +94,8 @@ class TestBest:
         base = SolutionBase(m)
         s1 = ["v01", "v00", "v02", "v03"]
         s2 = ["v00", "v02", "v01", "v03"]
-        base.insert(record_for(m, s2, iteration=7))
-        base.insert(record_for(m, s1, iteration=2))
+        base.insert(s2, 7, "llm")
+        base.insert(s1, 2, "llm")
         assert base.best().iteration_found == 7
 
     def test_empty_base_errors(self, chain_case):
@@ -121,8 +114,8 @@ def tied_archive(seed, inserts=60):
     base = SolutionBase(m)
     arrived = []
     for _ in range(inserts):
-        record = record_for(m, rng.sample(list(m.ids), m.n), iteration=rng.randrange(100))
-        if base.insert(record):
+        record, is_new = base.insert(rng.sample(list(m.ids), m.n), rng.randrange(100), "llm")
+        if is_new:
             arrived.append(record)
     return base, arrived
 
@@ -165,7 +158,7 @@ class TestSampling:
         for k in range(size):
             order = list(reversed(ids[: k + 1])) + ids[k + 1 :]
             assert score_sequence(m, order) == k  # reversing a k-prefix flips k edges
-            base.insert(record_for(m, order, iteration=k))
+            base.insert(order, k, "llm")
         return base
 
     def test_undersized_base_returns_all(self, chain_case):
@@ -219,7 +212,7 @@ class TestTermination:
     def test_threshold(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        base.insert(record_for(m, ["v03", "v02", "v01", "v00"]))  # score 3
+        base.insert(["v03", "v02", "v01", "v00"], 0, "llm")  # score 3
         policy = TerminationPolicy(max_iterations=20, optimal_threshold=3)
         assert base.should_terminate(policy, 1) is True
         tighter = TerminationPolicy(max_iterations=20, optimal_threshold=2)
@@ -257,32 +250,22 @@ class TestScoreOnce:
         monkeypatch.setattr(solutions, "score_sequence", counting)
         return SolutionBase(matrix), calls
 
-    def test_insert_after_score_uses_the_kept_verdict(self, monkeypatch, chain_case):
+    def test_repeat_is_not_scored_again(self, monkeypatch, chain_case):
         m = build_adjacency(chain_case)
         base, calls = self.counting_base(monkeypatch, m)
-        order = tuple(m.ids)
-        score = base.score(order)
-        assert base.insert(SolutionRecord(order, score, 0, "llm")) is True
-        assert calls == [order]
+        order, other = tuple(m.ids), tuple(reversed(m.ids))
+        first, _ = base.insert(order, 0, "initial-random")
+        base.insert(other, 1, "llm")
+        again, is_new = base.insert(list(order), 2, "llm")
+        assert (again, is_new) == (first, False)
+        assert calls == [order, other]
 
-    def test_insert_after_score_of_another_sequence_rescores(self, monkeypatch, chain_case):
+    def test_score_validates(self, monkeypatch, chain_case):
         m = build_adjacency(chain_case)
         base, calls = self.counting_base(monkeypatch, m)
-        scored, inserted = tuple(m.ids), tuple(reversed(m.ids))
-        base.score(scored)
-        base.insert(SolutionRecord(inserted, score_sequence(m, inserted), 0, "llm"))
-        assert calls == [scored, inserted]
-
-    def test_mismatch_after_score_raises(self, chain_case):
-        m = build_adjacency(chain_case)
-        base = SolutionBase(m)
-        order = tuple(m.ids)
-        score = base.score(order)
-        with pytest.raises(ValueError, match="does not match"):
-            base.insert(SolutionRecord(order, score + 1, 0, "llm"))
-        assert len(base) == 0
-
-    def test_score_validates(self, chain_case):
-        base = SolutionBase(build_adjacency(chain_case))
-        with pytest.raises(ValueError, match="invalid sequence"):
-            base.score(("v00", "v00", "v01", "v02"))
+        bad = ("v00", "v00", "v01", "v02")
+        for _ in range(2):  # a failed order is not remembered as a repeat
+            with pytest.raises(ValueError, match="invalid sequence"):
+                base.insert(bad, 0, "llm")
+        assert calls == [bad, bad]
+        assert len(base) == 0 and base.snapshot() == []
