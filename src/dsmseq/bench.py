@@ -76,8 +76,9 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
-        if not self.trial_budgets:
-            raise ValueError("trial_budgets must not be empty")
+        for name in ("cases", "methods", "trial_budgets"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if any(b < 1 for b in self.trial_budgets):
             raise ValueError("trial budgets must be >= 1")
         stems = [Path(p).stem for p in self.cases]  # outputs are keyed by stem
@@ -128,30 +129,6 @@ def aggregate_stats(scores) -> dict:
         "std": float(np.std(scores)),  # ddof=0: population formula
         "best": float(min(scores)),
     }
-
-
-def convergence_curve(trace: list[dict]) -> list[tuple[int, int]]:
-    """Change points (unique_count, best_score) from an optimizer trace.
-
-    Duplicate or failed iterations advance nothing; x is strictly
-    increasing and y non-increasing.
-    """
-    if not trace:
-        raise ValueError("empty trace")
-    points: list[tuple[int, int]] = []
-    for row in trace:
-        x, y = row["unique_count"], row["best_score"]
-        if not points:
-            points.append((x, y))
-        elif x == points[-1][0]:
-            if y < points[-1][1]:
-                points[-1] = (x, y)
-        elif y < points[-1][1]:
-            points.append((x, y))
-    final_x, final_y = trace[-1]["unique_count"], trace[-1]["best_score"]
-    if points[-1][0] != final_x:
-        points.append((final_x, final_y))  # marks how far the run explored
-    return points
 
 
 def step_value(curve: list[tuple[int, float]], x: int) -> float:
@@ -207,15 +184,6 @@ class ResultTable:
     rows: list[dict]
     summary: list[dict]
     failures: list[dict]
-
-    def scores_for(self, case: str, method: str, budget: int | None = None) -> list[float]:
-        return [
-            row["score"]
-            for row in self.rows
-            if row["case"] == case
-            and row["method"] == method
-            and (budget is None or row["budget"] == budget)
-        ]
 
 
 @dataclass(frozen=True)
@@ -313,7 +281,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute the whole grid and write artifacts under spec.output_dir.
 
     Writes results.csv (per-run rows), results_summary.csv (mean/std/best
-    per cell), convergence/*.csv for stochastic methods, traces/*.jsonl for
+    per cell), convergence/*.csv for GA methods, traces/*.jsonl for
     LLM runs, and manifest.json with every seed used. A cell that raises
     is recorded in the failures with its exception type and message, and
     the grid keeps going; an LLM run whose provider failed still writes the

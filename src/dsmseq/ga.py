@@ -218,27 +218,24 @@ def run_ga(
     best_generation = 0
     convergence: list[tuple[int, int]] = []
 
-    def score_new(individual: tuple[int, ...], generation: int) -> int:
-        nonlocal unique_count, best_seq, best_score, best_generation
-        cached = score_cache.get(individual)  # met earlier in this generation
-        if cached is not None:
-            return cached
-        if len(individual) != n or set(individual) != genes:
-            raise RuntimeError(f"GA produced {individual}, not a permutation of range({n})")
-        score = feedback_count(matrix, np.fromiter(individual, dtype=np.int64, count=n))
-        score_cache[individual] = score
-        unique_count += 1
-        if best_score is None or score < best_score:
-            best_seq, best_score, best_generation = individual, score, generation
-            convergence.append((unique_count, score))
-        return score
-
     def evaluate(individuals: list[tuple[int, ...]], generation: int) -> list[int]:
-        cached = [score_cache.get(ind) for ind in individuals]
-        return [
-            score_new(ind, generation) if score is None else score
-            for ind, score in zip(individuals, cached)
-        ]
+        """Score each individual, looking it up in the cache once; a miss
+        is checked, scored and counted, in population order."""
+        nonlocal unique_count, best_seq, best_score, best_generation
+        scores = []
+        for individual in individuals:
+            score = score_cache.get(individual)
+            if score is None:
+                if len(individual) != n or set(individual) != genes:
+                    raise RuntimeError(f"GA produced {individual}, not a permutation of range({n})")
+                score = feedback_count(matrix, np.fromiter(individual, dtype=np.int64, count=n))
+                score_cache[individual] = score
+                unique_count += 1
+                if best_score is None or score < best_score:
+                    best_seq, best_score, best_generation = individual, score, generation
+                    convergence.append((unique_count, score))
+            scores.append(score)
+        return scores
 
     start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
     population = [tuple(row) for row in start.tolist()]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -21,11 +21,10 @@ RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 class ChatRequest:
     model: str
     messages: tuple[dict, ...]
-    params: dict = field(default_factory=dict)
 
     @classmethod
-    def single_turn(cls, model: str, prompt: str, **params) -> "ChatRequest":
-        return cls(model=model, messages=({"role": "user", "content": prompt},), params=dict(params))
+    def single_turn(cls, model: str, prompt: str) -> "ChatRequest":
+        return cls(model=model, messages=({"role": "user", "content": prompt},))
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,6 @@ class OpenAIChatProvider:
             "Content-Type": "application/json",
         }
         body = {"model": req.model or self.config.model, "messages": list(req.messages)}
-        body.update(req.params)
 
         retries = 0
         last_failure = "no attempt made"
@@ -217,10 +215,8 @@ class ScriptedProvider:
         self._cursor = 0
         self.model = model
         self.prompts: list[str] = []
-        self.requests: list[ChatRequest] = []
 
     def complete(self, req: ChatRequest) -> ChatResult:
-        self.requests.append(req)
         for message in req.messages:
             if message.get("role") == "user":
                 self.prompts.append(message.get("content", ""))

@@ -21,8 +21,6 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 ALPHANUMERIC = string.ascii_uppercase + string.ascii_lowercase + string.digits
 ANON_ID_LENGTH = 5
 
-VALID_SOURCES = ("initial-random", "llm", "ga", "deterministic")
-
 
 class CaseError(ValueError):
     """Raised when a case file or case structure is invalid."""
@@ -165,20 +163,6 @@ def bundled_case(name: str) -> DsmCase:
         raise CaseError(f"no bundled case named {name!r}; available: {known}")
     raw = json.loads(entry.read_text(encoding="utf-8"))
     return case_from_dict(raw, where=f"bundled:{name}")
-
-
-def case_to_dict(case: DsmCase) -> dict:
-    out: dict = {
-        "description": case.description,
-        "nodes": [{"id": n.id, "name": n.name} for n in case.nodes],
-        "edges": [
-            {"dependent": e.dependent, "predecessor": e.predecessor}
-            for e in case.edges
-        ],
-    }
-    if case.known_optimum is not None:
-        out["known_optimum"] = case.known_optimum
-    return out
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,9 @@ from .prompts import (
 from .scoring import score_sequence
 from .solutions import SamplingPolicy, SolutionBase, SolutionRecord, TerminationPolicy
 
+# corrective re-asks after an unparseable reply, per iteration
+INVALID_RETRY_BUDGET = 2
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -34,14 +37,11 @@ class OptimizerConfig:
     termination: TerminationPolicy = field(default_factory=TerminationPolicy)
     knowledge_mode: str = WITH_KNOWLEDGE
     seed: int = 0
-    invalid_retry_budget: int = 2
     audit_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
             raise ValueError(f"unknown knowledge_mode {self.knowledge_mode!r}")
-        if self.invalid_retry_budget < 0:
-            raise ValueError("invalid_retry_budget must be >= 0")
 
 
 class OptimizationAborted(RuntimeError):
@@ -120,7 +120,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         failure = None
         response_text = None
         attempts = 0
-        for _ in range(cfg.invalid_retry_budget + 1):
+        for _ in range(INVALID_RETRY_BUDGET + 1):
             try:
                 result = client.complete(ChatRequest.single_turn(model_name, attempt_prompt))
             except ProviderError as exc:

@@ -7,8 +7,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import VALID_SOURCES, AdjacencyMatrix
+from .model import AdjacencyMatrix
 from .scoring import score_sequence
+
+VALID_SOURCES = ("initial-random", "llm", "ga")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -32,6 +33,19 @@ def make_case(n: int, edge_pairs, names=None) -> DsmCase:
     )
     edges = tuple(Edge(dependent=ids[d], predecessor=ids[p]) for d, p in edge_pairs)
     return DsmCase(nodes=nodes, edges=edges, description="test network")
+
+
+def write_case(path: Path, case: DsmCase) -> Path:
+    """Write a case as a JSON case file, in the layout load_case reads."""
+    raw = {
+        "description": case.description,
+        "nodes": [{"id": n.id, "name": n.name} for n in case.nodes],
+        "edges": [{"dependent": e.dependent, "predecessor": e.predecessor} for e in case.edges],
+    }
+    if case.known_optimum is not None:
+        raw["known_optimum"] = case.known_optimum
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
 
 
 def random_case(rng: random.Random, n: int, density: float) -> DsmCase:

@@ -14,8 +14,6 @@ from dsmseq import (
     ScriptedProvider,
     aggregate_stats,
     anonymize_ids,
-    case_to_dict,
-    convergence_curve,
     load_case,
     load_experiment_spec,
     merge_curves,
@@ -29,17 +27,7 @@ from dsmseq.bench import (
     LLM_METHODS,
     step_value,
 )
-from conftest import make_case, naive_score
-
-
-def trace_row(unique_count, best_score, **extra):
-    row = {
-        "iteration": extra.pop("iteration", 0),
-        "unique_count": unique_count,
-        "best_score": best_score,
-    }
-    row.update(extra)
-    return row
+from conftest import make_case, naive_score, write_case
 
 
 class EchoProvider:
@@ -54,6 +42,17 @@ class EchoProvider:
         ids = match.group(1).split(", ")
         text = "<order> " + ", ".join(reversed(ids)) + " </order>"
         return ChatResult(text=text, usage={}, retries=0, model=self.model)
+
+
+def scores_for(table, case, method, budget=None):
+    """The scores of one grid cell, at one trial budget or at all of them."""
+    return [
+        row["score"]
+        for row in table.rows
+        if row["case"] == case
+        and row["method"] == method
+        and (budget is None or row["budget"] == budget)
+    ]
 
 
 def read_csv(path):
@@ -75,45 +74,6 @@ class TestAggregateStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no scores"):
             aggregate_stats([])
-
-
-class TestConvergenceCurve:
-    def test_change_points_only(self):
-        trace = [
-            trace_row(1, 5),
-            trace_row(2, 3),
-            trace_row(2, 3),  # duplicate evaluation: no new point
-            trace_row(3, 3),  # new unique but no improvement
-            trace_row(4, 1),
-        ]
-        assert convergence_curve(trace) == [(1, 5), (2, 3), (4, 1)]
-
-    def test_terminal_extent_marker(self):
-        trace = [trace_row(1, 5), trace_row(2, 2), trace_row(3, 2)]
-        assert convergence_curve(trace) == [(1, 5), (2, 2), (3, 2)]
-
-    def test_same_x_improvement_collapses(self):
-        trace = [trace_row(1, 5), trace_row(1, 4)]
-        assert convergence_curve(trace) == [(1, 4)]
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="empty trace"):
-            convergence_curve([])
-
-    def test_axes_are_monotone(self):
-        trace = [
-            trace_row(1, 9),
-            trace_row(2, 7),
-            trace_row(2, 7),
-            trace_row(3, 7),
-            trace_row(4, 4),
-            trace_row(5, 4),
-        ]
-        curve = convergence_curve(trace)
-        xs = [x for x, _ in curve]
-        ys = [y for _, y in curve]
-        assert xs == sorted(xs) and len(set(xs)) == len(xs)
-        assert ys == sorted(ys, reverse=True)
 
 
 class TestStepFunctions:
@@ -203,10 +163,13 @@ class TestSpec:
             ("base_seed", -1, "base_seed must be >= 0"),
             ("ga_generations", 0, "ga_generations must be >= 1"),
             ("trial_budgets", [], "trial_budgets must not be empty"),
+            ("cases", [], "cases must not be empty"),
+            ("methods", [], "methods must not be empty"),
         ],
     )
     def test_field_ranges_checked(self, tmp_path, field, value, expected):
-        fields = dict(cases=["x.json"], methods=["det-outin"], output_dir=tmp_path, **{field: value})
+        fields = dict(cases=["x.json"], methods=["det-outin"], output_dir=tmp_path)
+        fields[field] = value
         with pytest.raises(ValueError, match=expected):
             ExperimentSpec(**fields)
 
@@ -321,8 +284,8 @@ class TestSpec:
         assert spec.cases == [spec_dir / "cases" / "gearbox.json", absolute]
         table = run_experiment(spec)
         assert table.failures == []
-        assert len(table.scores_for("gearbox", "det-outin")) == 1
-        assert len(table.scores_for("demo_gearbox_7", "det-outin")) == 1
+        assert len(scores_for(table, "gearbox", "det-outin")) == 1
+        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 1
         # output_dir stays relative to the working directory
         assert (elsewhere / "out" / "results.csv").is_file()
         assert not (spec_dir / "out").exists()
@@ -350,8 +313,8 @@ class TestRunExperiment:
             assert (out / "convergence" / f"demo_gearbox_7__ga-balanced__run{run}.csv").is_file()
         assert (out / "convergence" / "demo_gearbox_7__ga-balanced__mean.csv").is_file()
 
-        assert len(table.scores_for("demo_gearbox_7", "det-outin")) == 3
-        assert len(table.scores_for("demo_gearbox_7", "ga-balanced")) == 3
+        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 3
+        assert len(scores_for(table, "demo_gearbox_7", "ga-balanced")) == 3
         assert table.failures == []
         for entry in table.summary:
             assert entry["runs"] == 3
@@ -438,12 +401,12 @@ class TestRunExperiment:
         table = run_experiment(spec)
         assert table.failures == []
         # one row per (run, budget)
-        assert len(table.scores_for("demo_gearbox_7", "llm-with-knowledge", 1)) == 2
-        assert len(table.scores_for("demo_gearbox_7", "llm-with-knowledge", 3)) == 2
+        assert len(scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 1)) == 2
+        assert len(scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 3)) == 2
         # larger budgets can only match or improve on smaller ones
         for run in range(2):
-            at_1 = table.scores_for("demo_gearbox_7", "llm-with-knowledge", 1)[run]
-            at_3 = table.scores_for("demo_gearbox_7", "llm-with-knowledge", 3)[run]
+            at_1 = scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 1)[run]
+            at_3 = scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 3)[run]
             assert at_3 <= at_1
         for run in range(2):
             path = out / "traces" / f"demo_gearbox_7__llm-with-knowledge__run{run}.jsonl"
@@ -486,7 +449,7 @@ class TestRunExperiment:
         table = run_experiment(spec)
         assert len(table.failures) == 2
         assert all(f["method"] == "llm-with-knowledge" for f in table.failures)
-        assert len(table.scores_for("demo_gearbox_7", "det-outin")) == 2
+        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 2
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert len(manifest["failures"]) == 2
         # failed cells produced no rows, so no summary entry either
@@ -531,14 +494,13 @@ class TestRunExperiment:
         # so the resolvent refuses its singular system
         n = 41
         case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
-        path = tmp_path / "complete_41.json"
-        path.write_text(json.dumps(case_to_dict(case)), encoding="utf-8")
+        path = write_case(tmp_path / "complete_41.json", case)
         out = tmp_path / "out"
         spec = ExperimentSpec(
             cases=[path], methods=["det-outin", "det-resolvent"], output_dir=out, runs_per_method=1
         )
         table = run_experiment(spec)
-        assert len(table.scores_for("complete_41", "det-outin")) == 1
+        assert len(scores_for(table, "complete_41", "det-outin")) == 1
         assert [r[1] for r in read_csv(out / "results.csv")[1:]] == ["det-outin"]
         assert [(f["method"], f["run"]) for f in table.failures] == [("det-resolvent", 0)]
         assert table.failures[0]["error"].startswith("ValueError: (I - delta*A) is near-singular")

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from dsmseq import ProviderError, brute_force_optimum, case_to_dict
+from dsmseq import ProviderError, brute_force_optimum
 from dsmseq.cli import main
-from conftest import adjacency, make_case, naive_score
+from conftest import adjacency, make_case, naive_score, write_case
 
 
 def run_cli(capsys, *argv):
@@ -59,8 +59,7 @@ class TestBaseline:
         # the default delta
         n = 41
         case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
-        path = tmp_path / "complete_41.json"
-        path.write_text(json.dumps(case_to_dict(case)), encoding="utf-8")
+        path = write_case(tmp_path / "complete_41.json", case)
         with pytest.raises(SystemExit) as info:
             main(["baseline", "resolvent", "--case", str(path)])
         message = info.value.code
@@ -296,6 +295,8 @@ class TestRun:
                 {"cases": ["demo.json"], "output_dir": "out", "runs_per_methods": 2, "method": []},
                 r"unknown keys \['method', 'runs_per_methods'\]; known keys are \[.*\]",
             ),
+            ({"cases": [], "output_dir": "out"}, "cases must not be empty"),
+            ({"cases": ["demo.json"], "output_dir": "out", "methods": []}, "methods must not be empty"),
         ],
     )
     def test_bad_spec_is_one_line(self, capsys, data_dir, tmp_path, raw, expected):

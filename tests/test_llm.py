@@ -154,11 +154,6 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="API key"):
             OpenAIChatProvider(ProviderConfig(api_key="", model="m"))
 
-    def test_params_passed_through(self):
-        provider, transport, _ = provider_with([(200, ok_body("x"))])
-        provider.complete(ChatRequest.single_turn("test-model", "p", temperature=0.2))
-        assert transport.calls[0]["body"]["temperature"] == 0.2
-
 
 class TestSecretHandling:
     def test_errors_and_reprs_never_leak_the_key(self):
@@ -321,7 +316,7 @@ class TestUrllibTransport:
     def test_success_with_usage(self, local_server):
         local_server.replies.append((200, json.dumps(ok_body("hi")).encode()))
         provider, sleeps = live_provider(self.endpoint(local_server))
-        result = provider.complete(ChatRequest.single_turn("", "p", temperature=0.2))
+        result = provider.complete(ChatRequest.single_turn("", "p"))
         assert result.text == "hi"
         assert result.usage == {"prompt_tokens": 5, "completion_tokens": 7}
         assert (result.retries, result.model, sleeps) == (0, "test-model", [])
@@ -332,7 +327,6 @@ class TestUrllibTransport:
         assert json.loads(seen["body"]) == {
             "model": "test-model",
             "messages": [{"role": "user", "content": "p"}],
-            "temperature": 0.2,
         }
 
     def test_429_then_success_is_one_retry(self, local_server):

@@ -23,7 +23,6 @@ from dsmseq import (
     bundled_case,
     bundled_case_names,
     case_from_dict,
-    case_to_dict,
     load_case,
     network_metrics,
 )
@@ -98,10 +97,6 @@ class TestLoadAndValidate:
     def test_single_node_rejected(self):
         with pytest.raises(CaseError, match="at least 2"):
             DsmCase(nodes=(Node("a"),), edges=())
-
-    def test_roundtrip_dict(self, demo_case):
-        again = case_from_dict(case_to_dict(demo_case))
-        assert again == demo_case
 
     def test_bundled_case_accessor_matches_files(self, data_dir):
         names = bundled_case_names()

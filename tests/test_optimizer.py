@@ -12,6 +12,7 @@ from dsmseq import (
     TerminationPolicy,
     run_optimization,
 )
+from dsmseq import optimizer
 from conftest import make_case, naive_score
 
 # v00 -> v01 -> ... -> v05; each task needs the previous one's output
@@ -42,10 +43,6 @@ class TestConfig:
     def test_unknown_knowledge_mode(self):
         with pytest.raises(ValueError, match="knowledge_mode"):
             OptimizerConfig(knowledge_mode="telepathy")
-
-    def test_negative_retry_budget(self):
-        with pytest.raises(ValueError, match="invalid_retry_budget"):
-            OptimizerConfig(invalid_retry_budget=-1)
 
 
 class TestHappyPath:
@@ -139,12 +136,10 @@ class TestDuplicates:
 
 
 class TestInvalidResponses:
-    def test_retry_budget_consumed_then_iteration_fails(self):
+    def test_retry_budget_consumed_then_iteration_fails(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "INVALID_RETRY_BUDGET", 1)
         case = chain_case()
-        cfg = config(
-            termination=TerminationPolicy(max_iterations=1),
-            invalid_retry_budget=1,
-        )
+        cfg = config(termination=TerminationPolicy(max_iterations=1))
         stub = ScriptedProvider(["no tags here", "still no tags"])
         best, trace = run_optimization(case, cfg, stub)
         row = trace[1]
@@ -158,11 +153,9 @@ class TestInvalidResponses:
         assert "previous response was invalid" in stub.prompts[1]
 
     def test_recovers_within_budget(self):
+        assert optimizer.INVALID_RETRY_BUDGET == 2
         case = chain_case()
-        cfg = config(
-            termination=TerminationPolicy(max_iterations=1),
-            invalid_retry_budget=2,
-        )
+        cfg = config(termination=TerminationPolicy(max_iterations=1))
         stub = ScriptedProvider(
             [
                 "nonsense",
@@ -177,12 +170,10 @@ class TestInvalidResponses:
         assert row["score"] == 0
         assert best.score == 0
 
-    def test_zero_budget_means_single_attempt(self):
+    def test_zero_budget_means_single_attempt(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "INVALID_RETRY_BUDGET", 0)
         case = chain_case()
-        cfg = config(
-            termination=TerminationPolicy(max_iterations=1),
-            invalid_retry_budget=0,
-        )
+        cfg = config(termination=TerminationPolicy(max_iterations=1))
         stub = ScriptedProvider(["garbage", "never consulted"])
         _, trace = run_optimization(case, cfg, stub)
         assert trace[1]["attempts"] == 1
@@ -218,13 +209,10 @@ class TestAudit:
         assert prompt_file.read_text(encoding="utf-8") == stub.prompts[0]
         assert response_file.read_text(encoding="utf-8") == f"<order> {TOPO_ORDER} </order>"
 
-    def test_each_retry_audited(self, tmp_path):
+    def test_each_retry_audited(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(optimizer, "INVALID_RETRY_BUDGET", 1)
         case = chain_case()
-        cfg = config(
-            termination=TerminationPolicy(max_iterations=1),
-            invalid_retry_budget=1,
-            audit_dir=tmp_path,
-        )
+        cfg = config(termination=TerminationPolicy(max_iterations=1), audit_dir=tmp_path)
         run_optimization(case, cfg, ScriptedProvider(["bad", "also bad"]))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
@@ -318,12 +306,12 @@ class TestScoreOnce:
         monkeypatch.setattr(module, "score_sequence", counting)
 
     def test_one_call_per_parsed_reply_plus_initial_and_final(self, monkeypatch):
-        from dsmseq import optimizer, solutions
+        from dsmseq import solutions
 
         calls = []
         self.counted(monkeypatch, solutions, calls)
         self.counted(monkeypatch, optimizer, calls)
-        cfg = config(termination=TerminationPolicy(max_iterations=5), invalid_retry_budget=2)
+        cfg = config(termination=TerminationPolicy(max_iterations=5))
         best, trace = run_optimization(chain_case(), cfg, ScriptedProvider(SCORE_ONCE_REPLIES))
         parsed = [row for row in trace[1:] if row["sequence"] is not None]
         assert len(parsed) == 4 and sum(row["duplicate"] for row in parsed) == 1
