@@ -99,6 +99,8 @@ def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"spec {path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"spec {path}: top level must be an object")
     known = {f.name for f in fields(ExperimentSpec)} - {"provider"}
@@ -382,7 +384,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(rows=rows, summary=summary, failures=failures)
 
 
-def _snapshot_svg(a: np.ndarray, ids, iteration: int, score: int) -> str:
+def _snapshot_svg(a: np.ndarray, iteration: int, score: int) -> str:
     """Hand-rolled SVG: filled cells for dependencies, above-diagonal in red."""
     n = a.shape[0]
     cell = 16
@@ -427,13 +429,13 @@ def render_trajectory(
     trace: list[dict],
     iterations: list[int],
     out_dir: str | Path,
-    prefix: str = "trajectory",
 ) -> list[Path]:
     """Write SVG + CSV snapshots of the best-so-far reordered matrix.
 
     For each requested iteration, rows/columns follow that iteration's
-    best sequence and the annotation states the recomputed feedback count.
-    The trace's ids must match the case's.
+    best sequence and the annotation states the recomputed feedback count;
+    the files are trajectory_iterNNN.svg and .csv. The trace's ids must
+    match the case's.
     """
     out = Path(out_dir)
     matrix = build_adjacency(case)
@@ -448,9 +450,9 @@ def render_trajectory(
         sequence = row["best_sequence"]
         reordered = reorder_matrix(matrix, sequence)
         score = score_sequence(matrix, sequence)
-        svg_path = out / f"{prefix}_iter{iteration:03d}.svg"
-        csv_path = out / f"{prefix}_iter{iteration:03d}.csv"
-        _atomic_write_text(svg_path, _snapshot_svg(reordered.a, sequence, iteration, score))
+        svg_path = out / f"trajectory_iter{iteration:03d}.svg"
+        csv_path = out / f"trajectory_iter{iteration:03d}.csv"
+        _atomic_write_text(svg_path, _snapshot_svg(reordered.a, iteration, score))
         write_csv(csv_path, list(sequence), [list(map(int, r)) for r in reordered.a])
         written.extend([svg_path, csv_path])
     return written

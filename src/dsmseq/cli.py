@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import bench, ga
-from .llm import OpenAIChatProvider, ScriptedProvider
+from .llm import OpenAIChatProvider, ProviderError, ScriptedProvider
 from .model import build_adjacency, load_case, network_metrics
-from .optimizer import OptimizerConfig, run_optimization
+from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import brute_force_optimum, score_sequence
@@ -110,7 +110,12 @@ def _cmd_llm(args) -> int:
         seed=args.seed,
         audit_dir=args.audit_dir,
     )
-    best, trace = run_optimization(case, cfg, provider)
+    try:
+        best, trace = run_optimization(case, cfg, provider)
+    except OptimizationAborted as exc:
+        if args.trace_out:  # the partial trace is the record of the aborted run
+            bench.write_jsonl(args.trace_out, exc.trace)
+        raise
     if args.trace_out:
         bench.write_jsonl(args.trace_out, trace)
     _emit(
@@ -203,7 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input (CaseError included): one line, no traceback
+    except (ValueError, ProviderError, OptimizationAborted) as exc:
+        # bad input (CaseError included), no API key, or a provider that gave
+        # up mid-run: one line, no traceback
         raise SystemExit(f"dsm-seq: error: {exc}") from None
 
 

@@ -215,13 +215,12 @@ def run_ga(
     unique_count = 0
     best_seq: tuple[int, ...] | None = None
     best_score: int | None = None
-    best_generation = 0
     convergence: list[tuple[int, int]] = []
 
-    def evaluate(individuals: list[tuple[int, ...]], generation: int) -> list[int]:
+    def evaluate(individuals: list[tuple[int, ...]]) -> list[int]:
         """Score each individual, looking it up in the cache once; a miss
         is checked, scored and counted, in population order."""
-        nonlocal unique_count, best_seq, best_score, best_generation
+        nonlocal unique_count, best_seq, best_score
         scores = []
         for individual in individuals:
             score = score_cache.get(individual)
@@ -232,16 +231,16 @@ def run_ga(
                 score_cache[individual] = score
                 unique_count += 1
                 if best_score is None or score < best_score:
-                    best_seq, best_score, best_generation = individual, score, generation
+                    best_seq, best_score = individual, score
                     convergence.append((unique_count, score))
             scores.append(score)
         return scores
 
     start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
     population = [tuple(row) for row in start.tolist()]
-    scores = evaluate(population, 0)
+    scores = evaluate(population)
 
-    for generation, (entrants, crossovers, mutations) in enumerate(_draws(rng, cfg, n), start=1):
+    for entrants, crossovers, mutations in _draws(rng, cfg, n):
         if stop_score is not None and best_score <= stop_score:
             break
         offspring = tournament_select(population, scores, entrants)
@@ -252,18 +251,13 @@ def run_ga(
         for i, swaps in mutations.items():
             offspring[i] = shuffle_mutation(offspring[i], swaps)
         population = offspring
-        scores = evaluate(population, generation)
+        scores = evaluate(population)
 
     best_ids = tuple(matrix.ids[i] for i in best_seq)
     rescored = score_sequence(matrix, best_ids)
     if rescored != best_score:
         raise RuntimeError(f"GA best re-scores to {rescored}, not its recorded {best_score}")
-    best = SolutionRecord(
-        sequence=best_ids,
-        score=best_score,
-        iteration_found=best_generation,
-        source="ga",
-    )
+    best = SolutionRecord(best_ids, best_score)
     if not convergence or convergence[-1] != (unique_count, best_score):
         convergence.append((unique_count, best_score))
     return best, convergence

@@ -210,10 +210,11 @@ class OpenAIChatProvider:
 class ScriptedProvider:
     """Replays canned response texts in order; records every prompt it saw."""
 
-    def __init__(self, responses: list[str], model: str = "scripted"):
+    model = "scripted"
+
+    def __init__(self, responses: list[str]):
         self._responses = list(responses)
         self._cursor = 0
-        self.model = model
         self.prompts: list[str] = []
 
     def complete(self, req: ChatRequest) -> ChatResult:

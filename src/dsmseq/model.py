@@ -154,9 +154,7 @@ def bundled_case_names() -> tuple[str, ...]:
 
 
 def bundled_case(name: str) -> DsmCase:
-    """Load a case shipped with the package by name (with or without .json)."""
-    if name.endswith(".json"):
-        name = name[: -len(".json")]
+    """Load a case shipped with the package by name, without the .json suffix."""
     entry = resources.files("dsmseq") / "data" / f"{name}.json"
     if not entry.is_file():
         known = ", ".join(bundled_case_names())
@@ -192,7 +190,7 @@ def build_adjacency(case: DsmCase) -> AdjacencyMatrix:
     return matrix_from_array(a, case.node_ids)
 
 
-def matrix_from_array(a: np.ndarray, ids: tuple[str, ...] | None = None) -> AdjacencyMatrix:
+def matrix_from_array(a: np.ndarray, ids: tuple[str, ...]) -> AdjacencyMatrix:
     """Wrap a raw 0/1 array (diagonal must be zero) as an AdjacencyMatrix."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -200,8 +198,6 @@ def matrix_from_array(a: np.ndarray, ids: tuple[str, ...] | None = None) -> Adja
     if np.any(np.diag(a) != 0):
         raise ValueError("diagonal must be all zero (no self-dependencies)")
     n = a.shape[0]
-    if ids is None:
-        ids = tuple(f"n{i:03d}" for i in range(n))
     if len(ids) != n:
         raise ValueError("ids length must match matrix size")
     dep_idx, pred_idx = np.nonzero(a)

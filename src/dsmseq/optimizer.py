@@ -45,11 +45,10 @@ class OptimizerConfig:
 
 
 class OptimizationAborted(RuntimeError):
-    """Provider gave up mid-run; best-so-far and the partial trace survive."""
+    """Provider gave up mid-run; the partial trace survives, best-so-far in every row."""
 
-    def __init__(self, message: str, best: SolutionRecord, trace: list[dict]):
+    def __init__(self, message: str, trace: list[dict]):
         super().__init__(message)
-        self.best = best
         self.trace = trace
 
 
@@ -82,7 +81,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     rng = random.Random(cfg.seed)
     base = SolutionBase(matrix)
 
-    initial, _ = base.insert(rng.sample(list(case.node_ids), case.n), 0, "initial-random")
+    initial, _ = base.insert(rng.sample(list(case.node_ids), case.n))
     # one seeded edge order for every prompt of the run
     edges = list(case.edges)
     rng.shuffle(edges)
@@ -133,9 +132,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
                     )
                 )
                 raise OptimizationAborted(
-                    f"provider failed at iteration {iteration}: {exc}",
-                    best=base.best(),
-                    trace=trace,
+                    f"provider failed at iteration {iteration}: {exc}", trace
                 ) from exc
             attempts += 1
             response_text = result.text
@@ -166,7 +163,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             )
             continue
 
-        record, is_new = base.insert(parsed, iteration, "llm")
+        record, is_new = base.insert(parsed)
         trace.append(
             entry(
                 iteration,

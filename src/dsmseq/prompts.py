@@ -213,10 +213,10 @@ def _order_span(raw: str) -> str | None:
     return raw[start:end]
 
 
-def parse_order_response(raw: str, case) -> list[str]:
+def parse_order_response(raw: str, case_ids) -> list[str]:
     """Extract the first <order>...</order> span as a validated sequence.
 
-    case may be a DsmCase, an AdjacencyMatrix, or an iterable of node ids.
+    case_ids may be an AdjacencyMatrix or an iterable of node ids.
     Surrounding prose is tolerated; the tagged span must contain a
     comma-separated permutation of the node ids.
     """
@@ -224,7 +224,7 @@ def parse_order_response(raw: str, case) -> list[str]:
     if span is None:
         raise OrderParseError("missing-tags", "no <order>...</order> span in response")
     items = list(filter(None, map(str.strip, span.split(","))))
-    ok, diag = is_valid_sequence(case, items)
+    ok, diag = is_valid_sequence(case_ids, items)
     if not ok:
         raise OrderParseError("invalid-sequence", diag)
     return items

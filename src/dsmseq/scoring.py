@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .model import AdjacencyMatrix, DsmCase, matrix_from_array
+from .model import AdjacencyMatrix, matrix_from_array
 
 EXHAUSTIVE_LIMIT = 10
 
@@ -21,13 +21,11 @@ EXHAUSTIVE_LIMIT = 10
 def is_valid_sequence(case_ids, candidate) -> tuple[bool, str]:
     """Check that candidate is a permutation of the node ids.
 
-    case_ids may be a DsmCase, an AdjacencyMatrix or any iterable of ids.
-    Returns (ok, diagnostic); the diagnostic names missing, duplicated, and
-    unknown ids.
+    case_ids may be an AdjacencyMatrix or any iterable of ids. Returns
+    (ok, diagnostic); the diagnostic names missing, duplicated, and unknown
+    ids.
     """
-    if isinstance(case_ids, DsmCase):
-        expected = set(case_ids.node_ids)
-    elif isinstance(case_ids, AdjacencyMatrix):
+    if isinstance(case_ids, AdjacencyMatrix):
         expected = case_ids.index_of.keys()
     else:
         expected = set(case_ids)

@@ -10,19 +10,13 @@ from functools import cached_property
 from .model import AdjacencyMatrix
 from .scoring import score_sequence
 
-VALID_SOURCES = ("initial-random", "llm", "ga")
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
     sequence: tuple[str, ...]
     score: int
-    iteration_found: int
-    source: str
 
     def __post_init__(self) -> None:
-        if self.source not in VALID_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}, expected one of {VALID_SOURCES}")
         if self.score < 0:
             raise ValueError("score must be non-negative")
 
@@ -79,7 +73,7 @@ class SolutionBase:
     def __len__(self) -> int:
         return len(self._records)
 
-    def insert(self, sequence, iteration_found: int, source: str) -> tuple[SolutionRecord, bool]:
+    def insert(self, sequence) -> tuple[SolutionRecord, bool]:
         """File a sequence; returns (its record, whether it is new).
 
         A repeat returns the stored record without scoring it again. A new
@@ -90,7 +84,7 @@ class SolutionBase:
         index = self._index.get(seq)
         if index is not None:
             return self._records[index], False
-        record = SolutionRecord(seq, score_sequence(self._matrix, seq), iteration_found, source)
+        record = SolutionRecord(seq, score_sequence(self._matrix, seq))
         index = len(self._records)
         self._index[seq] = index
         bisect.insort(self._ranking, (record.score, index))
@@ -102,9 +96,7 @@ class SolutionBase:
             raise ValueError("solution base is empty")
         return self._records[self._ranking[0][1]]
 
-    def sample_for_prompt(
-        self, policy: SamplingPolicy, rng: random.Random | int
-    ) -> list[SolutionRecord]:
+    def sample_for_prompt(self, policy: SamplingPolicy, rng: random.Random) -> list[SolutionRecord]:
         """k_p best records plus k_q uniform picks from the rest, worst first.
 
         The k_p best are the head of the ranking (score, then arrival). The
@@ -113,8 +105,6 @@ class SolutionBase:
         """
         if not self._records:
             raise ValueError("solution base is empty")
-        if isinstance(rng, int):
-            rng = random.Random(rng)
         top = self._ranking[: policy.k_p]
         rest = range(len(top), len(self._ranking))  # rank positions below the top
         picked = [self._ranking[j] for j in rng.sample(rest, min(policy.k_q, len(rest)))]
@@ -127,15 +117,3 @@ class SolutionBase:
         if policy.optimal_threshold is not None and self._records:
             return self.best().score <= policy.optimal_threshold
         return False
-
-    def snapshot(self) -> list[dict]:
-        """JSON-ready export of the whole archive, insertion order."""
-        return [
-            {
-                "sequence": list(r.sequence),
-                "score": r.score,
-                "iteration_found": r.iteration_found,
-                "source": r.source,
-            }
-            for r in self._records
-        ]

@@ -193,7 +193,7 @@ def sample_small_norm_matrix(rng: random.Random):
         np.fill_diagonal(a, False)
         a = a.astype(np.int64)
         if max(np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max()) <= 5.5:
-            return matrix_from_array(a)
+            return matrix_from_array(a, tuple(f"n{i:03d}" for i in range(n)))
 
 
 def test_04_matrix_function_oracles():
@@ -317,12 +317,12 @@ def test_07_sampling_contract():
             sequence = tuple(list(reversed(ids[: k + 1])) + ids[k + 1 :])
             score = score_sequence(matrix, sequence)
             assert score == k  # reversing a k+1 prefix creates exactly k feedbacks
-            base.insert(sequence, k, "llm")
+            base.insert(sequence)
 
         policy = SamplingPolicy(k_p=5, k_q=5)
         counts = {score: 0 for score in range(5, 20)}
         for seed in range(1000):
-            records = base.sample_for_prompt(policy, seed)
+            records = base.sample_for_prompt(policy, random.Random(seed))
             scores = [r.score for r in records]
             assert len(scores) == 10
             assert len(set(scores)) == 10  # distinct-score base: no duplicates

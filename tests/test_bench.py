@@ -477,7 +477,11 @@ class TestRunExperiment:
         assert rows[1]["sequence"] == list(demo_case.node_ids)
         for row in rows:
             assert sorted(row["best_sequence"]) == sorted(demo_case.node_ids)
-        assert rows[-1]["failure"] == "provider-error"
+        last = rows[-1]
+        assert last["failure"] == "provider-error"
+        assert sorted(last["best_sequence"]) == sorted(demo_case.node_ids)
+        assert naive_score(demo_case, last["best_sequence"]) == last["best_score"]
+        assert last["best_score"] == min(r["best_score"] for r in rows)
         assert read_csv(out / "results.csv")[1:] == []
 
     def test_missing_provider_is_a_failure_not_a_crash(self, data_dir, tmp_path):
@@ -581,8 +585,3 @@ class TestRenderTrajectory:
         trace = self.fake_trace(demo_case)
         with pytest.raises(ValueError, match="iteration 7 not present"):
             render_trajectory(demo_case, trace, [7], tmp_path)
-
-    def test_custom_prefix(self, tmp_path, demo_case):
-        trace = self.fake_trace(demo_case)
-        written = render_trajectory(demo_case, trace, [1], tmp_path, prefix="snap")
-        assert {p.name for p in written} == {"snap_iter001.svg", "snap_iter001.csv"}

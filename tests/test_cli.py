@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from dsmseq import ProviderError, brute_force_optimum
+from dsmseq import brute_force_optimum
 from dsmseq.cli import main
 from conftest import adjacency, make_case, naive_score, write_case
 
@@ -191,6 +191,28 @@ class TestLlm:
         )
         assert capsys.readouterr().out == ""
 
+    def test_missing_api_key_is_one_line(self, capsys, demo_path, monkeypatch):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.delenv("OPENAI_API_BASE", raising=False)
+        with pytest.raises(SystemExit) as info:
+            main(["llm", "--knowledge", "off", "--case", demo_path])
+        assert info.value.code == "dsm-seq: error: no API key configured"
+        assert capsys.readouterr().out == ""
+
+    def test_aborted_run_writes_its_trace_and_one_line(self, capsys, demo_path, demo_case, tmp_path):
+        script = self.make_script(tmp_path, ["<order> " + ", ".join(demo_case.node_ids) + " </order>"])
+        trace_out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["llm", "--knowledge", "off", "--case", demo_path, "--trials", "3",
+                  "--script", script, "--trace-out", str(trace_out)])
+        assert info.value.code == (
+            "dsm-seq: error: provider failed at iteration 2: script exhausted after 1 responses"
+        )
+        assert capsys.readouterr().out == ""
+        rows = [json.loads(line) for line in trace_out.read_text(encoding="utf-8").splitlines()]
+        assert [r["iteration"] for r in rows] == [0, 1, 2]
+        assert rows[-1]["failure"] == "provider-error"
+
     def test_knowledge_flag_required(self, demo_path):
         with pytest.raises(SystemExit):
             main(["llm", "--case", demo_path])
@@ -236,9 +258,10 @@ class TestRun:
         assert (out_dir / "manifest.json").is_file()
 
     def test_llm_methods_without_credentials_fail_loudly(
-        self, data_dir, tmp_path, monkeypatch
+        self, capsys, data_dir, tmp_path, monkeypatch
     ):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.delenv("OPENAI_API_BASE", raising=False)
         spec = {
             "cases": [str(data_dir / "demo_gearbox_7.json")],
             "methods": ["llm-with-knowledge"],
@@ -247,8 +270,10 @@ class TestRun:
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        with pytest.raises(ProviderError):
+        with pytest.raises(SystemExit) as info:
             main(["run", "--spec", str(spec_path)])
+        assert info.value.code == "dsm-seq: error: no API key configured"
+        assert capsys.readouterr().out == ""
 
     def test_scripted_grid(self, capsys, data_dir, tmp_path):
         # canned responses drive the anonymized loop: echo is impossible from
@@ -297,6 +322,16 @@ class TestRun:
             ),
             ({"cases": [], "output_dir": "out"}, "cases must not be empty"),
             ({"cases": ["demo.json"], "output_dir": "out", "methods": []}, "methods must not be empty"),
+            pytest.param(
+                b'{"cases": [nope]}',
+                r"not valid JSON: Expecting value: line 1 column 12 \(char 11\)",
+                id="not-json",
+            ),
+            pytest.param(
+                b"\xff{}",
+                "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                id="not-utf8",
+            ),
         ],
     )
     def test_bad_spec_is_one_line(self, capsys, data_dir, tmp_path, raw, expected):
@@ -304,7 +339,7 @@ class TestRun:
             (data_dir / "demo_gearbox_7.json").read_text(encoding="utf-8"), encoding="utf-8"
         )
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        spec_path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(raw).encode("utf-8"))
         with pytest.raises(SystemExit) as info:
             main(["run", "--spec", str(spec_path)])
         message = info.value.code

@@ -262,7 +262,6 @@ class TestRunGa:
         for seed in range(60):
             cfg = preset_config("balanced", seed=seed, generations=300)
             best, convergence = run_ga(matrix, cfg, stop_score=0)
-            assert best.source == "ga"
             assert sorted(best.sequence) == sorted(matrix.ids)
             assert convergence[-1][1] == best.score
             hits += best.score == 0
@@ -316,6 +315,6 @@ class TestRunGa:
         assert convergence[-1][0] < cfg.population_size * (cfg.generations + 1) / 10
 
     def test_single_node_rejected(self):
-        matrix = matrix_from_array(np.zeros((1, 1), dtype=int))
+        matrix = matrix_from_array(np.zeros((1, 1), dtype=int), ("a",))
         with pytest.raises(ValueError, match="at least 2 nodes"):
             run_ga(matrix, preset_config("balanced", generations=5))

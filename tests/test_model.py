@@ -103,8 +103,6 @@ class TestLoadAndValidate:
         assert names == tuple(sorted(p.stem for p in data_dir.glob("*.json")))
         for name in names:
             assert bundled_case(name) == load_case(data_dir / f"{name}.json")
-        # the .json suffix is tolerated
-        assert bundled_case("demo_gearbox_7.json").n == 7
 
     def test_bundled_case_unknown_name(self):
         with pytest.raises(CaseError, match="demo_gearbox_7"):

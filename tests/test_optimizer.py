@@ -54,7 +54,6 @@ class TestHappyPath:
         assert trace[0]["score"] > 0  # seeded start is not already optimal
         assert best.score == 0
         assert best.sequence == tuple(TOPO_ORDER.split(", "))
-        assert best.source == "llm"
         assert len(trace) == 2  # iteration 0 plus one model call
         assert len(stub.prompts) == 1
 
@@ -147,7 +146,7 @@ class TestInvalidResponses:
         assert row["attempts"] == 2
         assert row["sequence"] is None and row["score"] is None
         assert row["unique_count"] == 1
-        assert best.source == "initial-random"
+        assert best.sequence == tuple(trace[0]["sequence"])  # the random seed order
         assert len(stub.prompts) == 2
         assert "previous response was invalid" not in stub.prompts[0]
         assert "previous response was invalid" in stub.prompts[1]
@@ -189,9 +188,12 @@ class TestAbort:
             run_optimization(case, cfg, stub)
         exc = info.value
         assert [row["iteration"] for row in exc.trace] == [0, 1, 2]
-        assert exc.trace[-1]["failure"] == "provider-error"
-        assert exc.best is not None
-        assert exc.best.score == min(row["best_score"] for row in exc.trace)
+        last = exc.trace[-1]
+        assert last["failure"] == "provider-error"
+        # the trace is the one record of the run: its last row holds the best
+        assert sorted(last["best_sequence"]) == sorted(case.node_ids)
+        assert naive_score(case, last["best_sequence"]) == last["best_score"]
+        assert last["best_score"] == min(row["best_score"] for row in exc.trace)
 
 
 class TestAudit:

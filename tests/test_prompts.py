@@ -19,7 +19,7 @@ from dsmseq import (
     parse_order_response,
 )
 
-from conftest import make_case
+from conftest import adjacency, make_case
 
 FIXTURE_NODES = (
     Node("aK3vQ", "Define Requirements"),
@@ -39,8 +39,8 @@ FIXTURE_EDGES = (
     Edge("aK3vQ", "Hs7fc"),
 )
 FIXTURE_HISTORICAL = (
-    SolutionRecord(("Hs7fc", "e9DnU", "Wx51b", "q2RtY", "Zp8Lm", "aK3vQ"), 6, 0, "initial-random"),
-    SolutionRecord(("aK3vQ", "Zp8Lm", "q2RtY", "Wx51b", "e9DnU", "Hs7fc"), 1, 1, "llm"),
+    SolutionRecord(("Hs7fc", "e9DnU", "Wx51b", "q2RtY", "Zp8Lm", "aK3vQ"), 6),
+    SolutionRecord(("aK3vQ", "Zp8Lm", "q2RtY", "Wx51b", "e9DnU", "Hs7fc"), 1),
 )
 FIXTURE_DESCRIPTION = (
     "Design tasks for an automated conveyor line. Nodes are tasks; a directed "
@@ -142,7 +142,7 @@ class TestFrameCache:
 
         m = build_adjacency(demo_case)
         order = tuple(m.ids)
-        rec = SolutionRecord(order, score_sequence(m, order), 0, "initial-random")
+        rec = SolutionRecord(order, score_sequence(m, order))
         rng = random.Random(3)
         for mode in ("with", "without", "with"):
             for _ in range(3):
@@ -199,47 +199,45 @@ class TestMakeContext:
 
         m = build_adjacency(demo_case)
         order = tuple(m.ids)
-        rec = SolutionRecord(order, score_sequence(m, order), 0, "initial-random")
+        rec = SolutionRecord(order, score_sequence(m, order))
         ctx = make_prompt_context(demo_case, [rec], "without")
         assert ctx.historical == (rec,)
         assert f"'score': {float(rec.score)!r}}}" in build_prompt(ctx)
 
 
 class TestParseOrder:
-    CASE = None
-
     def setup_method(self):
-        self.case = make_case(2, [(1, 0)])
+        self.matrix = adjacency(make_case(2, [(1, 0)]))
 
     def test_plain(self):
-        assert parse_order_response("<order> v00, v01 </order>", self.case) == ["v00", "v01"]
+        assert parse_order_response("<order> v00, v01 </order>", self.matrix) == ["v00", "v01"]
 
     def test_prose_around_tags(self):
         raw = "Sure, here is my suggestion:\n<order>v01,v00</order>\nHope this helps."
-        assert parse_order_response(raw, self.case) == ["v01", "v00"]
+        assert parse_order_response(raw, self.matrix) == ["v01", "v00"]
 
     def test_first_span_wins(self):
         raw = "<order> v00, v01 </order> ... <order> v01, v00 </order>"
-        assert parse_order_response(raw, self.case) == ["v00", "v01"]
+        assert parse_order_response(raw, self.matrix) == ["v00", "v01"]
 
     def test_missing_tags_kind(self):
         with pytest.raises(OrderParseError) as info:
-            parse_order_response("v00, v01", self.case)
+            parse_order_response("v00, v01", self.matrix)
         assert info.value.kind == "missing-tags"
 
     def test_duplicate_entry_kind(self):
         with pytest.raises(OrderParseError) as info:
-            parse_order_response("<order> v00, v00 </order>", self.case)
+            parse_order_response("<order> v00, v00 </order>", self.matrix)
         assert info.value.kind == "invalid-sequence"
 
     def test_unknown_id_kind(self):
         with pytest.raises(OrderParseError) as info:
-            parse_order_response("<order> v00, nope1 </order>", self.case)
+            parse_order_response("<order> v00, nope1 </order>", self.matrix)
         assert info.value.kind == "invalid-sequence"
 
     def test_whitespace_and_newlines_tolerated(self):
         raw = "<order>\n  v00 ,\n  v01\n</order>"
-        assert parse_order_response(raw, self.case) == ["v00", "v01"]
+        assert parse_order_response(raw, self.matrix) == ["v00", "v01"]
 
 
 # the tag search that parse_order_response replaced, kept as the reference
@@ -283,7 +281,7 @@ class TestOrderSpan:
 
     def test_empty_span_is_invalid_sequence(self):
         with pytest.raises(OrderParseError) as info:
-            parse_order_response("<order> </order>", make_case(2, [(1, 0)]))
+            parse_order_response("<order> </order>", ["v00", "v01"])
         assert info.value.kind == "invalid-sequence"
 
 
@@ -311,7 +309,7 @@ class TestPromptDigest:
         from dsmseq import build_adjacency, score_sequence
 
         m = build_adjacency(demo_case)
-        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids), 0, "initial-random")
+        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids))
         rng = random.Random(7)
         for mode in ("with", "without"):
             for _ in range(3):
@@ -331,7 +329,7 @@ class TestCachedLines:
     def test_record_line_matches_rendered_dict(self):
         for k in range(len(AWKWARD_IDS)):
             sequence = AWKWARD_IDS[k:] + AWKWARD_IDS[:k]
-            rec = SolutionRecord(sequence, k, 0, "llm")
+            rec = SolutionRecord(sequence, k)
             assert rec.prompt_line == repr({"solution": ", ".join(sequence), "score": float(k)})
 
     def test_prompt_from_records_matches_prompt_from_dicts(self):
@@ -343,8 +341,8 @@ class TestCachedLines:
             description="ids that repr has to escape",
         )
         records = [
-            SolutionRecord(AWKWARD_IDS[::-1], 2, 0, "initial-random"),
-            SolutionRecord(AWKWARD_IDS, 1, 1, "llm"),
+            SolutionRecord(AWKWARD_IDS[::-1], 2),
+            SolutionRecord(AWKWARD_IDS, 1),
         ]
         for mode in ("with", "without"):
             ctx = make_prompt_context(case, records, mode)

@@ -7,7 +7,6 @@ import pytest
 from dsmseq import (
     SamplingPolicy,
     SolutionBase,
-    SolutionRecord,
     TerminationPolicy,
     build_adjacency,
     score_sequence,
@@ -22,10 +21,10 @@ def chain_case():
     return make_case(4, [(1, 0), (2, 1), (3, 2)])
 
 
-def filled_base(matrix, orders, start_iteration=0):
+def filled_base(matrix, orders):
     base = SolutionBase(matrix)
-    for k, order in enumerate(orders):
-        base.insert(order, start_iteration + k, "llm")
+    for order in orders:
+        base.insert(order)
     return base
 
 
@@ -34,9 +33,9 @@ class TestInsert:
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
         order = list(m.ids)
-        first, is_new = base.insert(order, 0, "llm")
+        first, is_new = base.insert(order)
         assert is_new is True and first.sequence == tuple(order)
-        again, is_new = base.insert(order, 5, "initial-random")
+        again, is_new = base.insert(order)
         assert is_new is False
         assert again is first  # the stored record, as first found
         assert len(base) == 1
@@ -50,22 +49,20 @@ class TestInsert:
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
         rng = random.Random(1)
-        for k in range(10):
+        scores = []
+        for _ in range(10):
             order = rng.sample(list(m.ids), m.n)
-            record, _ = base.insert(order, k, "llm")
+            record, _ = base.insert(order)
             assert record.score == score_sequence(m, order)
-        assert base.best().score == min(r["score"] for r in base.snapshot())
+            scores.append(record.score)
+        assert base.best().score == min(scores)
 
     def test_invalid_sequence_rejected(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
         with pytest.raises(ValueError, match="invalid sequence"):
-            base.insert(("v00", "v00", "v01", "v02"), 0, "llm")
+            base.insert(("v00", "v00", "v01", "v02"))
         assert len(base) == 0
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="unknown source"):
-            SolutionRecord(sequence=("a", "b"), score=0, iteration_found=0, source="magic")
 
 
 class TestBest:
@@ -76,27 +73,20 @@ class TestBest:
         while len(orders) < 20:
             orders.add(tuple(rng.sample(list(m.ids), m.n)))
         base = filled_base(m, sorted(orders))
-        expected = min(row["score"] for row in base.snapshot())
-        assert base.best().score == expected
+        assert base.best().score == min(score_sequence(m, order) for order in orders)
 
     def test_tie_broken_by_iteration(self, chain_case):
         m = build_adjacency(chain_case)
-        base = SolutionBase(m)
-        s1 = ["v01", "v00", "v02", "v03"]  # one feedback (v01 before v00)
-        s2 = ["v00", "v02", "v01", "v03"]  # one feedback (v02 before v01)
+        s1 = ("v01", "v00", "v02", "v03")  # one feedback (v01 before v00)
+        s2 = ("v00", "v02", "v01", "v03")  # one feedback (v02 before v01)
         assert score_sequence(m, s1) == score_sequence(m, s2) == 1
-        base.insert(s1, 2, "llm")
-        base.insert(s2, 7, "llm")
-        assert base.best().iteration_found == 2
+        assert filled_base(m, [s1, s2]).best().sequence == s1
 
     def test_tie_goes_to_arrival_not_iteration(self, chain_case):
         m = build_adjacency(chain_case)
-        base = SolutionBase(m)
-        s1 = ["v01", "v00", "v02", "v03"]
-        s2 = ["v00", "v02", "v01", "v03"]
-        base.insert(s2, 7, "llm")
-        base.insert(s1, 2, "llm")
-        assert base.best().iteration_found == 7
+        s1 = ("v01", "v00", "v02", "v03")
+        s2 = ("v00", "v02", "v01", "v03")
+        assert filled_base(m, [s2, s1]).best().sequence == s2
 
     def test_empty_base_errors(self, chain_case):
         base = SolutionBase(build_adjacency(chain_case))
@@ -114,7 +104,7 @@ def tied_archive(seed, inserts=60):
     base = SolutionBase(m)
     arrived = []
     for _ in range(inserts):
-        record, is_new = base.insert(rng.sample(list(m.ids), m.n), rng.randrange(100), "llm")
+        record, is_new = base.insert(rng.sample(list(m.ids), m.n))
         if is_new:
             arrived.append(record)
     return base, arrived
@@ -130,7 +120,7 @@ class TestRanking:
         assert len({r.score for r in arrived}) < len(arrived) // 4  # heavy ties
         assert base.best() == ranked[0]
         for k_p in (1, 3, 10):
-            out = base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=0), rng=seed)
+            out = base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=0), random.Random(seed))
             assert out == sorted(ranked[:k_p], key=lambda r: -r.score)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -158,26 +148,26 @@ class TestSampling:
         for k in range(size):
             order = list(reversed(ids[: k + 1])) + ids[k + 1 :]
             assert score_sequence(m, order) == k  # reversing a k-prefix flips k edges
-            base.insert(order, k, "llm")
+            base.insert(order)
         return base
 
     def test_undersized_base_returns_all(self, chain_case):
         m = build_adjacency(chain_case)
         base = filled_base(m, [list(m.ids), list(reversed(m.ids)),
                                ["v01", "v00", "v02", "v03"]])
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), rng=0)
+        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(0))
         assert len(out) == 3
 
     def test_contains_k_best_and_length(self):
         base = self.make_distinct_score_base(20)
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), rng=123)
+        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(123))
         assert len(out) == 10
         scores = [r.score for r in out]
         assert set(range(5)).issubset(set(scores))
 
     def test_worst_first_ordering(self):
         base = self.make_distinct_score_base(20)
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), rng=5)
+        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(5))
         scores = [r.score for r in out]
         assert scores == sorted(scores, reverse=True)
         assert scores[-1] == 0  # global best closes the list
@@ -185,20 +175,20 @@ class TestSampling:
     def test_no_duplicates(self):
         base = self.make_distinct_score_base(20)
         for seed in range(50):
-            out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), rng=seed)
+            out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(seed))
             sequences = [r.sequence for r in out]
             assert len(set(sequences)) == len(sequences)
 
     def test_deterministic_given_seed(self):
         base = self.make_distinct_score_base(20)
-        a = base.sample_for_prompt(SamplingPolicy(), rng=77)
-        b = base.sample_for_prompt(SamplingPolicy(), rng=77)
+        a = base.sample_for_prompt(SamplingPolicy(), random.Random(77))
+        b = base.sample_for_prompt(SamplingPolicy(), random.Random(77))
         assert a == b
 
     def test_empty_base_errors(self, chain_case):
         base = SolutionBase(build_adjacency(chain_case))
         with pytest.raises(ValueError, match="empty"):
-            base.sample_for_prompt(SamplingPolicy(), rng=0)
+            base.sample_for_prompt(SamplingPolicy(), random.Random(0))
 
 
 class TestTermination:
@@ -212,7 +202,7 @@ class TestTermination:
     def test_threshold(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        base.insert(["v03", "v02", "v01", "v00"], 0, "llm")  # score 3
+        base.insert(["v03", "v02", "v01", "v00"])  # score 3
         policy = TerminationPolicy(max_iterations=20, optimal_threshold=3)
         assert base.should_terminate(policy, 1) is True
         tighter = TerminationPolicy(max_iterations=20, optimal_threshold=2)
@@ -225,15 +215,6 @@ class TestTermination:
             SamplingPolicy(k_p=0)
         with pytest.raises(ValueError):
             SamplingPolicy(k_q=-1)
-
-
-def test_snapshot_shape(chain_case):
-    m = build_adjacency(chain_case)
-    base = filled_base(m, [list(m.ids), list(reversed(m.ids))])
-    snap = base.snapshot()
-    assert len(snap) == 2
-    assert snap[0].keys() == {"sequence", "score", "iteration_found", "source"}
-    assert snap[0]["score"] == 0
 
 
 class TestScoreOnce:
@@ -254,9 +235,9 @@ class TestScoreOnce:
         m = build_adjacency(chain_case)
         base, calls = self.counting_base(monkeypatch, m)
         order, other = tuple(m.ids), tuple(reversed(m.ids))
-        first, _ = base.insert(order, 0, "initial-random")
-        base.insert(other, 1, "llm")
-        again, is_new = base.insert(list(order), 2, "llm")
+        first, _ = base.insert(order)
+        base.insert(other)
+        again, is_new = base.insert(list(order))
         assert (again, is_new) == (first, False)
         assert calls == [order, other]
 
@@ -266,6 +247,6 @@ class TestScoreOnce:
         bad = ("v00", "v00", "v01", "v02")
         for _ in range(2):  # a failed order is not remembered as a repeat
             with pytest.raises(ValueError, match="invalid sequence"):
-                base.insert(bad, 0, "llm")
+                base.insert(bad)
         assert calls == [bad, bad]
-        assert len(base) == 0 and base.snapshot() == []
+        assert len(base) == 0
