@@ -114,6 +114,8 @@ def load_case(path: str | Path) -> DsmCase:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CaseError(f"{path}: cannot read case file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CaseError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseError(f"{path}: not valid JSON: {exc}") from exc
     return case_from_dict(raw, where=str(path))

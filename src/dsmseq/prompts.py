@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .model import DsmCase, Edge, Node
+from .model import AdjacencyMatrix, DsmCase, Edge, Node
 from .scoring import is_valid_sequence
 from .solutions import SolutionRecord
 
@@ -216,15 +216,25 @@ def _order_span(raw: str) -> str | None:
 def parse_order_response(raw: str, case_ids) -> list[str]:
     """Extract the first <order>...</order> span as a validated sequence.
 
-    case_ids may be an AdjacencyMatrix or an iterable of node ids.
-    Surrounding prose is tolerated; the tagged span must contain a
-    comma-separated permutation of the node ids.
+    case_ids is the case's AdjacencyMatrix, as the search loop passes it,
+    or a sequence of its node ids. Surrounding prose is tolerated; the
+    tagged span must contain a comma-separated permutation of the node ids.
+    The ids returned are case_ids' own string objects, not the reply's, so
+    every parsed order of a run shares one string per node.
     """
     span = _order_span(raw)
     if span is None:
         raise OrderParseError("missing-tags", "no <order>...</order> span in response")
+    if isinstance(case_ids, AdjacencyMatrix):
+        ids, index_of = case_ids.ids, case_ids.index_of
+    else:
+        ids = tuple(case_ids)
+        index_of = {node_id: i for i, node_id in enumerate(ids)}
     items = list(filter(None, map(str.strip, span.split(","))))
-    ok, diag = is_valid_sequence(case_ids, items)
-    if not ok:
-        raise OrderParseError("invalid-sequence", diag)
-    return items
+    rows = list(map(index_of.get, items))
+    # n rows, all known (no None) and distinct: a permutation
+    distinct = set(rows)
+    if len(rows) == len(ids) == len(distinct) and None not in distinct:
+        return [ids[row] for row in rows]
+    _, diag = is_valid_sequence(ids, items)
+    raise OrderParseError("invalid-sequence", diag)

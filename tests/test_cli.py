@@ -69,11 +69,22 @@ class TestBaseline:
         assert "\n" not in message
         assert capsys.readouterr().out == ""
 
-    def test_bad_case_file_is_one_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            pytest.param(b"{not json", "not valid JSON", id="not-json"),
+            pytest.param(b"\xff{}", "not UTF-8", id="not-utf8"),
+        ],
+    )
+    def test_bad_case_file_is_one_line(self, capsys, tmp_path, raw, reason):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SystemExit, match=r"^dsm-seq: error: .*not valid JSON"):
+        path.write_bytes(raw)
+        with pytest.raises(SystemExit) as info:
             main(["metrics", "--case", str(path)])
+        message = info.value.code
+        assert message.startswith(f"dsm-seq: error: {path}: {reason}: ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
 
     def test_missing_case_file_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "missing.json"

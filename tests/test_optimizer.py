@@ -1,6 +1,7 @@
 """Search loop: termination, retries, duplicates, auditing, abort semantics."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -344,3 +345,22 @@ class TestScoreOnce:
         stub = ScriptedProvider([f"<order> {REVERSED_ORDER} </order>"] * 2)
         with pytest.raises(RuntimeError, match="re-scores to"):
             run_optimization(chain_case(), cfg, stub)
+
+
+class TestIdObjects:
+    @pytest.mark.parametrize("n, iterations", [(7, 30), (100, 1000)])
+    def test_trace_holds_one_string_per_node(self, n, iterations):
+        case = chain_case(n)
+        rng = random.Random(5)
+        ids = list(case.node_ids)
+        # freshly built id strings with extra whitespace, repeats included
+        replies = [
+            "<order>  " + " ,\n  ".join("v" + node_id[1:] for node_id in rng.sample(ids, n)) + " </order>"
+            for _ in range(iterations // 2)
+        ] * 2
+        cfg = config(termination=TerminationPolicy(max_iterations=iterations))
+        _, trace = run_optimization(case, cfg, ScriptedProvider(replies))
+        assert len(trace) == iterations + 1
+        assert all(row["sequence"] is not None for row in trace)
+        lists = [row["sequence"] for row in trace] + [row["best_sequence"] for row in trace]
+        assert len({id(node_id) for order in lists for node_id in order}) <= n

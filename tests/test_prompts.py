@@ -15,6 +15,7 @@ from dsmseq import (
     PromptContext,
     SolutionRecord,
     build_prompt,
+    is_valid_sequence,
     make_prompt_context,
     parse_order_response,
 )
@@ -238,6 +239,30 @@ class TestParseOrder:
     def test_whitespace_and_newlines_tolerated(self):
         raw = "<order>\n  v00 ,\n  v01\n</order>"
         assert parse_order_response(raw, self.matrix) == ["v00", "v01"]
+
+    def test_ids_are_the_matrix_own_strings(self):
+        matrix = adjacency(make_case(7, [(1, 0), (2, 1)]))
+        raw = "<order>  " + " ,\n ".join(reversed(matrix.ids)) + "  </order>"
+        parsed = parse_order_response(raw, matrix)
+        assert parsed == list(reversed(matrix.ids))
+        assert all(got is own for got, own in zip(parsed, reversed(matrix.ids)))
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            pytest.param("v00, v00", id="duplicated"),
+            pytest.param("v00, nope1", id="unknown"),
+            pytest.param("v01", id="missing"),
+            pytest.param("v01, v00, v01", id="too-long"),
+            pytest.param(" ", id="empty"),
+        ],
+    )
+    def test_invalid_span_message_is_the_validator_diagnostic(self, span):
+        with pytest.raises(OrderParseError) as info:
+            parse_order_response(f"<order>{span}</order>", self.matrix)
+        items = [item.strip() for item in span.split(",") if item.strip()]
+        assert info.value.kind == "invalid-sequence"
+        assert str(info.value) == is_valid_sequence(self.matrix, items)[1]
 
 
 # the tag search that parse_order_response replaced, kept as the reference
