@@ -24,10 +24,10 @@ from .ga import GENERATIONS_DEFAULT, preset_config, run_ga
 from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, load_case
 from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
-from .llm import ProviderError
+from .llm import ProviderError, ScriptedProvider
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import reorder_matrix, score_sequence
-from .solutions import SamplingPolicy, TerminationPolicy
+from .solutions import TerminationPolicy
 
 CONVERGENCE_WINDOW = 10_000
 
@@ -218,48 +218,53 @@ def _ga_cell(
     )
 
 
-def _restore_ids(trace: list[dict], inverse: dict[str, str]) -> None:
-    """Map the anonymized ids of a trace back to the case's, in place."""
-    for row in trace:
-        for key in ("sequence", "best_sequence"):
-            if row[key] is not None:
-                row[key] = [inverse[i] for i in row[key]]
+def run_llm(case: DsmCase, seed: int, knowledge_mode: str, iterations: int, provider,
+            audit_dir: str | Path | None = None) -> list[dict]:
+    """The one LLM run of the grid and the CLI; returns the trace.
+
+    The model sees fresh ids drawn from the seed, never the case's names; a
+    ScriptedProvider's replies, written in the case's ids, are renamed to
+    match. The run stops after `iterations` or at the case's known_optimum.
+    The trace, and an OptimizationAborted's partial trace, come back in the
+    case's ids.
+    """
+    anon_case, mapping = anonymize_ids(case, seed)
+    inverse = {new: old for old, new in mapping.items()}
+    cfg = OptimizerConfig(
+        termination=TerminationPolicy(max_iterations=iterations, optimal_threshold=case.known_optimum),
+        knowledge_mode=knowledge_mode,
+        seed=seed,
+        audit_dir=audit_dir,
+    )
+    if isinstance(provider, ScriptedProvider):
+        provider = provider.renamed(mapping)
+    trace: list[dict] = []
+    try:
+        _, trace = run_optimization(anon_case, cfg, provider)
+    except OptimizationAborted as exc:
+        trace = exc.trace
+        raise
+    finally:
+        for row in trace:
+            for key in ("sequence", "best_sequence"):
+                if row[key] is not None:
+                    row[key] = [inverse[i] for i in row[key]]
+    return trace
 
 
 def _llm_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, knowledge_mode: str
 ) -> CellResult:
-    """One anonymized optimization run; the trace is mapped back to the
-    case's original ids and read off at every trial budget."""
+    """One run_llm, read off at every trial budget."""
     provider = spec.provider
     if provider is None:
         raise ProviderError("auth", "LLM methods need a provider (or a provider factory)")
     if callable(provider) and not hasattr(provider, "complete"):
         provider = provider()  # a factory: one fresh provider per run
-    anon_case, mapping = anonymize_ids(case, seed)
-    inverse = {new: old for old, new in mapping.items()}
     budgets = sorted(spec.trial_budgets)
-    cfg = OptimizerConfig(
-        sampling=SamplingPolicy(),
-        termination=TerminationPolicy(
-            max_iterations=max(budgets),
-            optimal_threshold=case.known_optimum,
-        ),
-        knowledge_mode=knowledge_mode,
-        seed=seed,
-    )
-    try:
-        _, trace = run_optimization(anon_case, cfg, provider)
-    except OptimizationAborted as exc:
-        _restore_ids(exc.trace, inverse)  # run_experiment keeps the partial trace
-        raise
-    _restore_ids(trace, inverse)
-    last_iteration = trace[-1]["iteration"]
-    scores = {}
-    for budget in budgets:
-        upto = min(budget, last_iteration)
-        rows = [r for r in trace if r["iteration"] <= upto]
-        scores[budget] = rows[-1]["best_score"]
+    trace = run_llm(case, seed, knowledge_mode, budgets[-1], provider)
+    # row i is iteration i; a run that stopped early keeps its best for the larger budgets
+    scores = {budget: trace[min(budget, len(trace) - 1)]["best_score"] for budget in budgets}
     return CellResult(scores=scores, trace=trace)
 
 

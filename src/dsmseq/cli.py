@@ -15,11 +15,10 @@ from pathlib import Path
 from . import bench, ga
 from .llm import OpenAIChatProvider, ProviderError, ScriptedProvider
 from .model import build_adjacency, load_case, network_metrics
-from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
+from .optimizer import OptimizationAborted
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import brute_force_optimum, score_sequence
-from .solutions import SamplingPolicy, TerminationPolicy
 
 
 def _emit(payload) -> None:
@@ -39,10 +38,7 @@ def _load_script(path: str) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    provider = None
-    if args.script:
-        responses = _load_script(args.script)
-        provider = lambda: ScriptedProvider(responses)  # noqa: E731 - fresh stub per run
+    provider = ScriptedProvider(_load_script(args.script)) if args.script else None
     spec = bench.load_experiment_spec(args.spec, provider=provider)
     if provider is None and any(m in bench.LLM_METHODS for m in spec.methods):
         spec.provider = OpenAIChatProvider.from_env()
@@ -100,32 +96,24 @@ def _cmd_llm(args) -> int:
         provider = ScriptedProvider(_load_script(args.script))
     else:
         provider = OpenAIChatProvider.from_env(model=args.model)
-    cfg = OptimizerConfig(
-        sampling=SamplingPolicy(k_p=args.kp, k_q=args.kq),
-        termination=TerminationPolicy(
-            max_iterations=args.trials,
-            optimal_threshold=case.known_optimum if args.stop_at_optimum else None,
-        ),
-        knowledge_mode=WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE,
-        seed=args.seed,
-        audit_dir=args.audit_dir,
-    )
+    knowledge_mode = WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE
     try:
-        best, trace = run_optimization(case, cfg, provider)
+        trace = bench.run_llm(case, args.seed, knowledge_mode, args.trials, provider, args.audit_dir)
     except OptimizationAborted as exc:
         if args.trace_out:  # the partial trace is the record of the aborted run
             bench.write_jsonl(args.trace_out, exc.trace)
         raise
     if args.trace_out:
         bench.write_jsonl(args.trace_out, trace)
+    last = trace[-1]
     _emit(
         {
             "knowledge": args.knowledge,
             "trials": args.trials,
-            "best_order": list(best.sequence),
-            "best_score": best.score,
-            "iterations_run": trace[-1]["iteration"],
-            "unique_solutions": trace[-1]["unique_count"],
+            "best_order": last["best_sequence"],
+            "best_score": last["best_score"],
+            "iterations_run": last["iteration"],
+            "unique_solutions": last["unique_count"],
         }
     )
     return 0
@@ -181,15 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("llm", help="run the LLM search loop")
     p.add_argument("--knowledge", choices=["on", "off"], required=True)
-    p.add_argument("--trials", type=int, default=20, help="LLM generations budget")
+    p.add_argument("--trials", type=int, default=20,
+                   help="LLM generations budget; the run stops earlier at known_optimum")
     p.add_argument("--case", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kp", type=int, default=5)
-    p.add_argument("--kq", type=int, default=5)
     p.add_argument("--model", default=None, help="override OPENAI_MODEL")
     p.add_argument("--script", help="JSON list of canned responses instead of a live provider")
-    p.add_argument("--stop-at-optimum", action="store_true",
-                   help="terminate early at the case's known_optimum")
     p.add_argument("--audit-dir", help="dump per-iteration prompts and responses here")
     p.add_argument("--trace-out", help="write the JSONL trace here")
     p.set_defaults(func=_cmd_llm)

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+# a reply's first <order>...</order> span, as the parser reads it, and each stripped item in it
+_ORDER_BODY = re.compile(r"<order>(.*?)</order>", re.IGNORECASE | re.ASCII | re.DOTALL)
+_ORDER_ITEM = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
 
 
 @dataclass(frozen=True)
@@ -229,3 +233,16 @@ class ScriptedProvider:
         text = self._responses[self._cursor]
         self._cursor += 1
         return ChatResult(text=text, usage={}, retries=0, model=self.model)
+
+    def renamed(self, mapping: dict[str, str]) -> ScriptedProvider:
+        """A fresh stub of these replies with the ids in each <order> span
+        renamed through mapping; ids it lacks, and untagged replies, stay."""
+
+        def rename(text: str) -> str:
+            span = _ORDER_BODY.search(text)
+            if span is None:
+                return text
+            body = _ORDER_ITEM.sub(lambda item: mapping.get(item[0], item[0]), span[1])
+            return text[: span.start(1)] + body + text[span.end(1) :]
+
+        return ScriptedProvider([rename(text) for text in self._responses])

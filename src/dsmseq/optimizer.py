@@ -25,7 +25,7 @@ from .prompts import (
     prompt_sha256,
 )
 from .scoring import score_sequence
-from .solutions import SamplingPolicy, SolutionBase, SolutionRecord, TerminationPolicy
+from .solutions import SolutionBase, SolutionRecord, TerminationPolicy
 
 # corrective re-asks after an unparseable reply, per iteration
 INVALID_RETRY_BUDGET = 2
@@ -33,7 +33,6 @@ INVALID_RETRY_BUDGET = 2
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
     termination: TerminationPolicy = field(default_factory=TerminationPolicy)
     knowledge_mode: str = WITH_KNOWLEDGE
     seed: int = 0
@@ -100,7 +99,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             "attempts": 0,
             "unique_count": len(base),
             "best_score": best.score,
-            "best_sequence": list(best.sequence),
+            "best_sequence": best.sequence,
         }
         row.update(extra)
         return row
@@ -111,7 +110,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     iteration = 0
     while not base.should_terminate(cfg.termination, iteration):
         iteration += 1
-        records = base.sample_for_prompt(cfg.sampling, rng)
+        records = base.sample_for_prompt(rng)
         prompt = build_prompt(make_prompt_context(shuffled_case, records, cfg.knowledge_mode))
 
         attempt_prompt = prompt

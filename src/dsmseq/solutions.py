@@ -10,6 +10,10 @@ from functools import cached_property
 from .model import AdjacencyMatrix
 from .scoring import score_sequence
 
+# each prompt shows the K_P best archive entries plus K_Q random others
+K_P = 5
+K_Q = 5
+
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -28,20 +32,6 @@ class SolutionRecord:
         use and kept with the record.
         """
         return f"{{'solution': {', '.join(self.sequence)!r}, 'score': {float(self.score)!r}}}"
-
-
-@dataclass(frozen=True)
-class SamplingPolicy:
-    """How many archive entries feed the prompt: k_p best plus k_q random."""
-
-    k_p: int = 5
-    k_q: int = 5
-
-    def __post_init__(self) -> None:
-        if self.k_p < 1:
-            raise ValueError("k_p must be >= 1")
-        if self.k_q < 0:
-            raise ValueError("k_q must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,18 +86,18 @@ class SolutionBase:
             raise ValueError("solution base is empty")
         return self._records[self._ranking[0][1]]
 
-    def sample_for_prompt(self, policy: SamplingPolicy, rng: random.Random) -> list[SolutionRecord]:
-        """k_p best records plus k_q uniform picks from the rest, worst first.
+    def sample_for_prompt(self, rng: random.Random) -> list[SolutionRecord]:
+        """K_P best records plus K_Q uniform picks from the rest, worst first.
 
-        The k_p best are the head of the ranking (score, then arrival). The
+        The K_P best are the head of the ranking (score, then arrival). The
         returned list is ordered by descending score, stable over best then
         picked, so the best precedent sits closest to the end of the prompt.
         """
         if not self._records:
             raise ValueError("solution base is empty")
-        top = self._ranking[: policy.k_p]
+        top = self._ranking[:K_P]
         rest = range(len(top), len(self._ranking))  # rank positions below the top
-        picked = [self._ranking[j] for j in rng.sample(rest, min(policy.k_q, len(rest)))]
+        picked = [self._ranking[j] for j in rng.sample(rest, min(K_Q, len(rest)))]
         chosen = [self._records[i] for _, i in top + picked]
         return sorted(chosen, key=lambda r: -r.score)
 

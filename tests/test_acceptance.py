@@ -23,7 +23,6 @@ from dsmseq import (
     DETERMINISTIC_METHODS,
     ExperimentSpec,
     OptimizerConfig,
-    SamplingPolicy,
     ScriptedProvider,
     SolutionBase,
     TerminationPolicy,
@@ -286,7 +285,6 @@ def test_06_scripted_loop_end_to_end():
             "<order> v00, v01, v02, v03, v04, v05 </order>",  # optimal
         ]
         cfg = OptimizerConfig(
-            sampling=SamplingPolicy(),
             termination=TerminationPolicy(max_iterations=20, optimal_threshold=optimum),
             seed=77,
         )
@@ -319,10 +317,9 @@ def test_07_sampling_contract():
             assert score == k  # reversing a k+1 prefix creates exactly k feedbacks
             base.insert(sequence)
 
-        policy = SamplingPolicy(k_p=5, k_q=5)
         counts = {score: 0 for score in range(5, 20)}
         for seed in range(1000):
-            records = base.sample_for_prompt(policy, random.Random(seed))
+            records = base.sample_for_prompt(random.Random(seed))
             scores = [r.score for r in records]
             assert len(scores) == 10
             assert len(set(scores)) == 10  # distinct-score base: no duplicates

@@ -13,7 +13,6 @@ from dsmseq import (
     ExperimentSpec,
     ScriptedProvider,
     aggregate_stats,
-    anonymize_ids,
     load_case,
     load_experiment_spec,
     merge_curves,
@@ -456,9 +455,8 @@ class TestRunExperiment:
         assert all(s["method"] == "det-outin" for s in table.summary)
 
     def test_failed_llm_cell_keeps_its_partial_trace(self, data_dir, demo_case, tmp_path):
-        # one valid reply in anonymized ids, then the script runs dry at iteration 2
-        _, mapping = anonymize_ids(demo_case, 0)
-        reply = "<order> " + ", ".join(mapping[i] for i in demo_case.node_ids) + " </order>"
+        # one valid reply in the case's ids, then the script runs dry at iteration 2
+        reply = "<order> " + ", ".join(demo_case.node_ids) + " </order>"
         out = tmp_path / "out"
         spec = self.make_spec(
             data_dir,

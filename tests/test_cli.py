@@ -10,6 +10,20 @@ from dsmseq.cli import main
 from conftest import adjacency, make_case, naive_score, write_case
 
 
+# the replies the CI scripts: two distinct orders of the case's ids, scoring 4
+GEARBOX_REPLIES = [
+    "<order> input_shaft, gear_pair, bearings, housing, lube, seals, output_shaft </order>",
+    "<order> housing, input_shaft, gear_pair, bearings, lube, seals, output_shaft </order>",
+    "<order> input_shaft, gear_pair, bearings, housing, lube, seals, output_shaft </order>",
+]
+
+
+def write_script(tmp_path, responses):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(responses), encoding="utf-8")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -135,16 +149,11 @@ class TestGa:
 
 
 class TestLlm:
-    def make_script(self, tmp_path, responses):
-        path = tmp_path / "script.json"
-        path.write_text(json.dumps(responses), encoding="utf-8")
-        return str(path)
-
     def test_scripted_run_with_trace(self, capsys, demo_path, demo_case, tmp_path):
-        optimal_score, optimal_order = brute_force_optimum(adjacency(demo_case))
-        script = self.make_script(
-            tmp_path, ["<order> " + ", ".join(optimal_order) + " </order>"] * 2
-        )
+        # neither reply reaches the optimum, so the run uses its whole budget
+        orders = [list(demo_case.node_ids), ["lube", "bearings", "input_shaft", "housing",
+                                             "seals", "gear_pair", "output_shaft"]]
+        script = write_script(tmp_path, ["<order> " + ", ".join(o) + " </order>" for o in orders])
         trace_out = tmp_path / "trace.jsonl"
         code, payload = run_cli(
             capsys,
@@ -164,16 +173,17 @@ class TestLlm:
         )
         assert code == 0
         assert payload["knowledge"] == "off"
-        assert payload["best_score"] == optimal_score
         assert payload["iterations_run"] == 2
         rows = [json.loads(line) for line in trace_out.read_text(encoding="utf-8").splitlines()]
         assert [r["iteration"] for r in rows] == [0, 1, 2]
+        assert [r["sequence"] for r in rows[1:]] == orders  # in the case's ids
+        assert payload["best_score"] == min(r["score"] for r in rows) > demo_case.known_optimum
+        assert payload["best_order"] == rows[-1]["best_sequence"]
+        assert naive_score(demo_case, payload["best_order"]) == payload["best_score"]
 
     def test_stop_at_optimum(self, capsys, demo_path, demo_case, tmp_path):
         optimal_score, optimal_order = brute_force_optimum(adjacency(demo_case))
-        script = self.make_script(
-            tmp_path, ["<order> " + ", ".join(optimal_order) + " </order>"] * 20
-        )
+        script = write_script(tmp_path, ["<order> " + ", ".join(optimal_order) + " </order>"] * 20)
         code, payload = run_cli(
             capsys,
             "llm",
@@ -185,11 +195,25 @@ class TestLlm:
             "1",
             "--script",
             script,
-            "--stop-at-optimum",
         )
         assert code == 0
         assert payload["best_score"] == optimal_score == 2
         assert payload["iterations_run"] == 1  # stopped as soon as it hit the floor
+
+    def test_knowledge_off_prompts_name_no_case_id(self, capsys, demo_path, demo_case, tmp_path):
+        audit = tmp_path / "audit"
+        code, payload = run_cli(
+            capsys, "llm", "--knowledge", "off", "--case", demo_path, "--trials", "3",
+            "--script", write_script(tmp_path, GEARBOX_REPLIES), "--audit-dir", str(audit),
+        )
+        assert code == 0
+        assert payload["best_score"] == 4  # the replies parsed in the run's own ids
+        prompts = sorted(audit.glob("*_prompt.txt"))
+        assert len(prompts) == 3
+        for path in prompts:
+            text = path.read_text(encoding="utf-8")
+            leaked = [i for i in demo_case.node_ids if re.search(rf"\b{re.escape(i)}\b", text)]
+            assert leaked == [], path.name
 
     def test_endpoint_without_scheme_is_one_line(self, capsys, demo_path, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
@@ -211,7 +235,7 @@ class TestLlm:
         assert capsys.readouterr().out == ""
 
     def test_aborted_run_writes_its_trace_and_one_line(self, capsys, demo_path, demo_case, tmp_path):
-        script = self.make_script(tmp_path, ["<order> " + ", ".join(demo_case.node_ids) + " </order>"])
+        script = write_script(tmp_path, ["<order> " + ", ".join(demo_case.node_ids) + " </order>"])
         trace_out = tmp_path / "t.jsonl"
         with pytest.raises(SystemExit) as info:
             main(["llm", "--knowledge", "off", "--case", demo_path, "--trials", "3",
@@ -286,10 +310,8 @@ class TestRun:
         assert info.value.code == "dsm-seq: error: no API key configured"
         assert capsys.readouterr().out == ""
 
-    def test_scripted_grid(self, capsys, data_dir, tmp_path):
-        # canned responses drive the anonymized loop: echo is impossible from
-        # a static script, so feed deliberately invalid text and let every
-        # iteration fail while the run itself still completes
+    def test_scripted_grid(self, capsys, data_dir, demo_case, tmp_path):
+        # the replies name the case's ids; each run renames them into its own
         out_dir = tmp_path / "results"
         spec = {
             "cases": [str(data_dir / "demo_gearbox_7.json")],
@@ -300,14 +322,36 @@ class TestRun:
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        script_path = tmp_path / "script.json"
-        script_path.write_text(json.dumps(["not an order"] * 6), encoding="utf-8")
-        code, payload = run_cli(
-            capsys, "run", "--spec", str(spec_path), "--script", str(script_path)
-        )
+        orders = [["lube", "bearings", "input_shaft", "housing", "seals", "gear_pair", "output_shaft"],
+                  ["lube", "bearings", "input_shaft", "seals", "housing", "gear_pair", "output_shaft"]]
+        script = write_script(tmp_path, ["<order> " + ", ".join(o) + " </order>" for o in orders])
+        code, payload = run_cli(capsys, "run", "--spec", str(spec_path), "--script", script)
         assert code == 0
         assert payload["failures"] == []
-        assert (out_dir / "traces" / "demo_gearbox_7__llm-without-knowledge__run0.jsonl").is_file()
+        trace_path = out_dir / "traces" / "demo_gearbox_7__llm-without-knowledge__run0.jsonl"
+        rows = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
+        assert [(r["sequence"], r["failure"]) for r in rows[1:]] == [(o, None) for o in orders]
+        scores = {s["budget"]: s["best"] for s in payload["summary"]}
+        assert scores == {1: min(rows[0]["score"], 3), 2: demo_case.known_optimum}
+
+    def test_run_and_llm_agree_on_a_script(self, capsys, demo_path, tmp_path):
+        script = write_script(tmp_path, GEARBOX_REPLIES)
+        _, single = run_cli(capsys, "llm", "--knowledge", "on", "--case", demo_path,
+                            "--trials", "3", "--seed", "0", "--script", script)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "cases": [demo_path],
+            "methods": ["llm-with-knowledge"],
+            "output_dir": str(tmp_path / "results"),
+            "runs_per_method": 1,
+            "trial_budgets": [3],
+            "base_seed": 0,
+        }), encoding="utf-8")
+        _, grid = run_cli(capsys, "run", "--spec", str(spec_path), "--script", script)
+        assert [(s["budget"], s["failed"], s["best"]) for s in grid["summary"]] == [
+            (3, 0, single["best_score"])
+        ]
+        assert single["best_score"] == 4  # the value the CI asserts on both paths
 
 
     @pytest.mark.parametrize(

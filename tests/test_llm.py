@@ -96,6 +96,19 @@ class TestScriptedStub:
         assert a.prompts == ["pa"]
         assert b.prompts == ["pb"]
 
+    def test_renamed_rewrites_ids_inside_the_order_span(self):
+        stub = ScriptedProvider([
+            "try <ORDER> a,  b ,zz </order> not a, b",  # zz is unknown and stays
+            "no tags: a, b",
+        ])
+        renamed = stub.renamed({"a": "x1", "b": "y2"})
+        assert renamed.complete(request()).text == "try <ORDER> x1,  y2 ,zz </order> not a, b"
+        assert renamed.complete(request()).text == "no tags: a, b"
+        assert renamed.prompts == ["hello", "hello"]
+        # the original is untouched and still replays from its first reply
+        assert stub.prompts == []
+        assert stub.complete(request()).text == "try <ORDER> a,  b ,zz </order> not a, b"
+
 
 class TestHttpProvider:
     def test_success_first_try(self):

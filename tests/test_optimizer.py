@@ -8,7 +8,6 @@ import pytest
 from dsmseq import (
     OptimizationAborted,
     OptimizerConfig,
-    SamplingPolicy,
     ScriptedProvider,
     TerminationPolicy,
     run_optimization,
@@ -28,7 +27,6 @@ def chain_case(n=6):
 
 def config(**overrides):
     defaults = dict(
-        sampling=SamplingPolicy(k_p=5, k_q=5),
         termination=TerminationPolicy(max_iterations=20, optimal_threshold=None),
         seed=11,
     )

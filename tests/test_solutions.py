@@ -5,13 +5,12 @@ import random
 import pytest
 
 from dsmseq import (
-    SamplingPolicy,
     SolutionBase,
     TerminationPolicy,
     build_adjacency,
     score_sequence,
 )
-
+from dsmseq import solutions
 from conftest import make_case
 
 
@@ -114,27 +113,31 @@ class TestRanking:
     """The archive's ranking against a brute-force sort by (score, arrival)."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_best_and_top_match_brute_force(self, seed):
+    def test_best_and_top_match_brute_force(self, seed, monkeypatch):
         base, arrived = tied_archive(seed)
         ranked = [arrived[i] for i in sorted(range(len(arrived)), key=lambda i: (arrived[i].score, i))]
         assert len({r.score for r in arrived}) < len(arrived) // 4  # heavy ties
         assert base.best() == ranked[0]
+        monkeypatch.setattr(solutions, "K_Q", 0)
         for k_p in (1, 3, 10):
-            out = base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=0), random.Random(seed))
+            monkeypatch.setattr(solutions, "K_P", k_p)
+            out = base.sample_for_prompt(random.Random(seed))
             assert out == sorted(ranked[:k_p], key=lambda r: -r.score)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_sample_draws_like_a_full_sort(self, seed):
+    def test_sample_draws_like_a_full_sort(self, seed, monkeypatch):
         # the same rng.sample call over the ranks below the top k_p, so a
         # seeded run picks the same precedents as sorting the whole archive
         base, arrived = tied_archive(seed)
         ranked = sorted(range(len(arrived)), key=lambda i: (arrived[i].score, i))
         for k_p, k_q in ((5, 5), (2, 9), (1, 0), (40, 5)):
+            monkeypatch.setattr(solutions, "K_P", k_p)
+            monkeypatch.setattr(solutions, "K_Q", k_q)
             rng_ref, rng = random.Random(seed), random.Random(seed)
             rest = ranked[k_p:]
             picked = rng_ref.sample(rest, min(k_q, len(rest)))
             expected = sorted((arrived[i] for i in ranked[:k_p] + picked), key=lambda r: -r.score)
-            assert base.sample_for_prompt(SamplingPolicy(k_p=k_p, k_q=k_q), rng) == expected
+            assert base.sample_for_prompt(rng) == expected
             assert rng.random() == rng_ref.random()  # same number of draws
 
 
@@ -155,19 +158,19 @@ class TestSampling:
         m = build_adjacency(chain_case)
         base = filled_base(m, [list(m.ids), list(reversed(m.ids)),
                                ["v01", "v00", "v02", "v03"]])
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(0))
+        out = base.sample_for_prompt(random.Random(0))
         assert len(out) == 3
 
     def test_contains_k_best_and_length(self):
         base = self.make_distinct_score_base(20)
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(123))
+        out = base.sample_for_prompt(random.Random(123))
         assert len(out) == 10
         scores = [r.score for r in out]
         assert set(range(5)).issubset(set(scores))
 
     def test_worst_first_ordering(self):
         base = self.make_distinct_score_base(20)
-        out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(5))
+        out = base.sample_for_prompt(random.Random(5))
         scores = [r.score for r in out]
         assert scores == sorted(scores, reverse=True)
         assert scores[-1] == 0  # global best closes the list
@@ -175,20 +178,20 @@ class TestSampling:
     def test_no_duplicates(self):
         base = self.make_distinct_score_base(20)
         for seed in range(50):
-            out = base.sample_for_prompt(SamplingPolicy(k_p=5, k_q=5), random.Random(seed))
+            out = base.sample_for_prompt(random.Random(seed))
             sequences = [r.sequence for r in out]
             assert len(set(sequences)) == len(sequences)
 
     def test_deterministic_given_seed(self):
         base = self.make_distinct_score_base(20)
-        a = base.sample_for_prompt(SamplingPolicy(), random.Random(77))
-        b = base.sample_for_prompt(SamplingPolicy(), random.Random(77))
+        a = base.sample_for_prompt(random.Random(77))
+        b = base.sample_for_prompt(random.Random(77))
         assert a == b
 
     def test_empty_base_errors(self, chain_case):
         base = SolutionBase(build_adjacency(chain_case))
         with pytest.raises(ValueError, match="empty"):
-            base.sample_for_prompt(SamplingPolicy(), random.Random(0))
+            base.sample_for_prompt(random.Random(0))
 
 
 class TestTermination:
@@ -211,10 +214,6 @@ class TestTermination:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TerminationPolicy(max_iterations=0)
-        with pytest.raises(ValueError):
-            SamplingPolicy(k_p=0)
-        with pytest.raises(ValueError):
-            SamplingPolicy(k_q=-1)
 
 
 class TestScoreOnce:
