@@ -2,14 +2,17 @@
 shuffle-index mutation, plain generational replacement (no elitism).
 
 The operators are pure functions of explicit random draws (an entrant
-matrix, a cut pair, a swap list). run_ga searches over tuples of matrix row
-indices, takes every draw from one numpy Generator in bulk per block of
-generations, and maps back to node ids only for the returned best.
+matrix, a cut pair, a swap list). run_ga searches over byte strings of
+matrix row indices, one byte per node, so it takes at most 256 nodes. It
+takes every draw from one numpy Generator in bulk per block of generations,
+scores each generation's new orders in one batch, and maps back to node ids
+only for the returned best.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -18,6 +21,8 @@ from .scoring import feedback_count, score_sequence
 from .solutions import SolutionRecord
 
 GENERATIONS_DEFAULT = 2000
+# an individual holds one byte per matrix row index
+MAX_NODES = 256
 # generations whose random draws are taken in one batch; bounds the draw
 # arrays at _DRAW_BLOCK * population_size * n uniforms
 _DRAW_BLOCK = 32
@@ -45,6 +50,10 @@ class GaConfig:
         if self.tournament_size < 1:
             # larger than the population is fine: sampling is with replacement
             raise ValueError("tournament_size must be >= 1")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")  # numpy's generators refuse it
 
 
 # population / indpb / tournament size / cxpb / mutpb
@@ -84,24 +93,25 @@ def tournament_select(population, scores, entrants) -> list:
     return [population[i] for i in winners.tolist()]
 
 
-def shuffle_mutation(seq, swaps) -> tuple:
+def shuffle_mutation(seq: bytes, swaps) -> bytes:
     """Apply the position swaps (i, j), in order, to a copy of seq.
 
     run_ga draws one swap per position with probability indpb, paired with
     a uniform other position. Always returns a permutation of the input.
     """
-    out = list(seq)
+    out = bytearray(seq)
     n = len(out)
     for i, j in swaps:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"swap ({i}, {j}) is outside positions 0..{n - 1}")
         out[i], out[j] = out[j], out[i]
-    return tuple(out)
+    return bytes(out)
 
 
-def _check_parents(p1: tuple, p2: tuple) -> None:
-    genes = set(p1)
-    if len(p2) != len(p1) or len(genes) != len(p1) or genes != set(p2):
+def _check_parents(p1: bytes, p2: bytes) -> None:
+    # p1 has n distinct bytes and p2 holds all of them in n bytes, so p2 is
+    # a permutation of p1 too
+    if not (len(p2) == len(p1) == len(set(p1)) and not p1.translate(None, p2)):
         raise ValueError("parents must be permutations of the same node set")
 
 
@@ -112,34 +122,29 @@ def _check_cut(cut, n: int) -> tuple[int, int]:
     return a, b
 
 
-def order_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
+def order_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
     """Ordered crossover on the slice cut = (a, b), both ends inclusive.
 
     Each child keeps its own parent's slice and fills the remaining
     positions in the other parent's relative order, wrapping past the slice
     end.
     """
-    p1, p2 = tuple(p1), tuple(p2)
     _check_parents(p1, p2)
     a, b = _check_cut(cut, len(p1))
     tail = len(p1) - 1 - b
-
-    def ox(keep, other):
-        kept = keep[a : b + 1]
-        used = set(kept)
-        fill = [g for g in other[b + 1 :] + other[: b + 1] if g not in used]
-        return tuple(fill[tail:]) + kept + tuple(fill[:tail])
-
-    return ox(p1, p2), ox(p2, p1)
+    kept1, kept2 = p1[a : b + 1], p2[a : b + 1]
+    # the other parent read from b + 1 on, wrapping, minus the kept genes
+    fill1 = (p2[b + 1 :] + p2[: b + 1]).translate(None, kept1)
+    fill2 = (p1[b + 1 :] + p1[: b + 1]).translate(None, kept2)
+    return fill1[tail:] + kept1 + fill1[:tail], fill2[tail:] + kept2 + fill2[:tail]
 
 
-def pmx_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
+def pmx_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
     """Partially matched crossover on the slice cut = (a, b), both ends
     inclusive. A standalone operator: run_ga always uses order_crossover."""
-    p1, p2 = tuple(p1), tuple(p2)
     _check_parents(p1, p2)
     a, b = _check_cut(cut, len(p1))
-    c1, c2 = list(p1), list(p2)
+    c1, c2 = bytearray(p1), bytearray(p2)
     pos1 = {g: i for i, g in enumerate(c1)}
     pos2 = {g: i for i, g in enumerate(c2)}
     for i in range(a, b + 1):
@@ -149,7 +154,24 @@ def pmx_crossover(p1, p2, cut) -> tuple[tuple, tuple]:
         c2[i], c2[j2] = g1, g2
         pos1[g1], pos1[g2] = j1, i
         pos2[g2], pos2[g1] = j2, i
-    return tuple(c1), tuple(c2)
+    return bytes(c1), bytes(c2)
+
+
+def _permutation_stack(orders: list[bytes], identity: np.ndarray) -> np.ndarray:
+    """The orders as one (k, n) uint8 array, each row checked to be a
+    permutation of identity, range(n) as uint8; a RuntimeError names the
+    first that is not."""
+    n = len(identity)
+    stack = np.frombuffer(b"".join(orders), dtype=np.uint8)
+    if set(map(len, orders)) == {n}:
+        stack = stack.reshape(len(orders), n)
+        valid = np.sort(stack, axis=1) == identity
+        if valid.all():
+            return stack
+        bad = orders[int(valid.all(axis=1).argmin())]
+    else:
+        bad = next(order for order in orders if len(order) != n)
+    raise RuntimeError(f"GA produced {tuple(bad)}, not a permutation of range({n})")
 
 
 def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
@@ -195,7 +217,8 @@ def run_ga(
     cfg: GaConfig,
     stop_score: int | None = None,
 ) -> tuple[SolutionRecord, list[tuple[int, int]]]:
-    """Generational GA over permutations of the matrix's node ids.
+    """Generational GA over permutations of the matrix's node ids, for 2 to
+    MAX_NODES (256) nodes.
 
     Returns the best record found and a compact convergence series of
     (unique_count, best_score) change points: one point when the first
@@ -208,36 +231,35 @@ def run_ga(
     n = matrix.n
     if n < 2:
         raise ValueError(f"the GA needs at least 2 nodes, got {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"the GA stores one byte per node and takes at most {MAX_NODES} nodes, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    genes = set(range(n))
+    identity = np.arange(n, dtype=np.uint8)
 
-    score_cache: dict[tuple[int, ...], int] = {}
+    score_cache: dict[bytes, int] = {}
     unique_count = 0
-    best_seq: tuple[int, ...] | None = None
+    best_seq: bytes | None = None
     best_score: int | None = None
     convergence: list[tuple[int, int]] = []
 
-    def evaluate(individuals: list[tuple[int, ...]]) -> list[int]:
-        """Score each individual, looking it up in the cache once; a miss
-        is checked, scored and counted, in population order."""
+    def evaluate(individuals: list[bytes]) -> list[int]:
+        """Score each individual through the cache. The misses are checked
+        and scored in one batch, then counted in population order, first
+        occurrence first."""
         nonlocal unique_count, best_seq, best_score
-        scores = []
-        for individual in individuals:
-            score = score_cache.get(individual)
-            if score is None:
-                if len(individual) != n or set(individual) != genes:
-                    raise RuntimeError(f"GA produced {individual}, not a permutation of range({n})")
-                score = feedback_count(matrix, np.fromiter(individual, dtype=np.int64, count=n))
+        misses = list(dict.fromkeys(filterfalse(score_cache.__contains__, individuals)))
+        if misses:
+            scores = feedback_count(matrix, _permutation_stack(misses, identity))
+            for individual, score in zip(misses, scores.tolist()):
                 score_cache[individual] = score
                 unique_count += 1
                 if best_score is None or score < best_score:
                     best_seq, best_score = individual, score
                     convergence.append((unique_count, score))
-            scores.append(score)
-        return scores
+        return list(map(score_cache.__getitem__, individuals))
 
     start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
-    population = [tuple(row) for row in start.tolist()]
+    population = list(map(bytes, start.astype(np.uint8)))
     scores = evaluate(population)
 
     for entrants, crossovers, mutations in _draws(rng, cfg, n):

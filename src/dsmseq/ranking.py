@@ -126,10 +126,17 @@ def _power_iteration(m: np.ndarray) -> tuple[np.ndarray, bool]:
     """Power iteration from the uniform vector with 1-norm normalization.
 
     Returns (last iterate, converged). Stops early without converging on
-    breakdown, when the iterate leaves the matrix's range.
+    breakdown, when the iterate leaves the matrix's range. Each step is a
+    fixed function of the iterate, so once an iterate repeats bit for bit
+    the pass cycles and can never converge: the whole cycles left are
+    skipped, which returns the same last iterate as stepping through them.
+    The repeat is found by Brent's method, against one iterate saved at
+    steps 1, 2, 4, 8, ...
     """
     v = np.full(m.shape[0], 1.0 / m.shape[0])
-    for _ in range(POWER_MAX_ITER):
+    saved, saved_at = None, 0
+    step = 0
+    while step < POWER_MAX_ITER:
         nxt = m @ v
         norm = np.abs(nxt).sum()
         if norm == 0.0:
@@ -138,6 +145,12 @@ def _power_iteration(m: np.ndarray) -> tuple[np.ndarray, bool]:
         if np.abs(nxt - v).sum() < POWER_TOL:
             return nxt, True
         v = nxt
+        step += 1
+        if v.tobytes() == saved:
+            period = step - saved_at
+            step += (POWER_MAX_ITER - step) // period * period
+        elif step & (step - 1) == 0:
+            saved, saved_at = v.tobytes(), step
     return v, False
 
 

@@ -57,12 +57,18 @@ def _index_order(matrix: AdjacencyMatrix, order) -> np.ndarray:
     return np.fromiter(map(matrix.index_of.__getitem__, order), dtype=np.int64, count=len(order))
 
 
-def feedback_count(matrix: AdjacencyMatrix, order: np.ndarray) -> int:
+def feedback_count(matrix: AdjacencyMatrix, order: np.ndarray) -> int | np.ndarray:
     """Feedback count of an order given as matrix row indices, unchecked.
 
-    order must be a permutation of range(matrix.n); that is not checked
-    here, so callers validate first (score_sequence does).
+    order must be a permutation of range(matrix.n), or a (k, n) stack of
+    them; that is not checked here, so callers validate first
+    (score_sequence and run_ga do). One order gives an int, a stack an
+    array of k counts.
     """
+    if order.ndim == 2:
+        # a permutation's argsort is its inverse: each node's position
+        pos = order.argsort(axis=1)
+        return (pos.take(matrix.dep_idx, axis=1) < pos.take(matrix.pred_idx, axis=1)).sum(axis=1)
     pos = np.empty(matrix.n, dtype=np.int64)
     pos[order] = np.arange(matrix.n)
     return int(np.count_nonzero(pos[matrix.dep_idx] < pos[matrix.pred_idx]))

@@ -509,6 +509,18 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["failures"] == table.failures
 
+    def test_ga_cells_past_the_node_limit_fail_alone(self, tmp_path):
+        # the GA holds one byte per node; the deterministic cells still run
+        path = write_case(tmp_path / "wide_257.json", make_case(257, []))
+        spec = ExperimentSpec(
+            cases=[path], methods=["det-outin", "ga-balanced"], output_dir=tmp_path / "out",
+            runs_per_method=1, ga_generations=1,
+        )
+        table = run_experiment(spec)
+        assert len(scores_for(table, "wide_257", "det-outin")) == 1
+        assert [(f["method"], f["run"]) for f in table.failures] == [("ga-balanced", 0)]
+        assert "at most 256 nodes, got 257" in table.failures[0]["error"]
+
     def test_grid_outputs_match_golden_digests(self, data_dir, golden_dir, tmp_path):
         """Every bundled case x every method: each output file's sha256 is
         pinned in golden/grid_sha256.json, so the grid stays byte-identical

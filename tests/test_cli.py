@@ -147,6 +147,21 @@ class TestGa:
         with pytest.raises(SystemExit):
             main(["ga", "--case", demo_path, "--preset", "wild"])
 
+    def test_negative_seed_is_one_line(self, capsys, demo_path):
+        with pytest.raises(SystemExit) as info:
+            main(["ga", "--case", demo_path, "--seed", "-1"])
+        assert info.value.code == "dsm-seq: error: seed must be >= 0, got -1"
+        assert capsys.readouterr().out == ""
+
+    def test_too_many_nodes_is_one_line(self, capsys, tmp_path):
+        path = write_case(tmp_path / "wide_257.json", make_case(257, []))
+        with pytest.raises(SystemExit) as info:
+            main(["ga", "--case", str(path), "--generations", "1"])
+        message = info.value.code
+        assert message.startswith("dsm-seq: error: the GA ")
+        assert "at most 256 nodes, got 257" in message and "\n" not in message
+        assert capsys.readouterr().out == ""
+
 
 class TestLlm:
     def test_scripted_run_with_trace(self, capsys, demo_path, demo_case, tmp_path):

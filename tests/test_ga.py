@@ -1,5 +1,7 @@
 """Genetic algorithm: presets, operator closure, selection pressure, runs."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,18 +9,23 @@ import pytest
 
 from dsmseq import (
     GaConfig,
+    bundled_case,
+    bundled_case_names,
+    build_adjacency,
     matrix_from_array,
     order_crossover,
     pmx_crossover,
     preset_config,
     run_ga,
+    score_sequence,
     shuffle_mutation,
     tournament_select,
 )
-from dsmseq.ga import _draws
+from dsmseq import ga
+from dsmseq.ga import GENERATIONS_DEFAULT, _draws
 from conftest import adjacency, make_case, naive_score
 
-LETTERS = tuple("abcdefgh")
+LETTERS = b"abcdefgh"
 
 
 def chain_matrix(n=7):
@@ -76,6 +83,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tournament_size"):
             GaConfig(population_size=4, generations=10, indpb=0.1, tournament_size=0, cxpb=0.5, mutpb=0.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            preset_config("balanced", seed=-1)
+        with pytest.raises(ValueError, match="seed must be an int"):
+            preset_config("balanced", seed=1.5)
+
 
 def random_swaps(rng, n, count):
     swaps = []
@@ -98,8 +111,8 @@ class TestMutation:
 
     def test_deterministic_under_seed(self):
         # the swaps are applied in list order, so their order matters
-        assert shuffle_mutation(LETTERS, [(0, 1), (1, 2)]) == tuple("bcadefgh")
-        assert shuffle_mutation(LETTERS, [(1, 2), (0, 1)]) == tuple("cabdefgh")
+        assert shuffle_mutation(LETTERS, [(0, 1), (1, 2)]) == b"bcadefgh"
+        assert shuffle_mutation(LETTERS, [(1, 2), (0, 1)]) == b"cabdefgh"
         swaps = random_swaps(random.Random(9), len(LETTERS), 5)
         assert shuffle_mutation(LETTERS, swaps) == shuffle_mutation(LETTERS, swaps)
 
@@ -115,7 +128,7 @@ class TestMutation:
         ]
         assert len(swaps) == 40 * 6 * 2
         assert set(swaps) == {(0, 1), (1, 0)}
-        assert shuffle_mutation(("x", "y"), [(0, 1)]) == ("y", "x")
+        assert shuffle_mutation(b"xy", [(0, 1)]) == b"yx"
 
     def test_swap_outside_the_sequence_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -130,25 +143,25 @@ def random_cut(rng, n):
 
 class TestOrderCrossover:
     def test_hand_worked_slice(self):
-        p1 = tuple("abcdefgh")
-        p2 = tuple("hgfedcba")
+        p1 = b"abcdefgh"
+        p2 = b"hgfedcba"
         c1, c2 = order_crossover(p1, p2, (2, 4))
-        assert c1 == tuple("gfcdebah")
-        assert c2 == tuple("bcfedgha")
+        assert c1 == b"gfcdebah"
+        assert c2 == b"bcfedgha"
 
     def test_children_are_permutations(self):
         rng = random.Random(3)
-        ids = [f"v{i:02d}" for i in range(9)]
+        ids = list(range(9))
         for _ in range(200):
-            p1 = tuple(rng.sample(ids, 9))
-            p2 = tuple(rng.sample(ids, 9))
+            p1 = bytes(rng.sample(ids, 9))
+            p2 = bytes(rng.sample(ids, 9))
             c1, c2 = order_crossover(p1, p2, random_cut(rng, 9))
             assert sorted(c1) == sorted(ids)
             assert sorted(c2) == sorted(ids)
 
     def test_equal_parents_reproduce(self):
         rng = random.Random(5)
-        parent = tuple(rng.sample(list(LETTERS), len(LETTERS)))
+        parent = bytes(rng.sample(list(LETTERS), len(LETTERS)))
         for cut in [(0, 1), (2, 5), (6, 7), (0, 7)]:
             c1, c2 = order_crossover(parent, parent, cut)
             assert c1 == parent and c2 == parent
@@ -162,29 +175,37 @@ class TestOrderCrossover:
             fill = [g for i in range(n) if (g := other[(b + 1 + i) % n]) not in keep[a : b + 1]]
             for offset, gene in enumerate(fill):
                 child[(b + 1 + offset) % n] = gene
-            return tuple(child)
+            return bytes(child)
 
         rng = random.Random(17)
         for _ in range(300):
             n = rng.randint(2, 10)
-            p1 = tuple(rng.sample(range(n), n))
-            p2 = tuple(rng.sample(range(n), n))
+            p1 = bytes(rng.sample(range(n), n))
+            p2 = bytes(rng.sample(range(n), n))
             a, b = random_cut(rng, n)
             assert order_crossover(p1, p2, (a, b)) == (reference(p1, p2, a, b), reference(p2, p1, a, b))
 
     def test_two_gene_parents(self):
-        c1, c2 = order_crossover(("x", "y"), ("y", "x"), (0, 1))
-        assert sorted(c1) == ["x", "y"]
-        assert sorted(c2) == ["x", "y"]
+        c1, c2 = order_crossover(b"xy", b"yx", (0, 1))
+        assert sorted(c1) == list(b"xy")
+        assert sorted(c2) == list(b"xy")
 
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError, match="permutations"):
-            order_crossover(("a", "b"), ("a", "c"), (0, 1))
+            order_crossover(b"ab", b"ac", (0, 1))
 
     def test_repeated_genes_rejected(self):
         # equal sets and lengths, but neither parent is a permutation
         with pytest.raises(ValueError, match="permutations"):
-            order_crossover(("a", "a", "b"), ("a", "b", "b"), (0, 1))
+            order_crossover(b"aab", b"abb", (0, 1))
+
+    def test_repeated_genes_in_the_second_parent_rejected(self):
+        # the second parent's bytes all occur in the first, but not all of
+        # the first's occur in it
+        with pytest.raises(ValueError, match="permutations"):
+            order_crossover(b"abc", b"aab", (0, 1))
+        with pytest.raises(ValueError, match="permutations"):
+            pmx_crossover(b"abc", b"aab", (0, 1))
 
     @pytest.mark.parametrize("cut", [(1, 1), (2, 1), (-1, 2), (0, 8)])
     def test_bad_cut_rejected(self, cut):
@@ -195,34 +216,34 @@ class TestOrderCrossover:
 class TestPmxCrossover:
     def test_children_are_permutations(self):
         rng = random.Random(11)
-        ids = [f"v{i:02d}" for i in range(9)]
+        ids = list(range(9))
         for _ in range(200):
-            p1 = tuple(rng.sample(ids, 9))
-            p2 = tuple(rng.sample(ids, 9))
+            p1 = bytes(rng.sample(ids, 9))
+            p2 = bytes(rng.sample(ids, 9))
             c1, c2 = pmx_crossover(p1, p2, random_cut(rng, 9))
             assert sorted(c1) == sorted(ids)
             assert sorted(c2) == sorted(ids)
 
     def test_equal_parents_reproduce(self):
         rng = random.Random(13)
-        parent = tuple(rng.sample(list(LETTERS), len(LETTERS)))
+        parent = bytes(rng.sample(list(LETTERS), len(LETTERS)))
         c1, c2 = pmx_crossover(parent, parent, (2, 5))
         assert c1 == parent and c2 == parent
 
     def test_deterministic_under_seed(self):
         # hand-traced swap by swap over positions 2, 3, 4
-        p1 = tuple("abcdefgh")
-        p2 = tuple("cadbfehg")
-        assert pmx_crossover(p1, p2, (2, 4)) == (tuple("acdbfegh"), tuple("dabcefhg"))
+        p1 = b"abcdefgh"
+        p2 = b"cadbfehg"
+        assert pmx_crossover(p1, p2, (2, 4)) == (b"acdbfegh", b"dabcefhg")
         assert pmx_crossover(p1, p2, (2, 4)) == pmx_crossover(p1, p2, (2, 4))
 
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError, match="permutations"):
-            pmx_crossover(("a", "b", "c"), ("a", "b", "d"), (0, 1))
+            pmx_crossover(b"abc", b"abd", (0, 1))
 
     def test_repeated_genes_rejected(self):
         with pytest.raises(ValueError, match="permutations"):
-            pmx_crossover(("a", "a", "b"), ("a", "b", "b"), (0, 1))
+            pmx_crossover(b"aab", b"abb", (0, 1))
 
 
 class TestTournament:
@@ -318,3 +339,37 @@ class TestRunGa:
         matrix = matrix_from_array(np.zeros((1, 1), dtype=int), ("a",))
         with pytest.raises(ValueError, match="at least 2 nodes"):
             run_ga(matrix, preset_config("balanced", generations=5))
+
+    def test_more_nodes_than_a_byte_holds_rejected(self):
+        n = 257
+        matrix = matrix_from_array(np.zeros((n, n), dtype=int), tuple(f"v{i}" for i in range(n)))
+        with pytest.raises(ValueError, match="at most 256 nodes, got 257"):
+            run_ga(matrix, preset_config("balanced", generations=5))
+
+    def test_a_child_that_is_not_a_permutation_is_caught(self, monkeypatch):
+        def repeat_first_gene(p1, p2, cut):
+            return p1[:1] * len(p1), p2
+
+        monkeypatch.setattr(ga, "order_crossover", repeat_first_gene)
+        with pytest.raises(RuntimeError, match="not a permutation"):
+            run_ga(chain_matrix(6), preset_config("balanced", seed=0, generations=20))
+
+    def test_a_best_that_re_scores_differently_is_caught(self, monkeypatch):
+        monkeypatch.setattr(ga, "score_sequence", lambda matrix, order: score_sequence(matrix, order) + 1)
+        with pytest.raises(RuntimeError, match="re-scores"):
+            run_ga(chain_matrix(6), preset_config("balanced", seed=0, generations=20))
+
+
+def test_full_budget_runs_match_golden_digests(golden_dir):
+    """Each bundled case x preset at the full budget and seed 3: the sha256
+    of repr((best sequence, best score, convergence)) is pinned in
+    golden/ga_sha256.json, so a faster GA must reproduce every run exactly."""
+    digests = {}
+    for name in bundled_case_names():
+        matrix = build_adjacency(bundled_case(name))
+        for preset in ("exploration", "exploitation", "balanced"):
+            best, convergence = run_ga(matrix, preset_config(preset, seed=3, generations=GENERATIONS_DEFAULT))
+            run = repr((best.sequence, best.score, convergence))
+            digests[f"{name}/{preset}"] = hashlib.sha256(run.encode("utf-8")).hexdigest()
+    expected = json.loads((golden_dir / "ga_sha256.json").read_text(encoding="utf-8"))
+    assert digests == expected

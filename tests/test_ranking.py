@@ -17,13 +17,14 @@ from dsmseq import (
     NodeRanking,
     build_adjacency,
     eigenvector_order,
+    load_case,
     out_in_degree_order,
     reachability_closure,
     visibility_order,
     walk_exponential_order,
     walk_resolvent_order,
 )
-from dsmseq.ranking import _tie_partition
+from dsmseq.ranking import POWER_MAX_ITER, POWER_TOL, _power_iteration, _tie_partition
 from conftest import adjacency, make_case, random_case
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
@@ -160,6 +161,27 @@ class TestEigenvector:
             "power-iteration-no-convergence",
         )
         assert sorted(ranking.order) == sorted(matrix.ids)
+
+    def test_a_cycling_first_pass_stops_early_with_the_same_iterate(self, data_dir):
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.products += 1
+                return np.asarray(self) @ other
+
+        a = build_adjacency(load_case(data_dir / "demo_gearbox_7.json")).a.astype(float)
+        vec, converged = _power_iteration(a.view(CountingMatrix))
+        assert not converged
+        assert CountingMatrix.products < 100
+        # stepping through every product reaches the same last iterate
+        v = np.full(a.shape[0], 1.0 / a.shape[0])
+        for _ in range(POWER_MAX_ITER):
+            nxt = a @ v
+            nxt = nxt / np.abs(nxt).sum()
+            assert np.abs(nxt - v).sum() >= POWER_TOL
+            v = nxt
+        assert vec.tobytes() == v.tobytes()
 
     def test_oscillating_spectrum_falls_back(self):
         # two suppliers feeding one consumer and back: period-2 iteration

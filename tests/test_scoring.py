@@ -14,6 +14,7 @@ from dsmseq import (
     reorder_matrix,
     score_sequence,
 )
+from dsmseq.scoring import feedback_count
 
 from conftest import make_case, naive_score, random_case
 
@@ -135,6 +136,17 @@ class TestScoreSequence:
             m = build_adjacency(case)
             order = rng.sample(list(case.node_ids), case.n)
             assert score_sequence(m, order) == naive_score(case, order)
+
+    def test_a_stack_of_orders_scores_each_row(self):
+        rng = random.Random(23)
+        for trial in range(40):
+            case = random_case(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
+            m = build_adjacency(case)
+            rows = [rng.sample(range(case.n), case.n) for _ in range(rng.randint(1, 6))]
+            expected = [naive_score(case, [case.node_ids[i] for i in row]) for row in rows]
+            stack = np.array(rows, dtype=np.uint8)
+            assert feedback_count(m, stack).tolist() == expected
+            assert [feedback_count(m, row) for row in stack] == expected
 
     def test_forward_plus_reverse_equals_edge_count(self):
         rng = random.Random(7)
