@@ -16,7 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 ALPHANUMERIC = string.ascii_uppercase + string.ascii_lowercase + string.digits
 ANON_ID_LENGTH = 5
@@ -269,29 +270,49 @@ class NetworkMetrics:
 def network_metrics(case: DsmCase) -> NetworkMetrics:
     n = case.n
     e = len(case.edges)
-    a = build_adjacency(case).a
-    undirected = ((a + a.T) > 0).astype(float)
+    matrix = build_adjacency(case)
+    ends = np.concatenate([matrix.dep_idx, matrix.pred_idx])
+    starts = np.concatenate([matrix.pred_idx, matrix.dep_idx])
+    # duplicate entries (edges both ways) merge under logical or
+    undirected = csr_matrix((np.ones(2 * e, dtype=bool), (ends, starts)), shape=(n, n))
     count, labels = connected_components(undirected, directed=False)
     # the largest component; among equal sizes, the one holding the lowest
     # node index
     sizes = np.bincount(labels)
     members = np.flatnonzero(labels == labels[np.argmax(sizes[labels] == sizes.max())])
-    hops = shortest_path(undirected[np.ix_(members, members)], directed=False, unweighted=True)
     k = len(members)
-    # local clustering 2T/(d(d-1)): ((F@F)*F) row sums count each triangle
-    # at a node twice; exact in float64 at these sizes
-    triangles = ((undirected @ undirected) * undirected).sum(axis=1)
-    degree = undirected.sum(axis=1)
+    # breadth-first search from every member at once: column s of the
+    # boolean product marks the neighbours of source s's frontier
+    step = undirected[members][:, members]
+    seen = np.eye(k, dtype=bool)
+    frontier = seen
+    diameter, hop_sum = 0, 0
+    while True:
+        reached = step @ frontier
+        reached &= ~seen
+        width = int(np.count_nonzero(reached))
+        if not width:
+            break
+        diameter += 1
+        hop_sum += diameter * width
+        seen |= reached
+        frontier = reached
+    # local clustering 2T/(d(d-1)): with W the projection in float64,
+    # ((W@W)*W) row sums count each triangle at a node twice; exact at
+    # these sizes
+    weights = undirected.astype(float)
+    triangles = (weights @ weights).multiply(weights).sum(axis=1).A1
+    degree = weights.sum(axis=1).A1
     pairs = degree * (degree - 1)
     local = np.divide(triangles, pairs, out=np.zeros(n), where=pairs > 0)
     return NetworkMetrics(
         n=n,
         e=e,
-        diameter=int(hops.max()),
+        diameter=diameter,
         density=2.0 * e / (n * (n - 1)),
         average_degree=2.0 * e / n,
         # summed in node order, like a plain Python mean over the nodes
         clustering_coefficient=sum(local.tolist()) / n,
-        average_path_length=int(hops.sum()) / (k * (k - 1)) if k > 1 else 0.0,
+        average_path_length=hop_sum / (k * (k - 1)) if k > 1 else 0.0,
         connected=bool(count == 1),
     )

@@ -12,10 +12,12 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .model import AdjacencyMatrix
 
@@ -209,24 +211,45 @@ def walk_resolvent_order(
     """
     a = matrix.a.astype(float)
     system = np.eye(matrix.n) - delta * a
+    # the 1-norm condition as np.linalg.cond(system, 1) computes it, from
+    # the one inverse that also gives the keys
     try:
-        condition = np.linalg.cond(system, 1)
-    except np.linalg.LinAlgError:  # exactly singular: cond would need inv()
+        f = np.linalg.inv(system)
+        condition = np.linalg.norm(system, 1) * np.linalg.norm(f, 1)
+    except np.linalg.LinAlgError:  # exactly singular
         condition = np.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise ValueError(
             f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}) "
             f"at delta={delta:g}; pass a smaller one as walk_resolvent_order(..., delta=...)"
         )
-    f = np.linalg.solve(system, np.eye(matrix.n))
     return _walk_rank("walk-resolvent", matrix, f, seed, ascending)
 
 
 def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
     """Binary matrix with entry [i][j] = 1 iff some directed dependency
-    path (length >= 0) leads from j to i, found by breadth-first search."""
-    hops = shortest_path(np.ascontiguousarray(matrix.a.T), directed=True, unweighted=True)
-    return np.isfinite(hops).T.astype(np.int64)
+    path (length >= 0) leads from j to i.
+
+    Nodes of one strongly connected component share a row. Each
+    component's row ORs in the rows of the components it depends on,
+    taken in topological order so those rows are already complete.
+    """
+    n = matrix.n
+    graph = csr_matrix(
+        (np.ones(len(matrix.dep_idx), dtype=bool), (matrix.dep_idx, matrix.pred_idx)), shape=(n, n)
+    )
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    upstream: dict[int, set[int]] = {}
+    for dep, pred in zip(labels[matrix.dep_idx].tolist(), labels[matrix.pred_idx].tolist()):
+        if dep != pred:
+            upstream.setdefault(dep, set()).add(pred)
+    reach = np.zeros((count, n), dtype=bool)
+    reach[labels, np.arange(n)] = True
+    # static_order yields every component after the ones it depends on
+    for component in TopologicalSorter(upstream).static_order():
+        if component in upstream:
+            reach[component] |= reach[list(upstream[component])].any(axis=0)
+    return reach[labels].astype(np.int64)
 
 
 def visibility_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:

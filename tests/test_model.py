@@ -284,11 +284,19 @@ class TestMetrics:
                 pairs = [(place[0](d), place[0](p)) for d, p in first]
                 pairs += [(place[1](d), place[1](p)) for d, p in second]
                 cases.append(make_case(9, pairs))
+        # the sizes the benchmark times, at the bundled cases' 1.4 to 3.9
+        # edges per node
+        cases += [
+            random_case(rng, n, degree / (n - 1))
+            for n, degree in ((100, 1.4), (100, 3.9), (130, 2.6))
+        ]
         results = [(network_metrics(case), networkx_metrics(case)) for case in cases]
         assert {ours.connected for ours, _ in results} == {True, False}
-        assert {ours.diameter for ours, _ in results[-4:]} == {1, 3}
+        assert {ours.diameter for ours, _ in results[-7:-3]} == {1, 3}
+        assert all(ours.diameter > 3 for ours, _ in results[-3:])
         for ours, reference in results:
-            assert ours == reference
+            # repr also tells a numpy scalar from a Python number
+            assert repr(ours) == repr(reference)
 
 
 def networkx_metrics(case: DsmCase) -> NetworkMetrics:

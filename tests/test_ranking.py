@@ -1,5 +1,8 @@
 """Deterministic orderings, each checked against an independent computation."""
 
+import dataclasses
+import hashlib
+import json
 import math
 import random
 import warnings
@@ -18,13 +21,20 @@ from dsmseq import (
     build_adjacency,
     eigenvector_order,
     load_case,
+    network_metrics,
     out_in_degree_order,
     reachability_closure,
     visibility_order,
     walk_exponential_order,
     walk_resolvent_order,
 )
-from dsmseq.ranking import POWER_MAX_ITER, POWER_TOL, _power_iteration, _tie_partition
+from dsmseq.ranking import (
+    CONDITION_LIMIT,
+    POWER_MAX_ITER,
+    POWER_TOL,
+    _power_iteration,
+    _tie_partition,
+)
 from conftest import adjacency, make_case, random_case
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
@@ -51,6 +61,16 @@ def geometric_resolvent(a: np.ndarray, delta: float, terms: int = 60) -> np.ndar
         power = power @ (delta * a)
         total = total + power
     return total
+
+
+def dependency_digraph(matrix) -> nx.DiGraph:
+    """The matrix as a networkx graph with an edge from each predecessor
+    to its dependent."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(matrix.n))
+    rows, cols = np.nonzero(matrix.a)
+    graph.add_edges_from(zip(cols.tolist(), rows.tolist()))
+    return graph
 
 
 @contextmanager
@@ -249,6 +269,35 @@ class TestWalkResolvent:
         with pytest.raises(ValueError, match="near-singular"):
             walk_resolvent_order(matrix, delta=1.0 - 1e-13)
 
+    def test_refusal_boundary_and_keys_follow_cond_and_solve(self):
+        """The refusal and the keys agree with np.linalg.cond(system, 1)
+        and np.linalg.solve(system, I), bit for bit. On the 2-cycle the
+        condition is (1 + delta) / (1 - delta): 2.0e13 at 1 - 1e-13,
+        1.00002e12 at 1 - 2e-12 (refused) and 8.0e11 at 1 - 2.5e-12."""
+        rng = random.Random(41)
+        two_cycle = adjacency(make_case(2, [(0, 1), (1, 0)]))
+        systems = [(two_cycle, delta) for delta in (1.0, 1 - 1e-13, 1 - 2e-12, 1 - 2.5e-12)]
+        for _ in range(30):
+            matrix = adjacency(random_case(rng, rng.randrange(4, 13), rng.choice([0.15, 0.3])))
+            systems += [(matrix, delta) for delta in (0.025, 0.5, 1.0)]
+        outcomes = []
+        for matrix, delta in systems:
+            system = np.eye(matrix.n) - delta * matrix.a
+            condition = np.linalg.cond(system, 1)
+            refused = not np.isfinite(condition) or condition > CONDITION_LIMIT
+            outcomes.append(refused)
+            if refused:
+                with pytest.raises(ValueError, match="near-singular") as caught:
+                    walk_resolvent_order(matrix, delta=delta)
+                assert f"(1-norm condition {condition:.3g})" in str(caught.value)
+                continue
+            ranking = walk_resolvent_order(matrix, delta=delta)
+            f = np.linalg.solve(system, np.eye(matrix.n))
+            assert list(ranking.primary_keys.values()) == f.sum(axis=1).tolist()
+            assert list(ranking.secondary_keys.values()) == f.sum(axis=0).tolist()
+        assert outcomes[:4] == [True, True, True, False]
+        assert 0 < sum(outcomes[4:]) < len(outcomes) - 4
+
 
 class TestVisibility:
     def test_chain_row_and_column_sums(self):
@@ -262,19 +311,31 @@ class TestVisibility:
 
     def test_closure_matches_graph_reachability(self):
         rng = random.Random(23)
-        # dense draws take a different shortest-path algorithm than sparse ones
+        # sparse draws leave many singleton components, dense ones make
+        # the whole network one component
         for density in [0.25] * 20 + [0.9] * 5:
             case = random_case(rng, 9, density)
             matrix = adjacency(case)
             closure = reachability_closure(matrix)
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(matrix.n))
-            rows, cols = np.nonzero(matrix.a)
-            for dep, pred in zip(rows.tolist(), cols.tolist()):
-                graph.add_edge(pred, dep)
+            graph = dependency_digraph(matrix)
             for i in range(matrix.n):
                 for j in range(matrix.n):
                     assert closure[i][j] == int(nx.has_path(graph, j, i))
+
+    def test_closure_matches_descendants_at_the_timed_size(self):
+        # 100 nodes at 1.4 to 3.9 edges per node: each draw holds a
+        # multi-node strongly connected component, from a quarter to nearly
+        # all of the nodes, with singleton components up- and downstream
+        rng = random.Random(29)
+        for degree in (1.4, 1.8, 2.6, 3.9):
+            matrix = adjacency(random_case(rng, 100, degree / 99))
+            closure = reachability_closure(matrix)
+            graph = dependency_digraph(matrix)
+            assert max(len(c) for c in nx.strongly_connected_components(graph)) >= 20
+            for j in range(matrix.n):
+                reached = np.zeros(matrix.n, dtype=np.int64)
+                reached[list(nx.descendants(graph, j) | {j})] = 1
+                assert np.array_equal(closure[:, j], reached)
 
     def test_closure_is_binary_and_reflexive(self):
         matrix = adjacency(random_case(random.Random(4), 7, 0.4))
@@ -335,3 +396,36 @@ class TestSharedBehavior:
         assert as_dict["order"] == list(ranking.order)
         assert as_dict["warning"] is None
         assert isinstance(as_dict["tie_groups"], list)
+
+
+# (n, density) of the golden analysis draws: sparse draws leave the network
+# disconnected, dense ones are cyclic; the n = 400 draw is near the degree
+# at which the benchmark's networks connect
+ANALYSIS_DRAWS = [(10, 0.05), (10, 0.15), (10, 0.5)] * 3 + [
+    (100, 0.006),
+    (100, 0.02),
+    (100, 0.039),
+    (100, 0.3),
+    (400, 0.008),
+]
+
+
+def test_analysis_matches_golden_digests(golden_dir):
+    """For each seeded draw, the sha256 over network_metrics, every
+    deterministic ranking at seed 0 and the reachability closure is pinned
+    in golden/analysis_sha256.json, so a faster analysis must reproduce
+    every output exactly."""
+    rng = random.Random(2026)
+    digests = {}
+    for pos, (n, density) in enumerate(ANALYSIS_DRAWS):
+        case = random_case(rng, n, density)
+        matrix = build_adjacency(case)
+        digest = hashlib.sha256(repr(dataclasses.asdict(network_metrics(case))).encode("utf-8"))
+        for name in sorted(DETERMINISTIC_METHODS):
+            with quiet_runtime_warnings():
+                ranking = DETERMINISTIC_METHODS[name](matrix, seed=0)
+            digest.update(repr(ranking.to_dict()).encode("utf-8"))
+        digest.update(reachability_closure(matrix).tobytes())
+        digests[f"{pos:02d}/n{n}/p{density}"] = digest.hexdigest()
+    expected = json.loads((golden_dir / "analysis_sha256.json").read_text(encoding="utf-8"))
+    assert digests == expected
