@@ -211,7 +211,8 @@ def _ga_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, preset: str
 ) -> CellResult:
     cfg = preset_config(preset, seed=seed, generations=spec.ga_generations)
-    best, curve = run_ga(matrix, cfg)
+    # nothing beats the known optimum, so the generations after it are waste
+    best, curve = run_ga(matrix, cfg, stop_score=case.known_optimum)
     return CellResult(
         scores={None: best.score},
         curve=[(x, y) for x, y in curve if x <= CONVERGENCE_WINDOW],

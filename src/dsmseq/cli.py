@@ -75,7 +75,7 @@ def _cmd_ga(args) -> int:
     case = load_case(args.case)
     matrix = build_adjacency(case)
     cfg = ga.preset_config(args.preset, seed=args.seed, generations=args.generations)
-    best, convergence = ga.run_ga(matrix, cfg)
+    best, convergence = ga.run_ga(matrix, cfg, stop_score=case.known_optimum)
     if args.convergence_out:
         bench.write_csv(args.convergence_out, ["unique_count", "best_score"], convergence)
     _emit(
@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exploration", "exploitation", "balanced"])
     p.add_argument("--case", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generations", type=int, default=ga.GENERATIONS_DEFAULT)
+    p.add_argument("--generations", type=int, default=ga.GENERATIONS_DEFAULT,
+                   help="generations budget; the run stops earlier at known_optimum")
     p.add_argument("--convergence-out", help="write (unique_count, best_score) CSV here")
     p.set_defaults(func=_cmd_ga)
 

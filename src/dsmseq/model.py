@@ -81,6 +81,7 @@ def validate_case(case: DsmCase) -> None:
             raise CaseError(f"nodes[{pos}]: duplicate node id {node.id!r}")
         seen.add(node.id)
     pairs: set[tuple[str, str]] = set()
+    two_cycles = 0
     for pos, edge in enumerate(case.edges):
         if edge.dependent == edge.predecessor:
             raise CaseError(f"edges[{pos}]: self-loop on {edge.dependent!r}")
@@ -93,9 +94,17 @@ def validate_case(case: DsmCase) -> None:
         if key in pairs:
             raise CaseError(f"edges[{pos}]: duplicate edge {key!r}")
         pairs.add(key)
+        two_cycles += (edge.predecessor, edge.dependent) in pairs
     if case.known_optimum is not None:
-        if case.known_optimum < 0:
-            raise CaseError("known_optimum must be non-negative")
+        # each pair of opposite edges costs one feedback in every order, and
+        # an order and its reverse score len(edges) together
+        low, high = two_cycles, len(case.edges) // 2
+        if not low <= case.known_optimum <= high:
+            raise CaseError(
+                f"known_optimum {case.known_optimum} is outside the possible range "
+                f"[{low}, {high}]: one feedback per pair of opposite edges at least, "
+                f"half the edges at most"
+            )
 
 
 def load_case(path: str | Path) -> DsmCase:
@@ -183,13 +192,20 @@ class AdjacencyMatrix:
     pred_idx: np.ndarray = field(repr=False)
 
 
+def _edge_rows(case: DsmCase) -> tuple[np.ndarray, np.ndarray]:
+    """The row index of each edge's dependent and of its predecessor, in
+    edge order."""
+    index_of = {node_id: i for i, node_id in enumerate(case.node_ids)}
+    e = len(case.edges)
+    deps = np.fromiter((index_of[edge.dependent] for edge in case.edges), np.int64, e)
+    preds = np.fromiter((index_of[edge.predecessor] for edge in case.edges), np.int64, e)
+    return deps, preds
+
+
 def build_adjacency(case: DsmCase) -> AdjacencyMatrix:
     """Build the n-by-n 0/1 matrix in the case's node-list order."""
-    index_of = {node_id: i for i, node_id in enumerate(case.node_ids)}
     a = np.zeros((case.n, case.n), dtype=np.int64)
-    deps = [index_of[e.dependent] for e in case.edges]
-    preds = [index_of[e.predecessor] for e in case.edges]
-    a[deps, preds] = 1
+    a[_edge_rows(case)] = 1
     return matrix_from_array(a, case.node_ids)
 
 
@@ -270,9 +286,10 @@ class NetworkMetrics:
 def network_metrics(case: DsmCase) -> NetworkMetrics:
     n = case.n
     e = len(case.edges)
-    matrix = build_adjacency(case)
-    ends = np.concatenate([matrix.dep_idx, matrix.pred_idx])
-    starts = np.concatenate([matrix.pred_idx, matrix.dep_idx])
+    # the edge indices alone: build_adjacency would fill a dense n x n matrix
+    deps, preds = _edge_rows(case)
+    ends = np.concatenate([deps, preds])
+    starts = np.concatenate([preds, deps])
     # duplicate entries (edges both ways) merge under logical or
     undirected = csr_matrix((np.ones(2 * e, dtype=bool), (ends, starts)), shape=(n, n))
     count, labels = connected_components(undirected, directed=False)

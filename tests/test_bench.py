@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from dsmseq import (
     ExperimentSpec,
     ScriptedProvider,
     aggregate_stats,
+    build_adjacency,
     load_case,
     load_experiment_spec,
     merge_curves,
@@ -24,8 +26,10 @@ from dsmseq.bench import (
     DET_METHODS,
     GA_METHODS,
     LLM_METHODS,
+    _ga_cell,
     step_value,
 )
+from dsmseq.ga import preset_config, run_ga
 from conftest import make_case, naive_score, write_case
 
 
@@ -547,6 +551,24 @@ class TestRunExperiment:
         }
         expected = json.loads((golden_dir / "grid_sha256.json").read_text(encoding="utf-8"))
         assert digests == expected
+
+
+class TestGaCell:
+    def test_stops_at_the_known_optimum_and_runs_the_budget_without_one(self, data_dir, tmp_path):
+        case = load_case(data_dir / "demo_gearbox_7.json")
+        matrix = build_adjacency(case)
+        spec = ExperimentSpec(cases=[data_dir / "demo_gearbox_7.json"], output_dir=tmp_path)
+        best, full = run_ga(matrix, preset_config("exploration", seed=0))
+        assert best.score == case.known_optimum
+
+        stopped = _ga_cell(case, matrix, 0, spec, "exploration")
+        assert stopped.scores == {None: case.known_optimum}
+        assert stopped.curve[-1][1] == case.known_optimum
+        assert stopped.curve[-1][0] * 5 < full[-1][0]
+
+        unbounded = _ga_cell(replace(case, known_optimum=None), matrix, 0, spec, "exploration")
+        assert unbounded.scores == {None: best.score}
+        assert unbounded.curve == full
 
 
 class TestRenderTrajectory:

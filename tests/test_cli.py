@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -142,6 +143,14 @@ class TestGa:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "unique_count,best_score"
         assert len(lines) >= 2
+
+    def test_stops_at_the_known_optimum(self, capsys, demo_path, demo_case, tmp_path):
+        _, stopped = run_cli(capsys, "ga", "--case", demo_path, "--preset", "exploration")
+        assert (stopped["best_score"], stopped["unique_solutions"]) == (demo_case.known_optimum, 76)
+        # the same network without a declared optimum runs all 2,000 generations
+        path = write_case(tmp_path / "gearbox.json", replace(demo_case, known_optimum=None))
+        _, full = run_cli(capsys, "ga", "--case", str(path), "--preset", "exploration")
+        assert (full["best_score"], full["unique_solutions"]) == (demo_case.known_optimum, 858)
 
     def test_bad_preset_rejected(self, demo_path):
         with pytest.raises(SystemExit):

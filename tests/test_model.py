@@ -131,6 +131,29 @@ class TestLoadAndValidate:
         path.write_text(json.dumps(payload))
         assert load_case(path).known_optimum == 0
 
+    # a <-> b is one pair of opposite edges, so every order scores at least
+    # 1; an order or its reverse scores at most 3 of the 6 edges. The load
+    # check accepts [1, 3], which holds the true optimum, 2
+    BOUNDED = {
+        "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}, {"id": "d"}],
+        "edges": [{"dependent": d, "predecessor": p}
+                  for d, p in (("b", "a"), ("a", "b"), ("c", "a"), ("d", "c"), ("a", "d"), ("c", "b"))],
+    }
+
+    @pytest.mark.parametrize("known", [0, 4])
+    def test_known_optimum_outside_its_bounds_is_rejected(self, tmp_path, known):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**self.BOUNDED, "known_optimum": known}))
+        with pytest.raises(CaseError, match=rf"known_optimum {known} is outside the possible range \[1, 3\]") as info:
+            load_case(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("known", [1, 3])
+    def test_known_optimum_on_its_bounds_is_accepted(self, tmp_path, known):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**self.BOUNDED, "known_optimum": known}))
+        assert load_case(path).known_optimum == known
+
 
 class TestAdjacency:
     def test_single_edge_position(self):

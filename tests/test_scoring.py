@@ -10,10 +10,13 @@ import pytest
 from dsmseq import (
     brute_force_optimum,
     build_adjacency,
+    bundled_case,
+    bundled_case_names,
     is_valid_sequence,
     reorder_matrix,
     score_sequence,
 )
+from dsmseq import scoring
 from dsmseq.scoring import feedback_count
 
 from conftest import make_case, naive_score, random_case
@@ -225,3 +228,11 @@ class TestBruteForce:
         score, order = brute_force_optimum(m)
         assert score_sequence(m, order) == score
         assert score == demo_case.known_optimum
+
+    @pytest.mark.parametrize("name", bundled_case_names())
+    def test_declared_optima_are_exact(self, name, monkeypatch):
+        # the subset DP is exact at any n; its guard only bounds the time,
+        # about 0.35 s at the largest bundled case (n = 17)
+        monkeypatch.setattr(scoring, "EXHAUSTIVE_LIMIT", 17)
+        case = bundled_case(name)
+        assert brute_force_optimum(build_adjacency(case))[0] == case.known_optimum
