@@ -4,7 +4,9 @@ All five methods produce a full ordering of the node ids. Ranking runs on a
 primary key per node (descending by default, so aggregate "supplier" scores
 come first), then a secondary key where the method defines one, then a
 seeded random shuffle for whatever ties remain. Keys closer than a relative
-tolerance of 1e-9 count as tied.
+tolerance of 1e-9 count as tied. Each tie group is put in node (row) order
+before its shuffle, so the shuffle depends only on who is in the group, not
+on how differences below the tolerance happened to sort them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import AdjacencyMatrix
 KEY_TOLERANCE = 1e-9
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
-EIG_EPSILON = 1e-6
 DEFAULT_DELTA = 0.025
 CONDITION_LIMIT = 1e12
 
@@ -83,7 +84,7 @@ def _rank(
     final: list[int] = []
     residual_groups: list[tuple[str, ...]] = []
     for group in _tie_partition(sorted_primary):
-        members = [order_idx[g] for g in group]
+        members = sorted(order_idx[g] for g in group)
         if len(members) == 1:
             final.extend(members)
             continue
@@ -93,7 +94,7 @@ def _rank(
         else:
             sub_groups = [list(range(len(members)))]
         for sub in sub_groups:
-            sub_members = [members[s] for s in sub]
+            sub_members = sorted(members[s] for s in sub)
             if len(sub_members) > 1:
                 rng.shuffle(sub_members)
                 residual_groups.append(tuple(ids[i] for i in sub_members))
@@ -124,64 +125,44 @@ def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool 
     return _rank("out-in-degree", matrix, out_deg - in_deg, None, seed, ascending)
 
 
-def _power_iteration(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Power iteration from the uniform vector with 1-norm normalization.
-
-    Returns (last iterate, converged). Stops early without converging on
-    breakdown, when the iterate leaves the matrix's range. Each step is a
-    fixed function of the iterate, so once an iterate repeats bit for bit
-    the pass cycles and can never converge: the whole cycles left are
-    skipped, which returns the same last iterate as stepping through them.
-    The repeat is found by Brent's method, against one iterate saved at
-    steps 1, 2, 4, 8, ...
-    """
-    v = np.full(m.shape[0], 1.0 / m.shape[0])
-    saved, saved_at = None, 0
-    step = 0
-    while step < POWER_MAX_ITER:
-        nxt = m @ v
-        norm = np.abs(nxt).sum()
-        if norm == 0.0:
-            return v, False
-        nxt = nxt / norm
-        if np.abs(nxt - v).sum() < POWER_TOL:
-            return nxt, True
-        v = nxt
-        step += 1
-        if v.tobytes() == saved:
-            period = step - saved_at
-            step += (POWER_MAX_ITER - step) // period * period
-        elif step & (step - 1) == 0:
-            saved, saved_at = v.tobytes(), step
-    return v, False
+def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
+    """The number of strongly connected components and each node's label."""
+    graph = csr_matrix(
+        (np.ones(len(matrix.dep_idx), dtype=bool), (matrix.dep_idx, matrix.pred_idx)),
+        shape=(matrix.n, matrix.n),
+    )
+    return connected_components(graph, directed=True, connection="strong")
 
 
 def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
     """Rank by the dominant eigenvector of the dependency matrix.
 
-    Power iteration with 1-norm normalization, relative tolerance 1e-10,
-    at most 10,000 steps. A zero matrix yields an all-tie random order with
-    a warning; breakdown or non-convergence falls back to A + 1e-6 I.
+    Power iteration on A + I from the uniform vector, each iterate scaled
+    to 1-norm 1, until one step moves it by less than 1e-10 in the 1-norm,
+    for at most 10,000 steps. A + I has the eigenvectors of A, and the shift
+    moves every eigenvalue but the spectral radius strictly inside its
+    circle, so periodic networks converge too. A run that still does not
+    converge (a Jordan block at the spectral radius) keeps its last iterate,
+    warns and sets warning "power-iteration-no-convergence". An acyclic
+    network (every strongly connected component a single node) has only
+    zero eigenvalues and no dominant eigenvector: its keys are all zero, an
+    all-tie seeded shuffle, with warning "acyclic".
     """
-    a = matrix.a.astype(float)
-    if not a.any():
-        keys = np.zeros(matrix.n)
-        return _rank("eigenvector", matrix, keys, None, seed, ascending, warning="zero-matrix")
+    n = matrix.n
+    count, _ = _strong_components(matrix)
+    if count == n:
+        return _rank("eigenvector", matrix, np.zeros(n), None, seed, ascending, warning="acyclic")
 
-    vec, converged = _power_iteration(a)
-    warning = None
-    if not converged:
-        warning = "power-iteration-fallback"
-        warnings.warn(
-            "power iteration on A failed to converge; retrying on A + eps*I",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        # best effort if this fails too: keep its final iterate
-        vec, converged = _power_iteration(a + EIG_EPSILON * np.eye(matrix.n))
-        if not converged:
-            warning = "power-iteration-no-convergence"
-    return _rank("eigenvector", matrix, vec, None, seed, ascending, warning=warning)
+    shifted = matrix.a + np.eye(n)
+    v = np.full(n, 1.0 / n)
+    for _ in range(POWER_MAX_ITER):
+        nxt = shifted @ v
+        nxt /= nxt.sum()  # every entry stays positive
+        if np.abs(nxt - v).sum() < POWER_TOL:
+            return _rank("eigenvector", matrix, nxt, None, seed, ascending)
+        v = nxt
+    warnings.warn("power iteration on A + I failed to converge", RuntimeWarning, stacklevel=2)
+    return _rank("eigenvector", matrix, v, None, seed, ascending, warning="power-iteration-no-convergence")
 
 
 def _walk_rank(method: str, matrix: AdjacencyMatrix, f: np.ndarray, seed: int, ascending: bool) -> NodeRanking:
@@ -235,10 +216,7 @@ def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
     taken in topological order so those rows are already complete.
     """
     n = matrix.n
-    graph = csr_matrix(
-        (np.ones(len(matrix.dep_idx), dtype=bool), (matrix.dep_idx, matrix.pred_idx)), shape=(n, n)
-    )
-    count, labels = connected_components(graph, directed=True, connection="strong")
+    count, labels = _strong_components(matrix)
     upstream: dict[int, set[int]] = {}
     for dep, pred in zip(labels[matrix.dep_idx].tolist(), labels[matrix.pred_idx].tolist()):
         if dep != pred:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import time
 import warnings
 from contextlib import contextmanager
 
@@ -28,13 +29,7 @@ from dsmseq import (
     walk_exponential_order,
     walk_resolvent_order,
 )
-from dsmseq.ranking import (
-    CONDITION_LIMIT,
-    POWER_MAX_ITER,
-    POWER_TOL,
-    _power_iteration,
-    _tie_partition,
-)
+from dsmseq.ranking import CONDITION_LIMIT, _rank, _strong_components, _tie_partition
 from conftest import adjacency, make_case, random_case
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
@@ -61,6 +56,15 @@ def geometric_resolvent(a: np.ndarray, delta: float, terms: int = 60) -> np.ndar
         power = power @ (delta * a)
         total = total + power
     return total
+
+
+def perron_vector(matrix) -> np.ndarray:
+    """The eigenvector of the Perron root from the dense eigensolver, scaled
+    to 1-norm 1. The root is real and no eigenvalue has a larger real part,
+    while -rho (on a periodic network) has the same modulus."""
+    values, vectors = np.linalg.eig(matrix.a.astype(float))
+    vector = np.abs(np.real(vectors[:, np.argmax(values.real)]))
+    return vector / vector.sum()
 
 
 def dependency_digraph(matrix) -> nx.DiGraph:
@@ -91,6 +95,31 @@ class TestTiePartition:
 
     def test_distinct_values_stay_apart(self):
         assert _tie_partition([2.0, 1.0, 0.0]) == [[0], [1], [2]]
+
+
+class TestRank:
+    """Keys that differ by far less than the tie tolerance give the ranking
+    of the exact keys: every tie group shuffles from node order."""
+
+    TIE_KEYS = [0.3, 0.7, 0.3, 1.1, 0.7, 0.3, 0.7, 0.3, 1.1, 0.7, 0.3, 0.2]
+    SECONDARY = [2.5, 1.0, 2.5, 4.0, 1.0, 2.5, 3.0, 0.5, 4.0, 1.0, 0.5, 2.0]
+
+    @staticmethod
+    def jitter(values, rng) -> np.ndarray:
+        return np.array([v * (1 + rng.uniform(-1e-13, 1e-13)) for v in values])
+
+    @pytest.mark.parametrize("with_secondary", [False, True])
+    def test_sub_tolerance_noise_changes_nothing(self, with_secondary):
+        matrix = chain(len(self.TIE_KEYS))
+        secondary = np.array(self.SECONDARY) if with_secondary else None
+        rng = random.Random(3)
+        for seed in range(5):
+            exact = _rank("m", matrix, np.array(self.TIE_KEYS), secondary, seed, False)
+            assert len(exact.tie_groups) >= 2
+            for _ in range(20):
+                noisy_secondary = None if secondary is None else self.jitter(secondary, rng)
+                noisy = _rank("m", matrix, self.jitter(self.TIE_KEYS, rng), noisy_secondary, seed, False)
+                assert (noisy.order, noisy.tie_groups) == (exact.order, exact.tie_groups)
 
 
 class TestOutInDegree:
@@ -136,11 +165,7 @@ class TestEigenvector:
         matrix = adjacency(make_case(3, PLASTIC_EDGES))
         ranking = eigenvector_order(matrix, seed=0)
         assert ranking.warning is None
-
-        values, vectors = np.linalg.eig(matrix.a.astype(float))
-        dominant = np.argmax(np.abs(values))
-        oracle = np.abs(np.real(vectors[:, dominant]))
-        oracle = oracle / oracle.sum()
+        oracle = perron_vector(matrix)
         for idx, node_id in enumerate(matrix.ids):
             assert ranking.primary_keys[node_id] == pytest.approx(oracle[idx], abs=1e-8)
 
@@ -159,7 +184,7 @@ class TestEigenvector:
     def test_zero_matrix_is_an_all_tie_shuffle(self):
         matrix = adjacency(make_case(4, []))
         ranking = eigenvector_order(matrix, seed=5)
-        assert ranking.warning == "zero-matrix"
+        assert ranking.warning == "acyclic"
         assert sorted(ranking.order) == ["v00", "v01", "v02", "v03"]
         assert ranking.tie_groups == (ranking.order,)
         assert eigenvector_order(matrix, seed=5).order == ranking.order
@@ -172,44 +197,64 @@ class TestEigenvector:
         assert len(ranking.tie_groups) == 1
         assert set(ranking.tie_groups[0]) == {"v00", "v01", "v02"}
 
-    def test_nilpotent_falls_back_with_warning(self):
-        matrix = chain(4)
+    def test_acyclic_networks_are_an_all_tie_shuffle(self):
+        # every eigenvalue is 0, so no dominant eigenvector exists; power
+        # iteration on A + I would run all 10,000 steps, about ten times the
+        # time bound below
+        rng = random.Random(37)
+        edges = [(d, p) for d in range(100) for p in range(d) if rng.random() < 0.04]
+        for matrix in (chain(4), adjacency(make_case(100, edges))):
+            assert _strong_components(matrix)[0] == matrix.n
+            elapsed = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    ranking = eigenvector_order(matrix, seed=2)
+                    elapsed.append(time.perf_counter() - start)
+            assert ranking.warning == "acyclic"
+            assert set(ranking.primary_keys.values()) == {0.0}
+            assert ranking.tie_groups == (ranking.order,)
+            assert sorted(ranking.order) == sorted(matrix.ids)
+            assert min(elapsed) < 0.01
+
+    def test_oscillating_spectrum_converges(self):
+        # two suppliers feeding one consumer and back: eigenvalues +-sqrt(2)
+        # and 0, so power iteration on A alone alternates with period 2
+        matrix = adjacency(make_case(3, [(0, 2), (1, 2), (2, 0), (2, 1)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranking = eigenvector_order(matrix, seed=0)
+        assert ranking.warning is None
+        keys = [ranking.primary_keys[node_id] for node_id in matrix.ids]
+        assert keys == pytest.approx(perron_vector(matrix).tolist(), abs=1e-8)
+
+    def test_jordan_block_at_the_radius_warns(self):
+        # a 2-cycle feeding another: eigenvalue 1 twice in one Jordan block,
+        # so the iterate drifts towards the downstream pair only like 1/k
+        matrix = adjacency(make_case(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 1)]))
         with pytest.warns(RuntimeWarning, match="failed to converge"):
             ranking = eigenvector_order(matrix, seed=0)
-        assert ranking.warning in (
-            "power-iteration-fallback",
-            "power-iteration-no-convergence",
-        )
-        assert sorted(ranking.order) == sorted(matrix.ids)
+        assert ranking.warning == "power-iteration-no-convergence"
+        assert ranking.order[:2] == ("v02", "v03")
+        assert set(ranking.order[2:]) == {"v00", "v01"}
 
-    def test_a_cycling_first_pass_stops_early_with_the_same_iterate(self, data_dir):
-        class CountingMatrix(np.ndarray):
-            products = 0
-
-            def __matmul__(self, other):
-                CountingMatrix.products += 1
-                return np.asarray(self) @ other
-
-        a = build_adjacency(load_case(data_dir / "demo_gearbox_7.json")).a.astype(float)
-        vec, converged = _power_iteration(a.view(CountingMatrix))
-        assert not converged
-        assert CountingMatrix.products < 100
-        # stepping through every product reaches the same last iterate
-        v = np.full(a.shape[0], 1.0 / a.shape[0])
-        for _ in range(POWER_MAX_ITER):
-            nxt = a @ v
-            nxt = nxt / np.abs(nxt).sum()
-            assert np.abs(nxt - v).sum() >= POWER_TOL
-            v = nxt
-        assert vec.tobytes() == v.tobytes()
-
-    def test_oscillating_spectrum_falls_back(self):
-        # two suppliers feeding one consumer and back: period-2 iteration
-        matrix = adjacency(make_case(3, [(0, 2), (1, 2), (2, 0), (2, 1)]))
-        with pytest.warns(RuntimeWarning):
+    def test_keys_are_the_perron_vector(self, data_dir):
+        """Every bundled case and every golden analysis draw with a cycle,
+        periodic ones such as the gearbox (three eigenvalues of modulus
+        1.5511) included."""
+        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
+        rng = random.Random(2026)
+        for n, density in ANALYSIS_DRAWS:
+            matrix = build_adjacency(random_case(rng, n, density))
+            if _strong_components(matrix)[0] < n:
+                matrices.append(matrix)
+        assert len(matrices) > 10
+        for matrix in matrices:
             ranking = eigenvector_order(matrix, seed=0)
-        assert ranking.warning is not None
-        assert sorted(ranking.order) == sorted(matrix.ids)
+            assert ranking.warning is None
+            keys = np.array([ranking.primary_keys[node_id] for node_id in matrix.ids])
+            assert np.abs(keys - perron_vector(matrix)).max() < 1e-8
 
 
 class TestWalkExponential:
