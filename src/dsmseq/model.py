@@ -16,8 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 ALPHANUMERIC = string.ascii_uppercase + string.ascii_lowercase + string.digits
 ANON_ID_LENGTH = 5
@@ -284,6 +282,9 @@ class NetworkMetrics:
 
 
 def network_metrics(case: DsmCase) -> NetworkMetrics:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = case.n
     e = len(case.edges)
     # the edge indices alone: build_adjacency would fill a dense n x n matrix

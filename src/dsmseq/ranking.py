@@ -7,6 +7,11 @@ seeded random shuffle for whatever ties remain. Keys closer than a relative
 tolerance of 1e-9 count as tied. Each tie group is put in node (row) order
 before its shuffle, so the shuffle depends only on who is in the group, not
 on how differences below the tolerance happened to sort them.
+
+The walk-exponential keys are the row and column sums of exp(A), summed as
+its Taylor series on the ones vector with matrix-vector products only; the
+series stops once its terms no longer change the sums in float64, and a
+network whose exp(A) overflows float64 raises ValueError.
 """
 
 from __future__ import annotations
@@ -17,9 +22,6 @@ from dataclasses import dataclass
 from graphlib import TopologicalSorter
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .model import AdjacencyMatrix
 
@@ -77,20 +79,22 @@ def _rank(
 ) -> NodeRanking:
     rng = random.Random(seed)
     ids = matrix.ids
-    direction = 1.0 if ascending else -1.0
-    order_idx = sorted(range(matrix.n), key=lambda i: (direction * primary[i], i))
-    sorted_primary = [float(primary[i]) for i in order_idx]
+    primary_keys = primary.tolist()
+    secondary_keys = None if secondary is None else secondary.tolist()
+    # a stable sort, reversed or not, keeps equal keys in node order
+    order_idx = sorted(range(matrix.n), key=primary_keys.__getitem__, reverse=not ascending)
+    sorted_primary = [primary_keys[i] for i in order_idx]
 
     final: list[int] = []
     residual_groups: list[tuple[str, ...]] = []
     for group in _tie_partition(sorted_primary):
-        members = sorted(order_idx[g] for g in group)
-        if len(members) == 1:
-            final.extend(members)
+        if len(group) == 1:
+            final.append(order_idx[group[0]])
             continue
-        if secondary is not None:
-            members.sort(key=lambda i: (float(secondary[i]), i))
-            sub_groups = _tie_partition([float(secondary[i]) for i in members])
+        members = sorted(order_idx[g] for g in group)
+        if secondary_keys is not None:
+            members.sort(key=secondary_keys.__getitem__)
+            sub_groups = _tie_partition([secondary_keys[i] for i in members])
         else:
             sub_groups = [list(range(len(members)))]
         for sub in sub_groups:
@@ -103,10 +107,8 @@ def _rank(
     return NodeRanking(
         method=method,
         order=tuple(ids[i] for i in final),
-        primary_keys={ids[i]: float(primary[i]) for i in range(matrix.n)},
-        secondary_keys=(
-            None if secondary is None else {ids[i]: float(secondary[i]) for i in range(matrix.n)}
-        ),
+        primary_keys=dict(zip(ids, primary_keys)),
+        secondary_keys=None if secondary_keys is None else dict(zip(ids, secondary_keys)),
         tie_groups=tuple(residual_groups),
         warning=warning,
     )
@@ -127,6 +129,9 @@ def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool 
 
 def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
     """The number of strongly connected components and each node's label."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix(
         (np.ones(len(matrix.dep_idx), dtype=bool), (matrix.dep_idx, matrix.pred_idx)),
         shape=(matrix.n, matrix.n),
@@ -173,10 +178,39 @@ def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bo
     """Rank by row sums of exp(A); ties by column sums, then seeded RNG.
 
     exp(A) weights walks of length k by 1/k!, so the row sum aggregates a
-    node's inbound dependency chains of every length.
+    node's inbound dependency chains of every length. The sums are the
+    Taylor series on the ones vector, exp(A) 1 = sum_k A^k 1 / k! and
+    1^T exp(A) = sum_k 1^T A^k / k!, built term by term as r <- A r / k
+    and c <- c A / k. A is 0/1, so every term is nonnegative and the sums
+    cannot cancel. The series stops when both terms are all zero (an
+    acyclic network: the sum is exact), or once k exceeds the largest row
+    and column sum of A, where the tail shrinks geometrically, and no
+    entry of either term changes its sum in float64. A network whose
+    exp(A) overflows float64 (spectral radius above about 709) raises
+    ValueError.
     """
-    f = scipy.linalg.expm(matrix.a.astype(float))
-    return _walk_rank("walk-exponential", matrix, f, seed, ascending)
+    a = matrix.a.astype(float)
+    sums = np.ones((2, matrix.n))  # row sums, column sums
+    terms = sums.copy()
+    # past this k each term is at most its predecessor times bound / k
+    bound = max(a.sum(axis=1).max(initial=0), a.sum(axis=0).max(initial=0))
+    k = 0
+    with np.errstate(over="ignore"):  # an overflow raises below
+        while terms.any():
+            k += 1
+            terms /= k  # before the product, which could overflow first
+            terms[0] = a @ terms[0]
+            terms[1] = terms[1] @ a
+            total = sums + terms
+            if k > bound and (total == sums).all():
+                break
+            sums = total
+            if not np.isfinite(sums).all():
+                raise ValueError(
+                    f"exp(A) overflows float64 (a walk sum passed 1.8e308 after {k} "
+                    f"Taylor terms) at n={matrix.n}; rank this network another way"
+                )
+    return _rank("walk-exponential", matrix, sums[0], sums[1], seed, ascending)
 
 
 def walk_resolvent_order(

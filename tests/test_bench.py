@@ -7,6 +7,7 @@ import re
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dsmseq import (
@@ -17,10 +18,12 @@ from dsmseq import (
     build_adjacency,
     load_case,
     load_experiment_spec,
+    matrix_from_array,
     merge_curves,
     render_trajectory,
     run_experiment,
 )
+from dsmseq import bench
 from dsmseq.bench import (
     ALL_METHODS,
     DET_METHODS,
@@ -512,6 +515,24 @@ class TestRunExperiment:
         assert table.failures[0]["error"].startswith("ValueError: (I - delta*A) is near-singular")
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["failures"] == table.failures
+
+    def test_an_overflowing_exponential_cell_fails_alone(self, tmp_path, monkeypatch):
+        # the complete digraph on 720 nodes, whose exp(A) overflows float64;
+        # its 517,680 edges go in as a matrix, not through a case file
+        n = 720
+        path = write_case(tmp_path / "complete_720.json", make_case(n, []))
+        def complete(case):
+            return matrix_from_array(1 - np.eye(n, dtype=np.int64), case.node_ids)
+
+        monkeypatch.setattr(bench, "build_adjacency", complete)
+        spec = ExperimentSpec(
+            cases=[path], methods=["det-exp", "det-outin"], output_dir=tmp_path / "out", runs_per_method=1
+        )
+        table = run_experiment(spec)
+        assert len(scores_for(table, "complete_720", "det-outin")) == 1
+        assert [(f["method"], f["run"]) for f in table.failures] == [("det-exp", 0)]
+        assert table.failures[0]["error"].startswith("ValueError: exp(A) overflows float64")
+        assert table.failures[0]["error"].endswith("at n=720; rank this network another way")
 
     def test_ga_cells_past_the_node_limit_fail_alone(self, tmp_path):
         # the GA holds one byte per node; the deterministic cells still run

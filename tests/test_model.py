@@ -344,6 +344,34 @@ def networkx_metrics(case: DsmCase) -> NetworkMetrics:
     )
 
 
+def test_scoring_and_search_leave_scipy_out():
+    """scipy loads only where it is used: network metrics and the
+    strong-component rankings. Scoring, the GA, the LLM loop and the
+    walk-exponential ranking run without it."""
+    src = str(Path(dsmseq.__file__).resolve().parents[1])
+    code = (
+        "import sys, dsmseq\n"
+        "case = dsmseq.bundled_case('demo_gearbox_7')\n"
+        "matrix = dsmseq.build_adjacency(case)\n"
+        "reply = '<order> ' + ', '.join(reversed(case.node_ids)) + ' </order>'\n"
+        "cfg = dsmseq.OptimizerConfig(termination=dsmseq.TerminationPolicy(max_iterations=2), seed=0)\n"
+        "dsmseq.run_optimization(case, cfg, dsmseq.ScriptedProvider([reply, reply]))\n"
+        "dsmseq.run_ga(matrix, dsmseq.preset_config('balanced', seed=0, generations=5))\n"
+        "dsmseq.score_sequence(matrix, case.node_ids)\n"
+        "dsmseq.walk_exponential_order(matrix)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_import_leaves_networkx_out():
     src = str(Path(dsmseq.__file__).resolve().parents[1])
     code = "import sys, dsmseq; print('networkx' in sys.modules)"

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 import random
 import time
 import warnings
@@ -22,6 +21,7 @@ from dsmseq import (
     build_adjacency,
     eigenvector_order,
     load_case,
+    matrix_from_array,
     network_metrics,
     out_in_degree_order,
     reachability_closure,
@@ -38,15 +38,6 @@ PLASTIC_EDGES = [(1, 0), (2, 1), (0, 2), (2, 0)]
 
 def chain(n):
     return adjacency(make_case(n, [(i + 1, i) for i in range(n - 1)]))
-
-
-def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
-    total = np.eye(a.shape[0])
-    power = np.eye(a.shape[0])
-    for k in range(1, terms + 1):
-        power = power @ a
-        total = total + power / math.factorial(k)
-    return total
 
 
 def geometric_resolvent(a: np.ndarray, delta: float, terms: int = 60) -> np.ndarray:
@@ -266,17 +257,42 @@ class TestWalkExponential:
         assert ranking.primary_keys == {"v00": 1.0, "v01": 2.0}
         assert ranking.secondary_keys == {"v00": 2.0, "v01": 1.0}
 
-    def test_matches_taylor_series(self):
-        rng = random.Random(13)
-        for _ in range(15):
-            matrix = adjacency(random_case(rng, 6, 0.3))
+    def test_chain_sums_are_exact(self):
+        # nilpotent of index 4: the series ends after A^3, 1 + 1 + 1/2 + 1/6
+        ranking = walk_exponential_order(chain(4), seed=0)
+        assert ranking.order == ("v03", "v02", "v01", "v00")
+        assert ranking.primary_keys == {"v00": 1.0, "v01": 2.0, "v02": 5 / 2, "v03": 8 / 3}
+        assert ranking.secondary_keys == {"v00": 8 / 3, "v01": 5 / 2, "v02": 2.0, "v03": 1.0}
+
+    def test_matches_expm_row_and_column_sums(self, data_dir):
+        """Every bundled case and every golden analysis draw, the dense
+        (100, 0.3) draw with its 80-odd series terms included: the keys are
+        the row and column sums of scipy's expm, and so is the order. The
+        tolerance is expm's: on the dense draw its sums sit 2.2e-12 below a
+        long-double sum of the series, the keys 8e-16 from it."""
+        import scipy.linalg
+
+        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
+        rng = random.Random(2026)
+        matrices += [build_adjacency(random_case(rng, n, density)) for n, density in ANALYSIS_DRAWS]
+        for matrix in matrices:
             ranking = walk_exponential_order(matrix, seed=0)
-            oracle = taylor_expm(matrix.a.astype(float))
-            rows = oracle.sum(axis=1)
-            cols = oracle.sum(axis=0)
-            for idx, node_id in enumerate(matrix.ids):
-                assert ranking.primary_keys[node_id] == pytest.approx(rows[idx], rel=1e-9)
-                assert ranking.secondary_keys[node_id] == pytest.approx(cols[idx], rel=1e-9)
+            f = scipy.linalg.expm(matrix.a.astype(float))
+            rows, cols = f.sum(axis=1), f.sum(axis=0)
+            assert [ranking.primary_keys[i] for i in matrix.ids] == pytest.approx(rows.tolist(), rel=1e-11)
+            assert [ranking.secondary_keys[i] for i in matrix.ids] == pytest.approx(cols.tolist(), rel=1e-11)
+            assert ranking.order == _rank("walk-exponential", matrix, rows, cols, 0, False).order
+
+    def test_overflow_is_refused_quickly(self):
+        # the complete digraph on 720 nodes: exp(A) has row sums e^719
+        n = 720
+        matrix = matrix_from_array(1 - np.eye(n, dtype=np.int64), tuple(f"v{i:03d}" for i in range(n)))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the ValueError is the one report
+            with pytest.raises(ValueError, match="exp\\(A\\) overflows float64 .* at n=720"):
+                walk_exponential_order(matrix)
+        assert time.perf_counter() - start < 2.0
 
     def test_row_ties_break_by_column_sums_ascending(self):
         # v02 and v03 share the row aggregate; v03 feeds nothing downstream
