@@ -1,8 +1,9 @@
 """Run every deterministic ranking on the packaging-line network.
 
 Each method sorts nodes by a matrix-derived key (degree balance, dominant
-eigenvector weight, walk counts, reachability) instead of searching. They
-are fast, reproducible, and usually land near but not on the optimum.
+eigenvector weight, walk counts, reachability), oriented so that suppliers
+come first, instead of searching. They are fast and reproducible: on this
+network they leave 18 to 20 feedback dependencies, against an optimum of 12.
 """
 
 from dsmseq import DETERMINISTIC_METHODS, build_adjacency, bundled_case, score_sequence

@@ -29,8 +29,6 @@ from .ranking import DETERMINISTIC_METHODS
 from .scoring import reorder_matrix, score_sequence
 from .solutions import TerminationPolicy
 
-CONVERGENCE_WINDOW = 10_000
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -45,7 +43,6 @@ class ExperimentSpec:
     trial_budgets: list[int] = field(default_factory=lambda: [1, 5, 20])
     base_seed: int = 0
     ga_generations: int = GENERATIONS_DEFAULT
-    ascending: bool = False
     # an instance with .complete, or a zero-arg factory returning one per run
     provider: object = None
 
@@ -63,8 +60,6 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (isinstance(value, list) and all(map(ok, value))):
                 raise ValueError(f"{name} must be a list of {what}, got {value!r}")
-        if not isinstance(self.ascending, bool):
-            raise ValueError(f"ascending must be a bool, got {self.ascending!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         if self.runs_per_method < 1:
@@ -203,7 +198,7 @@ class CellResult:
 def _deterministic_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, key: str
 ) -> CellResult:
-    ranking = DETERMINISTIC_METHODS[key](matrix, seed=seed, ascending=spec.ascending)
+    ranking = DETERMINISTIC_METHODS[key](matrix, seed=seed)
     return CellResult(scores={None: score_sequence(matrix, ranking.order)})
 
 
@@ -213,10 +208,7 @@ def _ga_cell(
     cfg = preset_config(preset, seed=seed, generations=spec.ga_generations)
     # nothing beats the known optimum, so the generations after it are waste
     best, curve = run_ga(matrix, cfg, stop_score=case.known_optimum)
-    return CellResult(
-        scores={None: best.score},
-        curve=[(x, y) for x, y in curve if x <= CONVERGENCE_WINDOW],
-    )
+    return CellResult(scores={None: best.score}, curve=curve)
 
 
 def run_llm(case: DsmCase, seed: int, knowledge_mode: str, iterations: int, provider,
@@ -381,7 +373,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "trial_budgets": list(spec.trial_budgets),
         "base_seed": spec.base_seed,
         "ga_generations": spec.ga_generations,
-        "ascending": spec.ascending,
         "seed_derivation": "base_seed + run_index",
         "seeds": seeds_used,
         "failures": failures,

@@ -64,7 +64,7 @@ def _cmd_baseline(args) -> int:
         raise ValueError(
             f"unknown baseline {args.method!r}; choose from {sorted(DETERMINISTIC_METHODS)}"
         )
-    ranking = DETERMINISTIC_METHODS[method](matrix, seed=args.seed, ascending=args.ascending)
+    ranking = DETERMINISTIC_METHODS[method](matrix, seed=args.seed)
     payload = ranking.to_dict()
     payload["score"] = score_sequence(matrix, ranking.order)
     _emit(payload)
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("method", help=f"one of {sorted(DETERMINISTIC_METHODS)} (det- prefix ok)")
     p.add_argument("--case", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ascending", action="store_true",
-                   help="rank ascending by primary key instead of descending")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ga", help="run the genetic algorithm")

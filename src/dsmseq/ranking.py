@@ -1,17 +1,19 @@
 """Deterministic node orderings from degree and walk-based matrix functions.
 
-All five methods produce a full ordering of the node ids. Ranking runs on a
-primary key per node (descending by default, so aggregate "supplier" scores
-come first), then a secondary key where the method defines one, then a
-seeded random shuffle for whatever ties remain. Keys closer than a relative
+a[i][j] = 1 means node i depends on node j, so a column sum counts what
+draws on a node and a row sum what it draws on. Every primary key is
+oriented so that larger means more of the network depends on the node,
+and one descending sort puts supplier scores first. The walk methods break
+ties by a secondary key ascending, their row sums, and a seeded random
+shuffle settles whatever ties remain. Keys closer than a relative
 tolerance of 1e-9 count as tied. Each tie group is put in node (row) order
 before its shuffle, so the shuffle depends only on who is in the group, not
 on how differences below the tolerance happened to sort them.
 
-The walk-exponential keys are the row and column sums of exp(A), summed as
-its Taylor series on the ones vector with matrix-vector products only; the
-series stops once its terms no longer change the sums in float64, and a
-network whose exp(A) overflows float64 raises ValueError.
+The walk-exponential keys are the column and row sums of exp(A), summed
+as its Taylor series on the ones vector with matrix-vector products only;
+the series stops once its terms no longer change the sums in float64, and
+a network whose exp(A) overflows float64 raises ValueError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import AdjacencyMatrix
 KEY_TOLERANCE = 1e-9
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
-DEFAULT_DELTA = 0.025
+DELTA = 0.025
 CONDITION_LIMIT = 1e12
 
 
@@ -74,15 +76,14 @@ def _rank(
     primary: np.ndarray,
     secondary: np.ndarray | None,
     seed: int,
-    ascending: bool,
     warning: str | None = None,
 ) -> NodeRanking:
     rng = random.Random(seed)
     ids = matrix.ids
     primary_keys = primary.tolist()
     secondary_keys = None if secondary is None else secondary.tolist()
-    # a stable sort, reversed or not, keeps equal keys in node order
-    order_idx = sorted(range(matrix.n), key=primary_keys.__getitem__, reverse=not ascending)
+    # a stable sort, reversed too, keeps equal keys in node order
+    order_idx = sorted(range(matrix.n), key=primary_keys.__getitem__, reverse=True)
     sorted_primary = [primary_keys[i] for i in order_idx]
 
     final: list[int] = []
@@ -114,17 +115,17 @@ def _rank(
     )
 
 
-def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
+def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     """Rank by out-degree minus in-degree.
 
     A node's out-degree counts edges where it is the predecessor (its column
     sum); in-degree counts edges where it is the dependent (its row sum).
-    Descending puts pure prerequisite suppliers first.
+    The balance is largest for pure prerequisite suppliers, which come first.
     """
     a = matrix.a
     out_deg = a.sum(axis=0).astype(float)
     in_deg = a.sum(axis=1).astype(float)
-    return _rank("out-in-degree", matrix, out_deg - in_deg, None, seed, ascending)
+    return _rank("out-in-degree", matrix, out_deg - in_deg, None, seed)
 
 
 def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
@@ -139,14 +140,16 @@ def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
     return connected_components(graph, directed=True, connection="strong")
 
 
-def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
-    """Rank by the dominant eigenvector of the dependency matrix.
+def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
+    """Rank by the dominant left eigenvector of the dependency matrix.
 
-    Power iteration on A + I from the uniform vector, each iterate scaled
+    The left Perron vector solves v A = rho v: a node weighs the summed
+    weight of the nodes that depend on it, so suppliers rank first. Power
+    iteration v <- v (A + I) from the uniform vector, each iterate scaled
     to 1-norm 1, until one step moves it by less than 1e-10 in the 1-norm,
-    for at most 10,000 steps. A + I has the eigenvectors of A, and the shift
-    moves every eigenvalue but the spectral radius strictly inside its
-    circle, so periodic networks converge too. A run that still does not
+    for at most 10,000 steps. A + I has the left eigenvectors of A, and
+    the shift moves every eigenvalue but the spectral radius strictly
+    inside its circle, so periodic networks converge too. A run that still does not
     converge (a Jordan block at the spectral radius) keeps its last iterate,
     warns and sets warning "power-iteration-no-convergence". An acyclic
     network (every strongly connected component a single node) has only
@@ -156,29 +159,30 @@ def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = 
     n = matrix.n
     count, _ = _strong_components(matrix)
     if count == n:
-        return _rank("eigenvector", matrix, np.zeros(n), None, seed, ascending, warning="acyclic")
+        return _rank("eigenvector", matrix, np.zeros(n), None, seed, warning="acyclic")
 
     shifted = matrix.a + np.eye(n)
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        nxt = shifted @ v
+        nxt = v @ shifted
         nxt /= nxt.sum()  # every entry stays positive
         if np.abs(nxt - v).sum() < POWER_TOL:
-            return _rank("eigenvector", matrix, nxt, None, seed, ascending)
+            return _rank("eigenvector", matrix, nxt, None, seed)
         v = nxt
     warnings.warn("power iteration on A + I failed to converge", RuntimeWarning, stacklevel=2)
-    return _rank("eigenvector", matrix, v, None, seed, ascending, warning="power-iteration-no-convergence")
+    return _rank("eigenvector", matrix, v, None, seed, warning="power-iteration-no-convergence")
 
 
-def _walk_rank(method: str, matrix: AdjacencyMatrix, f: np.ndarray, seed: int, ascending: bool) -> NodeRanking:
-    return _rank(method, matrix, f.sum(axis=1), f.sum(axis=0), seed, ascending)
+def _walk_rank(method: str, matrix: AdjacencyMatrix, f: np.ndarray, seed: int) -> NodeRanking:
+    """Column sums of f first (what leaves a node), row sums on ties."""
+    return _rank(method, matrix, f.sum(axis=0), f.sum(axis=1), seed)
 
 
-def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
-    """Rank by row sums of exp(A); ties by column sums, then seeded RNG.
+def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
+    """Rank by column sums of exp(A); ties by row sums, then seeded RNG.
 
-    exp(A) weights walks of length k by 1/k!, so the row sum aggregates a
-    node's inbound dependency chains of every length. The sums are the
+    exp(A) weights walks of length k by 1/k!, so the column sum aggregates
+    the dependency chains of every length that leave a node. The sums are the
     Taylor series on the ones vector, exp(A) 1 = sum_k A^k 1 / k! and
     1^T exp(A) = sum_k 1^T A^k / k!, built term by term as r <- A r / k
     and c <- c A / k. A is 0/1, so every term is nonnegative and the sums
@@ -210,22 +214,20 @@ def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bo
                     f"exp(A) overflows float64 (a walk sum passed 1.8e308 after {k} "
                     f"Taylor terms) at n={matrix.n}; rank this network another way"
                 )
-    return _rank("walk-exponential", matrix, sums[0], sums[1], seed, ascending)
+    return _rank("walk-exponential", matrix, sums[1], sums[0], seed)
 
 
-def walk_resolvent_order(
-    matrix: AdjacencyMatrix,
-    delta: float = DEFAULT_DELTA,
-    seed: int = 0,
-    ascending: bool = False,
-) -> NodeRanking:
-    """Rank by row sums of (I - delta*A)^-1, the attenuated-walk aggregate.
+def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
+    """Rank by column sums of (I - delta*A)^-1, Katz's attenuated-walk
+    aggregate of the chains that leave a node; ties by row sums, then
+    seeded RNG.
 
-    delta plays the role of an edge traversal probability; the series
-    converges when delta times the spectral radius stays below 1.
+    delta = DELTA = 0.025 plays the role of an edge traversal probability;
+    the series converges when delta times the spectral radius stays below
+    1. A system whose 1-norm condition passes 1e12 raises ValueError.
     """
     a = matrix.a.astype(float)
-    system = np.eye(matrix.n) - delta * a
+    system = np.eye(matrix.n) - DELTA * a
     # the 1-norm condition as np.linalg.cond(system, 1) computes it, from
     # the one inverse that also gives the keys
     try:
@@ -235,10 +237,10 @@ def walk_resolvent_order(
         condition = np.inf
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise ValueError(
-            f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}) "
-            f"at delta={delta:g}; pass a smaller one as walk_resolvent_order(..., delta=...)"
+            f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}, "
+            f"delta {DELTA:g}) at n={matrix.n}; rank this network another way"
         )
-    return _walk_rank("walk-resolvent", matrix, f, seed, ascending)
+    return _walk_rank("walk-resolvent", matrix, f, seed)
 
 
 def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
@@ -264,11 +266,12 @@ def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
     return reach[labels].astype(np.int64)
 
 
-def visibility_order(matrix: AdjacencyMatrix, seed: int = 0, ascending: bool = False) -> NodeRanking:
-    """Rank by row sums of the reachability closure (all path-based
-    dependencies, binarized); ties by column sums, then seeded RNG."""
+def visibility_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
+    """Rank by column sums of the reachability closure, the number of
+    nodes that depend on a node by some path; ties by row sums (the nodes
+    it depends on), then seeded RNG."""
     f = reachability_closure(matrix)
-    return _walk_rank("visibility", matrix, f.astype(float), seed, ascending)
+    return _walk_rank("visibility", matrix, f.astype(float), seed)
 
 
 DETERMINISTIC_METHODS = {

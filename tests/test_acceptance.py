@@ -213,8 +213,8 @@ def test_04_matrix_function_oracles():
                 power = power @ a
                 taylor = taylor + power / math.factorial(k)
             exp_keys = walk_exponential_order(matrix, seed=0).primary_keys
-            exp_rows = np.array([exp_keys[i] for i in matrix.ids])
-            assert np.allclose(exp_rows, taylor.sum(axis=1), rtol=1e-9, atol=1e-9)
+            exp_cols = np.array([exp_keys[i] for i in matrix.ids])
+            assert np.allclose(exp_cols, taylor.sum(axis=0), rtol=1e-9, atol=1e-9)
 
             geometric = np.eye(n)
             power = np.eye(n)
@@ -222,8 +222,8 @@ def test_04_matrix_function_oracles():
                 power = power @ (0.025 * a)
                 geometric = geometric + power
             res_keys = walk_resolvent_order(matrix, seed=0).primary_keys
-            res_rows = np.array([res_keys[i] for i in matrix.ids])
-            assert np.allclose(res_rows, geometric.sum(axis=1), rtol=1e-9, atol=1e-9)
+            res_cols = np.array([res_keys[i] for i in matrix.ids])
+            assert np.allclose(res_cols, geometric.sum(axis=0), rtol=1e-9, atol=1e-9)
 
             closure = reachability_closure(matrix)
             reach = np.eye(n, dtype=np.int64)
@@ -240,10 +240,10 @@ def test_04_matrix_function_oracles():
                 for target in seen:
                     reach[target, start] = 1
             assert np.array_equal(closure, reach)
-            # and the ranking built on it uses exactly those row sums
+            # and the ranking built on it uses exactly those column sums
             vis_keys = visibility_order(matrix, seed=0).primary_keys
-            vis_rows = np.array([vis_keys[i] for i in matrix.ids])
-            assert np.array_equal(vis_rows, reach.sum(axis=1).astype(float))
+            vis_cols = np.array([vis_keys[i] for i in matrix.ids])
+            assert np.array_equal(vis_cols, reach.sum(axis=0).astype(float))
 
 
 def test_05_prompt_golden_files():

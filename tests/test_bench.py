@@ -32,7 +32,8 @@ from dsmseq.bench import (
     _ga_cell,
     step_value,
 )
-from dsmseq.ga import preset_config, run_ga
+from dsmseq.ga import GENERATIONS_DEFAULT, preset_config, run_ga
+from dsmseq.scoring import feedback_count
 from conftest import make_case, naive_score, write_case
 
 
@@ -152,8 +153,6 @@ class TestSpec:
             ("methods", [1], "a list of strs"),
             ("cases", "x.json", "a list of paths"),
             ("cases", [3], "a list of paths"),
-            ("ascending", "yes", "a bool"),
-            ("ascending", 0, "a bool"),
             ("output_dir", 3, "a path"),
         ],
     )
@@ -216,6 +215,8 @@ class TestSpec:
         [
             ({"runs_per_methods": 2, "method": ["det-outin"]}, ["method", "runs_per_methods"]),
             ({"provider": "scripted"}, ["provider"]),
+            # the rankings all sort one way, so the direction is no longer a field
+            ({"ascending": True}, ["ascending"]),
         ],
     )
     def test_unknown_keys_name_spec_and_keys(self, data_dir, tmp_path, extra, unknown):
@@ -353,7 +354,6 @@ class TestRunExperiment:
             "trial_budgets",
             "base_seed",
             "ga_generations",
-            "ascending",
             "seed_derivation",
             "seeds",
             "failures",
@@ -385,13 +385,33 @@ class TestRunExperiment:
         rows = read_csv(out / "results.csv")
         assert [int(r[4]) for r in rows[1:]] == [100, 101, 102]
 
-    def test_ga_curves_respect_truncation_window(self, data_dir, tmp_path, monkeypatch):
-        monkeypatch.setattr("dsmseq.bench.CONVERGENCE_WINDOW", 5)
+    @pytest.mark.parametrize("case, seed", [("espresso_machine_13", 4), ("irrigation_network_17", 2)])
+    def test_ga_curves_end_at_the_run_result(self, data_dir, tmp_path, monkeypatch, case, seed):
+        """Runs that improve past 10,000 distinct orders (10,873 and 17,271
+        here): the curve's last row is the run's count of distinct orders,
+        counted at the scoring kernel, and its results.csv score."""
+        scored = []
+
+        def counting(matrix, stack):
+            scored.append(len(stack))
+            return feedback_count(matrix, stack)
+
+        monkeypatch.setattr("dsmseq.ga.feedback_count", counting)
         out = tmp_path / "out"
-        run_experiment(self.make_spec(data_dir, out, methods=["ga-balanced"], runs_per_method=1))
-        rows = read_csv(out / "convergence" / "demo_gearbox_7__ga-balanced__run0.csv")
-        assert rows[0] == ["unique_count", "best_score"]
-        assert all(int(r[0]) <= 5 for r in rows[1:])
+        spec = self.make_spec(
+            data_dir,
+            out,
+            cases=[data_dir / f"{case}.json"],
+            methods=["ga-exploration"],
+            runs_per_method=1,
+            base_seed=seed,
+            ga_generations=GENERATIONS_DEFAULT,
+        )
+        run_experiment(spec)
+        rows = read_csv(out / "convergence" / f"{case}__ga-exploration__run0.csv")
+        score = read_csv(out / "results.csv")[1][5]
+        assert rows[-1] == [str(sum(scored)), score]
+        assert sum(scored) > 10_000
 
     def test_llm_cells_write_traces_in_original_ids(self, data_dir, tmp_path):
         out = tmp_path / "out"

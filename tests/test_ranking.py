@@ -25,6 +25,7 @@ from dsmseq import (
     network_metrics,
     out_in_degree_order,
     reachability_closure,
+    score_sequence,
     visibility_order,
     walk_exponential_order,
     walk_resolvent_order,
@@ -50,10 +51,11 @@ def geometric_resolvent(a: np.ndarray, delta: float, terms: int = 60) -> np.ndar
 
 
 def perron_vector(matrix) -> np.ndarray:
-    """The eigenvector of the Perron root from the dense eigensolver, scaled
-    to 1-norm 1. The root is real and no eigenvalue has a larger real part,
-    while -rho (on a periodic network) has the same modulus."""
-    values, vectors = np.linalg.eig(matrix.a.astype(float))
+    """The Perron vector of A^T (the left Perron vector of A) from the dense
+    eigensolver, scaled to 1-norm 1. The root is real and no eigenvalue has
+    a larger real part, while -rho (on a periodic network) has the same
+    modulus."""
+    values, vectors = np.linalg.eig(matrix.a.T.astype(float))
     vector = np.abs(np.real(vectors[:, np.argmax(values.real)]))
     return vector / vector.sum()
 
@@ -105,11 +107,11 @@ class TestRank:
         secondary = np.array(self.SECONDARY) if with_secondary else None
         rng = random.Random(3)
         for seed in range(5):
-            exact = _rank("m", matrix, np.array(self.TIE_KEYS), secondary, seed, False)
+            exact = _rank("m", matrix, np.array(self.TIE_KEYS), secondary, seed)
             assert len(exact.tie_groups) >= 2
             for _ in range(20):
                 noisy_secondary = None if secondary is None else self.jitter(secondary, rng)
-                noisy = _rank("m", matrix, self.jitter(self.TIE_KEYS, rng), noisy_secondary, seed, False)
+                noisy = _rank("m", matrix, self.jitter(self.TIE_KEYS, rng), noisy_secondary, seed)
                 assert (noisy.order, noisy.tie_groups) == (exact.order, exact.tie_groups)
 
 
@@ -143,13 +145,6 @@ class TestOutInDegree:
             keys = [ranking.primary_keys[i] for i in ranking.order]
             assert all(a >= b for a, b in zip(keys, keys[1:]))
 
-    def test_ascending_reverses_a_tie_free_order(self):
-        matrix = adjacency(make_case(3, PLASTIC_EDGES))
-        down = out_in_degree_order(matrix, seed=0)
-        up = out_in_degree_order(matrix, seed=0, ascending=True)
-        if not down.tie_groups:  # tie-free: exact mirror
-            assert up.order == tuple(reversed(down.order))
-
 
 class TestEigenvector:
     def test_matches_dense_eigensolver(self):
@@ -161,10 +156,11 @@ class TestEigenvector:
             assert ranking.primary_keys[node_id] == pytest.approx(oracle[idx], abs=1e-8)
 
     def test_plastic_case_order(self):
-        # eigenvector entries solve v1 = v0/lam, v2 = lam*v0 with lam ~ 1.3247
+        # left eigenvector entries solve v2 = v0/lam, v1 = v0/lam^2 with
+        # lam ~ 1.3247: v0 feeds both others
         matrix = adjacency(make_case(3, PLASTIC_EDGES))
         ranking = eigenvector_order(matrix, seed=0)
-        assert ranking.order == ("v02", "v00", "v01")
+        assert ranking.order == ("v00", "v02", "v01")
         assert ranking.tie_groups == ()
 
     def test_keys_are_one_norm_normalized(self):
@@ -222,13 +218,14 @@ class TestEigenvector:
 
     def test_jordan_block_at_the_radius_warns(self):
         # a 2-cycle feeding another: eigenvalue 1 twice in one Jordan block,
-        # so the iterate drifts towards the downstream pair only like 1/k
+        # so the iterate drifts towards the upstream pair only like 1/k;
+        # v01, which v02 draws on directly, leads
         matrix = adjacency(make_case(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 1)]))
         with pytest.warns(RuntimeWarning, match="failed to converge"):
             ranking = eigenvector_order(matrix, seed=0)
         assert ranking.warning == "power-iteration-no-convergence"
-        assert ranking.order[:2] == ("v02", "v03")
-        assert set(ranking.order[2:]) == {"v00", "v01"}
+        assert ranking.order[:2] == ("v01", "v00")
+        assert set(ranking.order[2:]) == {"v02", "v03"}
 
     def test_keys_are_the_perron_vector(self, data_dir):
         """Every bundled case and every golden analysis draw with a cycle,
@@ -253,23 +250,24 @@ class TestWalkExponential:
         # nilpotent of index 2: exp(A) is exactly I + A
         matrix = adjacency(make_case(2, [(1, 0)]))
         ranking = walk_exponential_order(matrix, seed=0)
-        assert ranking.order == ("v01", "v00")
-        assert ranking.primary_keys == {"v00": 1.0, "v01": 2.0}
-        assert ranking.secondary_keys == {"v00": 2.0, "v01": 1.0}
+        assert ranking.order == ("v00", "v01")
+        assert ranking.primary_keys == {"v00": 2.0, "v01": 1.0}
+        assert ranking.secondary_keys == {"v00": 1.0, "v01": 2.0}
 
     def test_chain_sums_are_exact(self):
         # nilpotent of index 4: the series ends after A^3, 1 + 1 + 1/2 + 1/6
         ranking = walk_exponential_order(chain(4), seed=0)
-        assert ranking.order == ("v03", "v02", "v01", "v00")
-        assert ranking.primary_keys == {"v00": 1.0, "v01": 2.0, "v02": 5 / 2, "v03": 8 / 3}
-        assert ranking.secondary_keys == {"v00": 8 / 3, "v01": 5 / 2, "v02": 2.0, "v03": 1.0}
+        assert ranking.order == ("v00", "v01", "v02", "v03")
+        assert ranking.primary_keys == {"v00": 8 / 3, "v01": 5 / 2, "v02": 2.0, "v03": 1.0}
+        assert ranking.secondary_keys == {"v00": 1.0, "v01": 2.0, "v02": 5 / 2, "v03": 8 / 3}
 
     def test_matches_expm_row_and_column_sums(self, data_dir):
         """Every bundled case and every golden analysis draw, the dense
         (100, 0.3) draw with its 80-odd series terms included: the keys are
         the row and column sums of scipy's expm, and so is the order. The
         tolerance is expm's: on the dense draw its sums sit 2.2e-12 below a
-        long-double sum of the series, the keys 8e-16 from it."""
+        long-double sum of the series, the keys 8e-16 from it. The column
+        sums are the primary key, the row sums the secondary."""
         import scipy.linalg
 
         matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
@@ -279,9 +277,9 @@ class TestWalkExponential:
             ranking = walk_exponential_order(matrix, seed=0)
             f = scipy.linalg.expm(matrix.a.astype(float))
             rows, cols = f.sum(axis=1), f.sum(axis=0)
-            assert [ranking.primary_keys[i] for i in matrix.ids] == pytest.approx(rows.tolist(), rel=1e-11)
-            assert [ranking.secondary_keys[i] for i in matrix.ids] == pytest.approx(cols.tolist(), rel=1e-11)
-            assert ranking.order == _rank("walk-exponential", matrix, rows, cols, 0, False).order
+            assert [ranking.primary_keys[i] for i in matrix.ids] == pytest.approx(cols.tolist(), rel=1e-11)
+            assert [ranking.secondary_keys[i] for i in matrix.ids] == pytest.approx(rows.tolist(), rel=1e-11)
+            assert ranking.order == _rank("walk-exponential", matrix, cols, rows, 0).order
 
     def test_overflow_is_refused_quickly(self):
         # the complete digraph on 720 nodes: exp(A) has row sums e^719
@@ -294,10 +292,10 @@ class TestWalkExponential:
                 walk_exponential_order(matrix)
         assert time.perf_counter() - start < 2.0
 
-    def test_row_ties_break_by_column_sums_ascending(self):
-        # v02 and v03 share the row aggregate; v03 feeds nothing downstream
-        # so its column sum is smaller and it ranks first
-        matrix = adjacency(make_case(4, [(2, 0), (2, 1), (3, 2)]))
+    def test_column_ties_break_by_row_sums_ascending(self):
+        # v03 -> v02 -> {v00, v01}: v02 and v03 share the column sum 3;
+        # v03 draws on nothing, so its row sum is smaller and it ranks first
+        matrix = adjacency(make_case(4, [(0, 2), (1, 2), (2, 3)]))
         ranking = walk_exponential_order(matrix, seed=9)
         assert ranking.order[:2] == ("v03", "v02")
         assert set(ranking.order[2:]) == {"v00", "v01"}
@@ -312,25 +310,24 @@ class TestWalkResolvent:
             matrix = adjacency(random_case(rng, 6, 0.3))
             ranking = walk_resolvent_order(matrix, seed=0)
             oracle = geometric_resolvent(matrix.a.astype(float), 0.025)
-            rows = oracle.sum(axis=1)
+            cols, rows = oracle.sum(axis=0), oracle.sum(axis=1)
             for idx, node_id in enumerate(matrix.ids):
-                assert ranking.primary_keys[node_id] == pytest.approx(rows[idx], rel=1e-9)
+                assert ranking.primary_keys[node_id] == pytest.approx(cols[idx], rel=1e-9)
+                assert ranking.secondary_keys[node_id] == pytest.approx(rows[idx], rel=1e-9)
 
-    def test_default_delta(self):
-        matrix = chain(5)
-        assert walk_resolvent_order(matrix).order == walk_resolvent_order(matrix, delta=0.025).order
-
-    def test_exactly_singular_system_is_rejected(self):
+    def test_exactly_singular_system_is_rejected(self, monkeypatch):
         matrix = adjacency(make_case(2, [(0, 1), (1, 0)]))  # eigenvalues +-1
+        monkeypatch.setattr("dsmseq.ranking.DELTA", 1.0)
         with pytest.raises(ValueError, match="near-singular"):
-            walk_resolvent_order(matrix, delta=1.0)
+            walk_resolvent_order(matrix)
 
-    def test_nearly_singular_system_is_rejected(self):
+    def test_nearly_singular_system_is_rejected(self, monkeypatch):
         matrix = adjacency(make_case(2, [(0, 1), (1, 0)]))
+        monkeypatch.setattr("dsmseq.ranking.DELTA", 1.0 - 1e-13)
         with pytest.raises(ValueError, match="near-singular"):
-            walk_resolvent_order(matrix, delta=1.0 - 1e-13)
+            walk_resolvent_order(matrix)
 
-    def test_refusal_boundary_and_keys_follow_cond_and_solve(self):
+    def test_refusal_boundary_and_keys_follow_cond_and_solve(self, monkeypatch):
         """The refusal and the keys agree with np.linalg.cond(system, 1)
         and np.linalg.solve(system, I), bit for bit. On the 2-cycle the
         condition is (1 + delta) / (1 - delta): 2.0e13 at 1 - 1e-13,
@@ -343,19 +340,20 @@ class TestWalkResolvent:
             systems += [(matrix, delta) for delta in (0.025, 0.5, 1.0)]
         outcomes = []
         for matrix, delta in systems:
+            monkeypatch.setattr("dsmseq.ranking.DELTA", delta)
             system = np.eye(matrix.n) - delta * matrix.a
             condition = np.linalg.cond(system, 1)
             refused = not np.isfinite(condition) or condition > CONDITION_LIMIT
             outcomes.append(refused)
             if refused:
                 with pytest.raises(ValueError, match="near-singular") as caught:
-                    walk_resolvent_order(matrix, delta=delta)
-                assert f"(1-norm condition {condition:.3g})" in str(caught.value)
+                    walk_resolvent_order(matrix)
+                assert f"(1-norm condition {condition:.3g}, delta {delta:g})" in str(caught.value)
                 continue
-            ranking = walk_resolvent_order(matrix, delta=delta)
+            ranking = walk_resolvent_order(matrix)
             f = np.linalg.solve(system, np.eye(matrix.n))
-            assert list(ranking.primary_keys.values()) == f.sum(axis=1).tolist()
-            assert list(ranking.secondary_keys.values()) == f.sum(axis=0).tolist()
+            assert list(ranking.primary_keys.values()) == f.sum(axis=0).tolist()
+            assert list(ranking.secondary_keys.values()) == f.sum(axis=1).tolist()
         assert outcomes[:4] == [True, True, True, False]
         assert 0 < sum(outcomes[4:]) < len(outcomes) - 4
 
@@ -367,7 +365,7 @@ class TestVisibility:
         assert closure.sum(axis=1).tolist() == [1, 2, 3, 4, 5]
         assert closure.sum(axis=0).tolist() == [5, 4, 3, 2, 1]
         ranking = visibility_order(matrix, seed=0)
-        assert ranking.order == ("v04", "v03", "v02", "v01", "v00")
+        assert ranking.order == ("v00", "v01", "v02", "v03", "v04")
         assert ranking.tie_groups == ()
 
     def test_closure_matches_graph_reachability(self):
@@ -443,13 +441,6 @@ class TestSharedBehavior:
             if not a.tie_groups and not b.tie_groups:
                 assert a.order == b.order
 
-    def test_ascending_mirrors_tie_free_walk_order(self):
-        matrix = adjacency(make_case(3, PLASTIC_EDGES))
-        down = walk_resolvent_order(matrix, seed=0)
-        up = walk_resolvent_order(matrix, seed=0, ascending=True)
-        assert down.tie_groups == ()
-        assert up.order == tuple(reversed(down.order))
-
     def test_to_dict_round_trip_shape(self):
         ranking = out_in_degree_order(chain(4), seed=0)
         as_dict = ranking.to_dict()
@@ -457,6 +448,46 @@ class TestSharedBehavior:
         assert as_dict["order"] == list(ranking.order)
         assert as_dict["warning"] is None
         assert isinstance(as_dict["tie_groups"], list)
+
+
+class TestOrientation:
+    """Every primary key is larger for a node more of the network depends
+    on, so one descending sort puts suppliers before their dependents."""
+
+    def test_visibility_puts_every_dag_in_dependency_order(self):
+        # on an acyclic network a predecessor reaches its dependent and all
+        # that the dependent reaches, so its column sum is strictly larger
+        rng = random.Random(53)
+        for _ in range(30):
+            n = rng.randrange(2, 101)
+            labels = rng.sample(range(n), n)  # node order is no topological order
+            density = rng.choice([0.02, 0.05, 0.2])
+            pairs = [(labels[d], labels[p]) for d in range(n) for p in range(d) if rng.random() < density]
+            matrix = adjacency(make_case(n, pairs))
+            assert score_sequence(matrix, visibility_order(matrix, seed=0).order) == 0
+
+    @pytest.mark.parametrize("name", ["exp", "resolvent"])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_walk_rankings_run_a_chain_from_its_source(self, name, n):
+        # node i's column sum exceeds node i + 1's by the weight of one walk
+        # of length n - 1 - i; past n = 6 (0.025^6 = 2.4e-10) the
+        # resolvent's weights fall below the tie tolerance
+        ranking = DETERMINISTIC_METHODS[name](chain(n), seed=0)
+        assert ranking.order == tuple(f"v{i:02d}" for i in range(n))
+        assert ranking.tie_groups == ()
+
+    def test_walk_rankings_beat_a_random_order(self, data_dir):
+        """Over the bundled cases and the golden analysis draws, each walk
+        ranking leaves fewer feedbacks than half the edges, the mean score
+        of a random order."""
+        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
+        rng = random.Random(2026)
+        matrices += [build_adjacency(random_case(rng, n, density)) for n, density in ANALYSIS_DRAWS]
+        half = sum(len(m.dep_idx) for m in matrices) / 2
+        for name in ("eig", "exp", "resolvent", "visibility"):
+            with quiet_runtime_warnings():
+                total = sum(score_sequence(m, DETERMINISTIC_METHODS[name](m, seed=0).order) for m in matrices)
+            assert total < half, (name, total, half)
 
 
 # (n, density) of the golden analysis draws: sparse draws leave the network
