@@ -14,6 +14,14 @@ The walk-exponential keys are the column and row sums of exp(A), summed
 as its Taylor series on the ones vector with matrix-vector products only;
 the series stops once its terms no longer change the sums in float64, and
 a network whose exp(A) overflows float64 raises ValueError.
+
+The walk-resolvent keys are the column and row sums of (I - delta*A)^-1,
+found as two solves on the ones vector with one LU factorisation; no
+inverse is formed. I - delta*A is a Z-matrix, so positive row sums prove
+it a nonsingular M-matrix (delta times the spectral radius below 1). A
+network whose row sums are not all positive has a divergent walk series,
+and one whose system has a 1-norm condition above 1e12 is near-singular;
+both raise ValueError.
 """
 
 from __future__ import annotations
@@ -173,11 +181,6 @@ def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     return _rank("eigenvector", matrix, v, None, seed, warning="power-iteration-no-convergence")
 
 
-def _walk_rank(method: str, matrix: AdjacencyMatrix, f: np.ndarray, seed: int) -> NodeRanking:
-    """Column sums of f first (what leaves a node), row sums on ties."""
-    return _rank(method, matrix, f.sum(axis=0), f.sum(axis=1), seed)
-
-
 def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     """Rank by column sums of exp(A); ties by row sums, then seeded RNG.
 
@@ -222,25 +225,43 @@ def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     aggregate of the chains that leave a node; ties by row sums, then
     seeded RNG.
 
-    delta = DELTA = 0.025 plays the role of an edge traversal probability;
-    the series converges when delta times the spectral radius stays below
-    1. A system whose 1-norm condition passes 1e12 raises ValueError.
+    delta = DELTA = 0.025 plays the role of an edge traversal probability.
+    One LU factorisation of Z = I - delta*A gives both sums as solves on
+    the ones vector: Z r = 1 for the row sums, Z^T c = 1 for the column
+    sums. Z is a Z-matrix, so r > 0 shows that it is a nonsingular
+    M-matrix: delta times the spectral radius is below 1, the walk series
+    converges and Z^-1 >= 0, whose 1-norm is then max(c). The 1-norm
+    condition is ||Z||_1 * max|c|; it is exact for such a Z and never
+    above the true condition otherwise. A zero pivot or a condition above
+    1e12 raises ValueError as near-singular, and any row sum <= 0 raises
+    ValueError as a divergent series.
     """
-    a = matrix.a.astype(float)
-    system = np.eye(matrix.n) - DELTA * a
-    # the 1-norm condition as np.linalg.cond(system, 1) computes it, from
-    # the one inverse that also gives the keys
-    try:
-        f = np.linalg.inv(system)
-        condition = np.linalg.norm(system, 1) * np.linalg.norm(f, 1)
-    except np.linalg.LinAlgError:  # exactly singular
-        condition = np.inf
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    if matrix.n == 0:  # LAPACK rejects an empty matrix
+        return _rank("walk-resolvent", matrix, np.zeros(0), np.zeros(0), seed)
+    a = matrix.a
+    system = np.eye(matrix.n, order="F")  # LAPACK's layout, so dgetrf factors in place
+    system -= DELTA * a
+    lu, piv, info = dgetrf(system, overwrite_a=True)
+    condition = np.inf  # info > 0: an exactly zero pivot
+    if info == 0:
+        ones = np.ones(matrix.n)
+        rows, _ = dgetrs(lu, piv, ones)
+        cols, _ = dgetrs(lu, piv, ones, trans=1)
+        # A has no self-loops, so column j of Z sums 1 + delta * (column sum j of A)
+        condition = (1.0 + DELTA * a.sum(axis=0).max()) * np.abs(cols).max()
+    if not condition <= CONDITION_LIMIT:  # NaN included
         raise ValueError(
             f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}, "
             f"delta {DELTA:g}) at n={matrix.n}; rank this network another way"
         )
-    return _walk_rank("walk-resolvent", matrix, f, seed)
+    if not rows.min() > 0:
+        raise ValueError(
+            f"delta * spectral radius >= 1 (delta {DELTA:g}), so the attenuated walk "
+            f"series diverges at n={matrix.n}; rank this network another way"
+        )
+    return _rank("walk-resolvent", matrix, cols, rows, seed)
 
 
 def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
@@ -270,8 +291,8 @@ def visibility_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     """Rank by column sums of the reachability closure, the number of
     nodes that depend on a node by some path; ties by row sums (the nodes
     it depends on), then seeded RNG."""
-    f = reachability_closure(matrix)
-    return _walk_rank("visibility", matrix, f.astype(float), seed)
+    f = reachability_closure(matrix).astype(float)
+    return _rank("visibility", matrix, f.sum(axis=0), f.sum(axis=1), seed)
 
 
 DETERMINISTIC_METHODS = {

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from dsmseq import DsmCase, Edge, Node, build_adjacency, load_case
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "dsmseq" / "data"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +78,21 @@ def naive_score(case: DsmCase, order) -> int:
 
 def adjacency(case: DsmCase):
     return build_adjacency(case)
+
+
+def run_single_threaded(code: str) -> str:
+    """Run code in a fresh interpreter with one BLAS thread, as
+    benchmarks/run.py runs its workloads, and return what it prints.
+    Threaded BLAS can move the last bits of a result with the thread
+    count, and its time with the load on other cores. The package and
+    this directory are on the path, so code can import a test module."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(DATA_DIR.parents[1]), str(TESTS_DIR)]),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
