@@ -5,8 +5,11 @@ The operators are pure functions of explicit random draws (an entrant
 matrix, a cut pair, a swap list). run_ga searches over byte strings of
 matrix row indices, one byte per node, so it takes at most 256 nodes. It
 takes every draw from one numpy Generator in bulk per block of generations,
-scores each generation's new orders in one batch, and maps back to node ids
-only for the returned best.
+as flat event lists that each generation reads with a cursor; it crosses
+parents with the same kernel as order_crossover, skipping the argument
+checks, and checks each generation's new orders as permutations once,
+before scoring them in one batch. It maps back to node ids only for the
+returned best.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ def tournament_select(population, scores, entrants) -> list:
     sampled first (leftmost in the row).
     """
     entrants = np.asarray(entrants)
+    # run_ga passes its scores as an array already; asarray returns it as is
     keys = np.asarray(scores)[entrants]
     winners = entrants[np.arange(len(entrants)), keys.argmin(axis=1)]
     return [population[i] for i in winners.tolist()]
@@ -130,7 +134,11 @@ def order_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
     end.
     """
     _check_parents(p1, p2)
-    a, b = _check_cut(cut, len(p1))
+    return _ox(p1, p2, *_check_cut(cut, len(p1)))
+
+
+def _ox(p1: bytes, p2: bytes, a: int, b: int) -> tuple[bytes, bytes]:
+    """order_crossover's kernel: the parents and the cut are not checked."""
     tail = len(p1) - 1 - b
     kept1, kept2 = p1[a : b + 1], p2[a : b + 1]
     # the other parent read from b + 1 on, wrapping, minus the kept genes
@@ -141,7 +149,7 @@ def order_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
 
 def pmx_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
     """Partially matched crossover on the slice cut = (a, b), both ends
-    inclusive. A standalone operator: run_ga always uses order_crossover."""
+    inclusive. A standalone operator: run_ga always uses ordered crossover."""
     _check_parents(p1, p2)
     a, b = _check_cut(cut, len(p1))
     c1, c2 = bytearray(p1), bytearray(p2)
@@ -157,29 +165,30 @@ def pmx_crossover(p1: bytes, p2: bytes, cut) -> tuple[bytes, bytes]:
     return bytes(c1), bytes(c2)
 
 
-def _permutation_stack(orders: list[bytes], identity: np.ndarray) -> np.ndarray:
-    """The orders as one (k, n) uint8 array, each row checked to be a
-    permutation of identity, range(n) as uint8; a RuntimeError names the
-    first that is not."""
+def _permutation_stack(orders: list[bytes], identity: bytes) -> np.ndarray:
+    """The orders as one (k, n) uint8 array, each checked to be a
+    permutation of identity, bytes(range(n)); a RuntimeError names the first
+    that is not."""
     n = len(identity)
-    stack = np.frombuffer(b"".join(orders), dtype=np.uint8)
-    if set(map(len, orders)) == {n}:
-        stack = stack.reshape(len(orders), n)
-        valid = np.sort(stack, axis=1) == identity
-        if valid.all():
-            return stack
-        bad = orders[int(valid.all(axis=1).argmin())]
-    else:
-        bad = next(order for order in orders if len(order) != n)
-    raise RuntimeError(f"GA produced {tuple(bad)}, not a permutation of range({n})")
+    for order in orders:
+        # n bytes that hold every value of range(n) are a permutation of it
+        if len(order) != n or identity.translate(None, order):
+            raise RuntimeError(f"GA produced {tuple(order)}, not a permutation of range({n})")
+    return np.frombuffer(b"".join(orders), dtype=np.uint8).reshape(len(orders), n)
 
 
 def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
-    """Yield the random draws of each generation, taken _DRAW_BLOCK at a time.
+    """Yield the random draws of _DRAW_BLOCK generations at a time.
 
-    Each item is the tournament entrant matrix, the crossovers as (first
-    offspring index, cut pair) and the mutations as {offspring index: swap
-    list}. A mutation that draws no swap is left out: it is the identity.
+    Each item is (size, entrants, crossovers, mutations) for the block's
+    size generations. entrants is the (size, population, tournament) entrant
+    array. crossovers is a flat list of (generation, first offspring index,
+    a, b), one per crossing pair, with the cut a < b; mutations is a flat
+    list of (generation, offspring index, i, j), one per position swap, in
+    the order each offspring applies them. Both are sorted by generation
+    and end with a sentinel whose generation is size, so a cursor can walk
+    them without a bounds check. A mutation that draws no swap is left
+    out: it is the identity.
     """
     pop = cfg.population_size
     for done in range(0, cfg.generations, _DRAW_BLOCK):
@@ -190,26 +199,29 @@ def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
         first = rng.integers(n, size=len(cx_gen))
         second = rng.integers(n - 1, size=len(cx_gen))
         second += second >= first
-        crossovers = [[] for _ in range(size)]
-        for g, pair, a, b in zip(
-            cx_gen.tolist(),
-            cx_pair.tolist(),
-            np.minimum(first, second).tolist(),
-            np.maximum(first, second).tolist(),
-        ):
-            crossovers[g].append((2 * pair, (a, b)))
+        crossovers = list(
+            zip(
+                cx_gen.tolist(),
+                (2 * cx_pair).tolist(),
+                np.minimum(first, second).tolist(),
+                np.maximum(first, second).tolist(),
+            )
+        )
+        crossovers.append((size, 0, 0, 0))
 
         mutating = rng.random((size, pop)) < cfg.mutpb
-        mut_gen, mut_row, swap_pos = np.nonzero(
-            mutating[:, :, None] & (rng.random((size, pop, n)) < cfg.indpb)
+        # np.nonzero's order; the flat indices unravel several times faster
+        # than np.nonzero finds them in three dimensions
+        mut_gen, mut_row, swap_pos = np.unravel_index(
+            np.flatnonzero(mutating[:, :, None] & (rng.random((size, pop, n)) < cfg.indpb)),
+            (size, pop, n),
         )
         partner = rng.integers(n - 1, size=len(swap_pos))
         partner += partner >= swap_pos
-        mutations: list[dict[int, list]] = [{} for _ in range(size)]
-        for g, row, i, j in zip(mut_gen.tolist(), mut_row.tolist(), swap_pos.tolist(), partner.tolist()):
-            mutations[g].setdefault(row, []).append((i, j))
+        mutations = list(zip(mut_gen.tolist(), mut_row.tolist(), swap_pos.tolist(), partner.tolist()))
+        mutations.append((size, 0, 0, 0))
 
-        yield from zip(entrants, crossovers, mutations)
+        yield size, entrants, crossovers, mutations
 
 
 def run_ga(
@@ -234,7 +246,7 @@ def run_ga(
     if n > MAX_NODES:
         raise ValueError(f"the GA stores one byte per node and takes at most {MAX_NODES} nodes, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    identity = np.arange(n, dtype=np.uint8)
+    identity = bytes(range(n))
 
     score_cache: dict[bytes, int] = {}
     unique_count = 0
@@ -242,7 +254,7 @@ def run_ga(
     best_score: int | None = None
     convergence: list[tuple[int, int]] = []
 
-    def evaluate(individuals: list[bytes]) -> list[int]:
+    def evaluate(individuals: list[bytes]) -> np.ndarray:
         """Score each individual through the cache. The misses are checked
         and scored in one batch, then counted in population order, first
         occurrence first."""
@@ -256,24 +268,38 @@ def run_ga(
                 if best_score is None or score < best_score:
                     best_seq, best_score = individual, score
                     convergence.append((unique_count, score))
-        return list(map(score_cache.__getitem__, individuals))
+        return np.fromiter(map(score_cache.__getitem__, individuals), dtype=np.int64, count=len(individuals))
 
     start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
     population = list(map(bytes, start.astype(np.uint8)))
     scores = evaluate(population)
 
-    for entrants, crossovers, mutations in _draws(rng, cfg, n):
-        if stop_score is not None and best_score <= stop_score:
-            break
-        offspring = tournament_select(population, scores, entrants)
-        for i, cut in crossovers:
-            # crossing a parent with itself reproduces it: skip the work
-            if offspring[i] != offspring[i + 1]:
-                offspring[i], offspring[i + 1] = order_crossover(offspring[i], offspring[i + 1], cut)
-        for i, swaps in mutations.items():
-            offspring[i] = shuffle_mutation(offspring[i], swaps)
-        population = offspring
-        scores = evaluate(population)
+    for size, entrants, crossovers, mutations in _draws(rng, cfg, n):
+        cx = mut = 0  # cursors into the block's event lists
+        for generation in range(size):
+            if stop_score is not None and best_score <= stop_score:
+                break
+            offspring = tournament_select(population, scores, entrants[generation])
+            g, i, a, b = crossovers[cx]
+            while g == generation:
+                # crossing a parent with itself reproduces it: skip the work
+                if offspring[i] != offspring[i + 1]:
+                    offspring[i], offspring[i + 1] = _ox(offspring[i], offspring[i + 1], a, b)
+                cx += 1
+                g, i, a, b = crossovers[cx]
+            g, row, i, j = mutations[mut]
+            while g == generation:
+                mutant, out = row, bytearray(offspring[row])
+                while g == generation and row == mutant:
+                    out[i], out[j] = out[j], out[i]
+                    mut += 1
+                    g, row, i, j = mutations[mut]
+                offspring[mutant] = bytes(out)
+            population = offspring
+            scores = evaluate(population)
+        else:
+            continue
+        break  # stop_score reached
 
     best_ids = tuple(matrix.ids[i] for i in best_seq)
     rescored = score_sequence(matrix, best_ids)

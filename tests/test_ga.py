@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dsmseq import (
     tournament_select,
 )
 from dsmseq import ga
-from dsmseq.ga import GENERATIONS_DEFAULT, _draws
+from dsmseq.ga import GENERATIONS_DEFAULT, _draws, _permutation_stack
 from conftest import adjacency, make_case, naive_score
 
 LETTERS = b"abcdefgh"
@@ -121,10 +122,9 @@ class TestMutation:
         # other positions; with two positions a swap must exchange them
         cfg = GaConfig(population_size=6, generations=40, indpb=1.0, tournament_size=2, cxpb=0.0, mutpb=1.0)
         swaps = [
-            swap
-            for _, _, mutations in _draws(np.random.default_rng(0), cfg, 2)
-            for row in mutations.values()
-            for swap in row
+            (i, j)
+            for _, _, _, mutations in _draws(np.random.default_rng(0), cfg, 2)
+            for _, _, i, j in mutations[:-1]
         ]
         assert len(swaps) == 40 * 6 * 2
         assert set(swaps) == {(0, 1), (1, 0)}
@@ -252,7 +252,7 @@ class TestTournament:
         assert tournament_select(pop, [5, 1, 3], [[2], [0], [1], [0]]) == [("c",), ("a",), ("b",), ("a",)]
         # and run_ga draws each entrant uniformly over the population
         cfg = GaConfig(population_size=3, generations=200, indpb=0.0, tournament_size=1, cxpb=0.0, mutpb=0.0)
-        entrants = np.concatenate([e for e, _, _ in _draws(np.random.default_rng(0), cfg, 4)])
+        entrants = np.concatenate([e for _, e, _, _ in _draws(np.random.default_rng(0), cfg, 4)])
         counts = np.bincount(entrants.ravel(), minlength=3)
         assert counts.sum() == 600
         assert counts.min() > 150
@@ -347,10 +347,12 @@ class TestRunGa:
             run_ga(matrix, preset_config("balanced", generations=5))
 
     def test_a_child_that_is_not_a_permutation_is_caught(self, monkeypatch):
-        def repeat_first_gene(p1, p2, cut):
+        def repeat_first_gene(p1, p2, a, b):
             return p1[:1] * len(p1), p2
 
-        monkeypatch.setattr(ga, "order_crossover", repeat_first_gene)
+        # run_ga crosses through the unchecked kernel, so only the batch
+        # permutation check stands between a bad child and the scorer
+        monkeypatch.setattr(ga, "_ox", repeat_first_gene)
         with pytest.raises(RuntimeError, match="not a permutation"):
             run_ga(chain_matrix(6), preset_config("balanced", seed=0, generations=20))
 
@@ -358,6 +360,106 @@ class TestRunGa:
         monkeypatch.setattr(ga, "score_sequence", lambda matrix, order: score_sequence(matrix, order) + 1)
         with pytest.raises(RuntimeError, match="re-scores"):
             run_ga(chain_matrix(6), preset_config("balanced", seed=0, generations=20))
+
+
+def reference_generations(rng, cfg, n):
+    """Each generation's draws from _draws: its entrant matrix, its
+    crossovers as (first offspring index, cut) and its mutations as
+    {offspring index: swap list}."""
+    for size, entrants, crossovers, mutations in _draws(rng, cfg, n):
+        assert crossovers[-1][0] == mutations[-1][0] == size
+        cuts, swaps = defaultdict(list), defaultdict(lambda: defaultdict(list))
+        for g, i, a, b in crossovers[:-1]:
+            cuts[g].append((i, (a, b)))
+        for g, row, i, j in mutations[:-1]:
+            swaps[g][row].append((i, j))
+        for g in range(size):
+            yield entrants[g], cuts[g], swaps[g]
+
+
+def reference_ga(matrix, cfg, stop_score=None):
+    """run_ga spelled out one individual at a time with the public
+    operators and score_sequence, from the same draws."""
+    rng = np.random.default_rng(cfg.seed)
+    start = rng.permuted(np.tile(np.arange(matrix.n), (cfg.population_size, 1)), axis=1)
+    population = [bytes(row.astype(np.uint8)) for row in start]
+    cache, convergence, best = {}, [], None
+
+    def evaluate(individuals):
+        nonlocal best
+        for order in individuals:
+            if order not in cache:
+                cache[order] = score_sequence(matrix, [matrix.ids[i] for i in order])
+                if best is None or cache[order] < cache[best]:
+                    best = order
+                    convergence.append((len(cache), cache[order]))
+        return [cache[order] for order in individuals]
+
+    scores = evaluate(population)
+    for entrants, cuts, swaps in reference_generations(rng, cfg, matrix.n):
+        if stop_score is not None and cache[best] <= stop_score:
+            break
+        offspring = tournament_select(population, scores, entrants)
+        for i, cut in cuts:
+            offspring[i], offspring[i + 1] = order_crossover(offspring[i], offspring[i + 1], cut)
+        for row, row_swaps in swaps.items():
+            offspring[row] = shuffle_mutation(offspring[row], row_swaps)
+        population = offspring
+        scores = evaluate(population)
+    if convergence[-1] != (len(cache), cache[best]):
+        convergence.append((len(cache), cache[best]))
+    return tuple(matrix.ids[i] for i in best), cache[best], convergence
+
+
+@pytest.mark.parametrize("name", bundled_case_names())
+def test_run_ga_matches_the_public_operators(name):
+    """run_ga walks flat event lists through the unchecked crossover kernel;
+    replaying the same draws through the public operators gives the same
+    runs. The budgets sit on both sides of the _DRAW_BLOCK = 32 boundary,
+    and each run is repeated with stop_score at its own best, which stops
+    it after the generation that first reaches that score."""
+    matrix = build_adjacency(bundled_case(name))
+    for preset in ("exploration", "exploitation", "balanced"):
+        for seed in range(3):
+            for generations in (1, 31, 32, 33, 100):
+                cfg = preset_config(preset, seed=seed, generations=generations)
+                best, convergence = run_ga(matrix, cfg)
+                assert reference_ga(matrix, cfg) == (best.sequence, best.score, convergence)
+                best, convergence = run_ga(matrix, cfg, stop_score=best.score)
+                assert reference_ga(matrix, cfg, best.score) == (best.sequence, best.score, convergence)
+
+
+class TestPermutationStack:
+    IDENTITY = bytes(range(4))
+
+    @pytest.mark.parametrize("bad", [b"\x00\x01\x02", b"\x00\x01\x01\x03", b"\x00\x01\x02\x04"])
+    def test_a_short_repeated_or_out_of_range_order_is_rejected(self, bad):
+        with pytest.raises(RuntimeError, match=r"GA produced \(.*\), not a permutation of range\(4\)"):
+            _permutation_stack([b"\x03\x02\x01\x00", bad], self.IDENTITY)
+
+    def test_the_first_bad_order_is_named(self):
+        with pytest.raises(RuntimeError, match=r"^GA produced \(0, 0, 2, 3\)"):
+            _permutation_stack([b"\x00\x00\x02\x03", b"\x00\x01\x02"], self.IDENTITY)
+
+    def test_every_byte_value_is_a_permutation_at_256(self):
+        orders = [bytes(range(256)), bytes(range(255, -1, -1))]
+        stack = _permutation_stack(orders, bytes(range(256)))
+        assert stack.shape == (2, 256) and stack.dtype == np.uint8
+        assert stack[1].tolist() == list(range(255, -1, -1))
+        with pytest.raises(RuntimeError, match=r"not a permutation of range\(256\)"):
+            _permutation_stack([bytes(range(255)) + b"\x00"], bytes(range(256)))
+
+
+@pytest.mark.parametrize("n", [2, ga.MAX_NODES])
+def test_run_ga_at_the_node_bounds(n):
+    # two nodes are the fewest the GA takes and 256 the most a byte holds
+    rng = np.random.default_rng(n)
+    a = (rng.random((n, n)) < min(1.0, 3 / n)).astype(int)
+    np.fill_diagonal(a, 0)
+    matrix = matrix_from_array(a, tuple(f"v{i}" for i in range(n)))
+    best, convergence = run_ga(matrix, preset_config("balanced", seed=0, generations=33))
+    assert sorted(best.sequence) == sorted(matrix.ids)
+    assert score_sequence(matrix, best.sequence) == best.score == convergence[-1][1]
 
 
 def test_full_budget_runs_match_golden_digests(golden_dir):
