@@ -16,12 +16,11 @@ the series stops once its terms no longer change the sums in float64, and
 a network whose exp(A) overflows float64 raises ValueError.
 
 The walk-resolvent keys are the column and row sums of (I - delta*A)^-1,
-found as two solves on the ones vector with one LU factorisation; no
-inverse is formed. I - delta*A is a Z-matrix, so positive row sums prove
-it a nonsingular M-matrix (delta times the spectral radius below 1). A
-network whose row sums are not all positive has a divergent walk series,
-and one whose system has a 1-norm condition above 1e12 is near-singular;
-both raise ValueError.
+summed as the attenuated walk series on the ones vector with the same
+matrix-vector products; the series stops once a Collatz-Wielandt bound on
+its tail no longer changes the sums in float64. A network whose series
+diverges (delta times the spectral radius at least 1) or does not converge
+within RESOLVENT_MAX_TERMS terms raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ KEY_TOLERANCE = 1e-9
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 DELTA = 0.025
-CONDITION_LIMIT = 1e12
+RESOLVENT_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -226,42 +225,39 @@ def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     seeded RNG.
 
     delta = DELTA = 0.025 plays the role of an edge traversal probability.
-    One LU factorisation of Z = I - delta*A gives both sums as solves on
-    the ones vector: Z r = 1 for the row sums, Z^T c = 1 for the column
-    sums. Z is a Z-matrix, so r > 0 shows that it is a nonsingular
-    M-matrix: delta times the spectral radius is below 1, the walk series
-    converges and Z^-1 >= 0, whose 1-norm is then max(c). The 1-norm
-    condition is ||Z||_1 * max|c|; it is exact for such a Z and never
-    above the true condition otherwise. A zero pivot or a condition above
-    1e12 raises ValueError as near-singular, and any row sum <= 0 raises
-    ValueError as a divergent series.
+    The sums are the Neumann series on the ones vector, built term by term
+    as r <- delta * A r and c <- delta * c A. A new sum s' = s + t has
+    s' - 1 = delta * A s, so on each side the ratios g = (s' - 1) / s
+    bound delta times the spectral radius (Collatz-Wielandt):
+    min g <= delta * rho <= max g. Once q, the max g of both sides, is
+    below 1, the tail after s' is at most eps * q / (1 - q) * s with
+    eps = max(t / s), and the series stops when that bound changes no
+    entry of s'. A side with min g >= 1, or a sum past float64, raises
+    ValueError as divergent; a series that has not stopped after
+    RESOLVENT_MAX_TERMS terms (delta * rho just below 1) raises it too.
     """
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
-    if matrix.n == 0:  # LAPACK rejects an empty matrix
-        return _rank("walk-resolvent", matrix, np.zeros(0), np.zeros(0), seed)
-    a = matrix.a
-    system = np.eye(matrix.n, order="F")  # LAPACK's layout, so dgetrf factors in place
-    system -= DELTA * a
-    lu, piv, info = dgetrf(system, overwrite_a=True)
-    condition = np.inf  # info > 0: an exactly zero pivot
-    if info == 0:
-        ones = np.ones(matrix.n)
-        rows, _ = dgetrs(lu, piv, ones)
-        cols, _ = dgetrs(lu, piv, ones, trans=1)
-        # A has no self-loops, so column j of Z sums 1 + delta * (column sum j of A)
-        condition = (1.0 + DELTA * a.sum(axis=0).max()) * np.abs(cols).max()
-    if not condition <= CONDITION_LIMIT:  # NaN included
-        raise ValueError(
-            f"(I - delta*A) is near-singular (1-norm condition {condition:.3g}, "
-            f"delta {DELTA:g}) at n={matrix.n}; rank this network another way"
-        )
-    if not rows.min() > 0:
-        raise ValueError(
-            f"delta * spectral radius >= 1 (delta {DELTA:g}), so the attenuated walk "
-            f"series diverges at n={matrix.n}; rank this network another way"
-        )
-    return _rank("walk-resolvent", matrix, cols, rows, seed)
+    a = matrix.a.astype(float)
+    sums = terms = np.ones((2, matrix.n))  # row sums, column sums
+    with np.errstate(over="ignore"):  # an overflow raises below
+        for _ in range(RESOLVENT_MAX_TERMS):
+            terms = DELTA * np.array((a @ terms[0], terms[1] @ a))
+            total = sums + terms
+            ratio = (total - 1) / sums
+            q = ratio.max(initial=0)  # initial: an empty network
+            if q < 1:
+                tail = (terms / sums).max(initial=0) * q / (1 - q) * sums
+                if (total + tail == total).all():
+                    return _rank("walk-resolvent", matrix, total[1], total[0], seed)
+            elif not np.isfinite(q) or ratio.min(axis=1).max() >= 1:
+                raise ValueError(
+                    f"the attenuated walk series (delta {DELTA:g}) diverges at n={matrix.n}; "
+                    "rank this network another way"
+                )
+            sums = total
+    raise ValueError(
+        f"the attenuated walk series (delta {DELTA:g}) does not converge within "
+        f"{RESOLVENT_MAX_TERMS:,} terms at n={matrix.n}; rank this network another way"
+    )
 
 
 def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:

@@ -80,18 +80,19 @@ def adjacency(case: DsmCase):
     return build_adjacency(case)
 
 
-def run_single_threaded(code: str) -> str:
-    """Run code in a fresh interpreter with one BLAS thread, as
-    benchmarks/run.py runs its workloads, and return what it prints.
-    Threaded BLAS can move the last bits of a result with the thread
-    count, and its time with the load on other cores. The package and
-    this directory are on the path, so code can import a test module."""
+def run_with_blas_threads(code: str, threads: int) -> str:
+    """Run code in a fresh interpreter with the given number of BLAS
+    threads and return what it prints; benchmarks/run.py runs its
+    workloads with one. Threaded BLAS can move the time of a product with
+    the load on other cores, and the last bits of a result with the thread
+    count. The package and this directory are on the path, so code can
+    import a test module."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(DATA_DIR.parents[1]), str(TESTS_DIR)]),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
+        "MKL_NUM_THREADS": str(threads),
     }
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -520,7 +520,7 @@ class TestRunExperiment:
 
     def test_a_cell_that_raises_is_a_failure_not_a_crash(self, tmp_path):
         # complete digraph on 41 nodes: delta * spectral radius = 0.025 * 40 = 1,
-        # so the resolvent refuses its singular system
+        # so the resolvent refuses its divergent walk series
         n = 41
         case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
         path = write_case(tmp_path / "complete_41.json", case)
@@ -532,7 +532,7 @@ class TestRunExperiment:
         assert len(scores_for(table, "complete_41", "det-outin")) == 1
         assert [r[1] for r in read_csv(out / "results.csv")[1:]] == ["det-outin"]
         assert [(f["method"], f["run"]) for f in table.failures] == [("det-resolvent", 0)]
-        assert table.failures[0]["error"].startswith("ValueError: (I - delta*A) is near-singular")
+        assert table.failures[0]["error"].startswith("ValueError: the attenuated walk series (delta 0.025) diverges")
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["failures"] == table.failures
 

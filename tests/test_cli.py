@@ -70,16 +70,18 @@ class TestBaseline:
             main(["baseline", "det-sorcery", "--case", demo_path])
 
     def test_library_error_is_one_line(self, capsys, tmp_path):
-        # complete digraph on 41 nodes: the resolvent's system is singular at
-        # delta = 0.025
+        # complete digraph on 41 nodes: delta * spectral radius = 0.025 * 40 = 1,
+        # so the resolvent's walk series diverges
         n = 41
         case = make_case(n, [(d, p) for d in range(n) for p in range(n) if d != p])
         path = write_case(tmp_path / "complete_41.json", case)
         with pytest.raises(SystemExit) as info:
             main(["baseline", "resolvent", "--case", str(path)])
         message = info.value.code
-        assert message.startswith("dsm-seq: error: (I - delta*A) is near-singular")
-        assert message.endswith("delta 0.025) at n=41; rank this network another way")
+        assert message == (
+            "dsm-seq: error: the attenuated walk series (delta 0.025) diverges at n=41; "
+            "rank this network another way"
+        )
         assert "\n" not in message
         assert capsys.readouterr().out == ""
 

@@ -347,7 +347,7 @@ def networkx_metrics(case: DsmCase) -> NetworkMetrics:
 def test_scoring_and_search_leave_scipy_out():
     """scipy loads only where it is used: network metrics and the
     strong-component rankings. Scoring, the GA, the LLM loop and the
-    walk-exponential ranking run without it."""
+    walk-exponential and walk-resolvent rankings run without it."""
     src = str(Path(dsmseq.__file__).resolve().parents[1])
     code = (
         "import sys, dsmseq\n"
@@ -359,6 +359,7 @@ def test_scoring_and_search_leave_scipy_out():
         "dsmseq.run_ga(matrix, dsmseq.preset_config('balanced', seed=0, generations=5))\n"
         "dsmseq.score_sequence(matrix, case.node_ids)\n"
         "dsmseq.walk_exponential_order(matrix)\n"
+        "dsmseq.walk_resolvent_order(matrix)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     done = subprocess.run(

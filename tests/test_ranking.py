@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import time
 import warnings
@@ -30,8 +31,8 @@ from dsmseq import (
     walk_exponential_order,
     walk_resolvent_order,
 )
-from dsmseq.ranking import CONDITION_LIMIT, _rank, _strong_components, _tie_partition
-from conftest import adjacency, make_case, random_case, run_single_threaded
+from dsmseq.ranking import RESOLVENT_MAX_TERMS, _rank, _strong_components, _tie_partition
+from conftest import adjacency, make_case, random_case, run_with_blas_threads
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
 PLASTIC_EDGES = [(1, 0), (2, 1), (0, 2), (2, 0)]
@@ -297,8 +298,8 @@ class TestWalkExponential:
     def test_overflow_is_refused_quickly(self):
         # about 1,240 matrix-vector products; with threaded BLAS their time
         # depends on the load on the other cores
-        elapsed = run_single_threaded(
-            "import test_ranking; print(test_ranking.TestWalkExponential.overflow_refusal_seconds())"
+        elapsed = run_with_blas_threads(
+            "import test_ranking; print(test_ranking.TestWalkExponential.overflow_refusal_seconds())", 1
         )
         assert float(elapsed) < 2.0
 
@@ -326,76 +327,94 @@ class TestWalkResolvent:
                 assert ranking.secondary_keys[node_id] == pytest.approx(rows[idx], rel=1e-9)
 
     def test_exactly_singular_system_is_rejected(self, monkeypatch):
-        matrix = adjacency(make_case(2, [(0, 1), (1, 0)]))  # eigenvalues +-1
+        # I - A is singular (eigenvalues +-1): the series diverges
+        matrix = adjacency(make_case(2, [(0, 1), (1, 0)]))
         monkeypatch.setattr("dsmseq.ranking.DELTA", 1.0)
-        with pytest.raises(ValueError, match="near-singular"):
+        with pytest.raises(ValueError, match="diverges at n=2"):
             walk_resolvent_order(matrix)
 
     def test_nearly_singular_system_is_rejected(self, monkeypatch):
+        # delta * rho = 1 - 1e-13: the series converges, but only after far
+        # more terms than the cap
         matrix = adjacency(make_case(2, [(0, 1), (1, 0)]))
         monkeypatch.setattr("dsmseq.ranking.DELTA", 1.0 - 1e-13)
-        with pytest.raises(ValueError, match="near-singular"):
+        with pytest.raises(ValueError, match=f"does not converge within {RESOLVENT_MAX_TERMS:,} terms"):
             walk_resolvent_order(matrix)
 
     def test_refusal_follows_the_spectral_radius_and_cond(self, monkeypatch):
-        """A system is refused iff delta times the spectral radius of A is
-        at least 1 (the walk series diverges) or np.linalg.cond(system, 1)
-        passes 1e12. An accepted system's keys are the column and row sums
-        of np.linalg.solve(system, I), and the condition it prints once the
-        limit is 0 is np.linalg.cond's. On the 2-cycle the condition is
-        (1 + delta) / (1 - delta): 2.0e13 at 1 - 1e-13, 1.00002e12 at
-        1 - 2e-12 (refused) and 8.0e11 at 1 - 2.5e-12."""
+        """A system is accepted only if delta times the spectral radius of
+        A is below 1, and then its keys are the column and row sums of
+        np.linalg.solve(I - delta*A, I). A system refused as divergent has
+        delta * rho >= 1. One refused at the term cap has delta * rho so
+        close to 1 that (delta * rho)^RESOLVENT_MAX_TERMS is still above
+        2^-54, so its geometric terms still count in float64: the 2-cycle
+        at delta 1 - 1e-3 is one. Every cap refusal here has delta * rho
+        at most 1, so it is ill-conditioned: A has a zero diagonal, so
+        I - delta*A has an eigenvalue of modulus at least 1 and one of
+        1 - delta * rho, and its 1-norm condition is at least
+        1 / (1 - delta * rho) > RESOLVENT_MAX_TERMS / (54 ln 2), infinite
+        at delta * rho = 1. And every system whose condition passes 1e12
+        is refused."""
         rng = random.Random(41)
         two_cycle = adjacency(make_case(2, [(0, 1), (1, 0)]))
-        systems = [(two_cycle, delta) for delta in (1.0, 1 - 1e-13, 1 - 2e-12, 1 - 2.5e-12)]
+        systems = [(two_cycle, delta) for delta in (1.0, 1 - 1e-13, 1 - 2e-12, 1 - 2.5e-12, 1 - 1e-3)]
         for _ in range(30):
             matrix = adjacency(random_case(rng, rng.randrange(4, 13), rng.choice([0.15, 0.3])))
             systems += [(matrix, delta) for delta in (0.025, 0.1, 0.2, 0.3, 0.5, 1.0)]
         outcomes = []
-        diverging = 0
         for matrix, delta in systems:
             monkeypatch.setattr("dsmseq.ranking.DELTA", delta)
-            monkeypatch.setattr("dsmseq.ranking.CONDITION_LIMIT", CONDITION_LIMIT)
-            system = np.eye(matrix.n) - delta * matrix.a
-            converges = delta * np.abs(np.linalg.eigvals(matrix.a)).max() < 1
-            condition = np.linalg.cond(system, 1)
-            refused = not converges or not condition <= CONDITION_LIMIT
-            outcomes.append(refused)
-            printed = f"(1-norm condition {condition:.3g}, delta {delta:g})"
-            if refused:
-                with pytest.raises(ValueError) as caught:
-                    walk_resolvent_order(matrix)
-                message = str(caught.value)
-                if converges:
-                    assert "near-singular" in message and printed in message
-                elif condition <= CONDITION_LIMIT:
-                    diverging += 1
-                    assert message.startswith(f"delta * spectral radius >= 1 (delta {delta:g})")
+            radius = delta * np.abs(np.linalg.eigvals(matrix.a)).max()
+            try:
+                ranking = walk_resolvent_order(matrix)
+            except ValueError as caught:
+                message = str(caught)
+                if "diverges" in message:
+                    outcomes.append("diverges")
+                    assert radius >= 1 - 1e-12, message  # eigvals rounds a radius of exactly 1
                 else:
-                    assert "near-singular" in message or "diverges" in message
+                    outcomes.append("cap")
+                    assert f"does not converge within {RESOLVENT_MAX_TERMS:,} terms" in message
+                    assert radius ** RESOLVENT_MAX_TERMS > 2.0**-54, radius
+                    condition = np.linalg.cond(np.eye(matrix.n) - delta * matrix.a, 1)
+                    assert condition > RESOLVENT_MAX_TERMS / (54 * math.log(2)), condition
                 continue
-            ranking = walk_resolvent_order(matrix)
-            f = np.linalg.solve(system, np.eye(matrix.n))
+            outcomes.append("accepted")
+            assert radius < 1
+            assert np.linalg.cond(np.eye(matrix.n) - delta * matrix.a, 1) <= 1e12
+            f = np.linalg.solve(np.eye(matrix.n) - delta * matrix.a, np.eye(matrix.n))
             assert list(ranking.primary_keys.values()) == pytest.approx(f.sum(axis=0).tolist(), rel=1e-12)
             assert list(ranking.secondary_keys.values()) == pytest.approx(f.sum(axis=1).tolist(), rel=1e-12)
-            monkeypatch.setattr("dsmseq.ranking.CONDITION_LIMIT", 0.0)
-            with pytest.raises(ValueError, match="near-singular") as caught:
-                walk_resolvent_order(matrix)
-            assert printed in str(caught.value)
-        assert outcomes[:4] == [True, True, True, False]
-        assert 0 < sum(outcomes[4:]) < len(outcomes) - 4
-        assert diverging > 0
+        assert outcomes[:5] == ["diverges", "cap", "cap", "cap", "cap"]
+        assert {"accepted", "diverges", "cap"} <= set(outcomes[5:])
 
-    def test_divergent_series_is_refused(self):
-        # the complete digraph on 42 nodes: delta * spectral radius is
-        # 0.025 * 41 > 1, yet the system is well conditioned; its inverse
-        # has no positive entry, so it sums no attenuated walks
-        n = 42
-        matrix = matrix_from_array(1 - np.eye(n, dtype=np.int64), tuple(f"v{i:02d}" for i in range(n)))
-        assert np.linalg.cond(np.eye(n) - 0.025 * matrix.a, 1) == pytest.approx(81)
-        with pytest.raises(ValueError, match="diverges at n=42") as caught:
-            walk_resolvent_order(matrix)
-        assert "near-singular" not in str(caught.value)
+    def test_periodic_hub_ranks(self):
+        """A hub in 2-cycles with k spokes has spectral radius sqrt(k) and
+        period 2, so its series alternates between hub and spokes: at
+        k = 1,000, delta * rho is about 0.79, and the terms of each node
+        rise and fall from one step to the next. The series still ranks
+        it, with LAPACK's order and keys within 1e-12 of the solve."""
+        for spokes in (50, 1000):
+            n = spokes + 1
+            matrix = adjacency(make_case(n, [e for i in range(1, n) for e in ((0, i), (i, 0))]))
+            ranking = walk_resolvent_order(matrix, seed=3)
+            system = np.eye(n) - 0.025 * matrix.a
+            rows = np.linalg.solve(system, np.ones(n))
+            cols = np.linalg.solve(system.T, np.ones(n))
+            assert list(ranking.primary_keys.values()) == pytest.approx(cols.tolist(), rel=1e-12)
+            assert list(ranking.secondary_keys.values()) == pytest.approx(rows.tolist(), rel=1e-12)
+            assert ranking.order == _rank("walk-resolvent", matrix, cols, rows, 3).order
+            assert ranking.order[0] == matrix.ids[0]  # the hub
+
+    def test_divergent_series_is_refused(self, monkeypatch):
+        # the complete digraphs on 41 and 42 nodes: delta * spectral radius
+        # is 0.025 * 40 = 1 and 0.025 * 41 > 1, and the first term already
+        # shows it, so a cap of one term still refuses them as divergent
+        monkeypatch.setattr("dsmseq.ranking.RESOLVENT_MAX_TERMS", 1)
+        for n in (41, 42):
+            matrix = matrix_from_array(1 - np.eye(n, dtype=np.int64), tuple(f"v{i:02d}" for i in range(n)))
+            with pytest.raises(ValueError, match=f"diverges at n={n}"):
+                walk_resolvent_order(matrix)
 
 
 class TestVisibility:
@@ -567,9 +586,12 @@ def analysis_digests() -> dict[str, str]:
 
 def test_analysis_matches_golden_digests(golden_dir):
     """The digests are pinned in golden/analysis_sha256.json, so a faster
-    analysis must reproduce every output exactly. They are computed with
-    one BLAS thread: the resolvent's threaded LU at n = 400 gives other
-    key bits with another thread count."""
-    digests = run_single_threaded("import json, test_ranking; print(json.dumps(test_ranking.analysis_digests()))")
+    analysis must reproduce every output exactly, with one BLAS thread and
+    with two: the keys come from matrix-vector products and elementwise
+    sums, whose bits must not depend on the thread count."""
     expected = json.loads((golden_dir / "analysis_sha256.json").read_text(encoding="utf-8"))
-    assert json.loads(digests) == expected
+    for threads in (1, 2):
+        digests = run_with_blas_threads(
+            "import json, test_ranking; print(json.dumps(test_ranking.analysis_digests()))", threads
+        )
+        assert json.loads(digests) == expected, f"{threads} BLAS threads"
