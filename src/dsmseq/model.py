@@ -3,7 +3,9 @@
 A case is a directed dependency network. An edge ``{dependent: d,
 predecessor: p}`` means task ``d`` needs the output of task ``p``. The
 adjacency matrix follows the convention ``a[i][j] = 1`` iff node ``i``
-depends on node ``j`` (a directed edge from ``j`` to ``i``).
+depends on node ``j`` (a directed edge from ``j`` to ``i``). It is held as
+its edge lists, the row and column of each 1-entry; the dense n x n array
+is built only when ``a`` is first read, to draw the matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import random
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -175,19 +178,26 @@ def bundled_case(name: str) -> DsmCase:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Binary dependency matrix with its id bookkeeping.
+    """Binary dependency matrix held as its edge lists, with its id
+    bookkeeping.
 
-    a[i][j] = 1 means node ids[i] depends on node ids[j]. dep_idx/pred_idx
-    are the matrix coordinates of each edge in row-major order, kept for
-    fast scoring.
+    Edge k says node ids[dep_idx[k]] depends on node ids[pred_idx[k]], the
+    1-entry a[dep_idx[k]][pred_idx[k]]; the edges are in row-major order.
+    The dense array a is built from them on first read and kept.
     """
 
     n: int
-    a: np.ndarray
     ids: tuple[str, ...]
     index_of: dict[str, int]
     dep_idx: np.ndarray = field(repr=False)
     pred_idx: np.ndarray = field(repr=False)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The n-by-n 0/1 int64 array, a[i][j] = 1 iff ids[i] depends on ids[j]."""
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        a[self.dep_idx, self.pred_idx] = 1
+        return a
 
 
 def _edge_rows(case: DsmCase) -> tuple[np.ndarray, np.ndarray]:
@@ -200,32 +210,36 @@ def _edge_rows(case: DsmCase) -> tuple[np.ndarray, np.ndarray]:
     return deps, preds
 
 
+def _edge_matrix(ids: tuple[str, ...], deps: np.ndarray, preds: np.ndarray) -> AdjacencyMatrix:
+    """The matrix over ids whose 1-entries are (deps[k], preds[k]), with
+    the edges sorted row-major."""
+    order = np.lexsort((preds, deps))
+    return AdjacencyMatrix(
+        n=len(ids),
+        ids=tuple(ids),
+        index_of={node_id: i for i, node_id in enumerate(ids)},
+        dep_idx=deps[order],
+        pred_idx=preds[order],
+    )
+
+
 def build_adjacency(case: DsmCase) -> AdjacencyMatrix:
-    """Build the n-by-n 0/1 matrix in the case's node-list order."""
-    a = np.zeros((case.n, case.n), dtype=np.int64)
-    a[_edge_rows(case)] = 1
-    return matrix_from_array(a, case.node_ids)
+    """The case's dependency matrix in its node-list order, from the edges
+    alone: no n x n array is filled."""
+    return _edge_matrix(case.node_ids, *_edge_rows(case))
 
 
 def matrix_from_array(a: np.ndarray, ids: tuple[str, ...]) -> AdjacencyMatrix:
-    """Wrap a raw 0/1 array (diagonal must be zero) as an AdjacencyMatrix."""
+    """Wrap a raw 0/1 array (diagonal must be zero) as an AdjacencyMatrix;
+    every nonzero entry is an edge."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if np.any(np.diag(a) != 0):
         raise ValueError("diagonal must be all zero (no self-dependencies)")
-    n = a.shape[0]
-    if len(ids) != n:
+    if len(ids) != a.shape[0]:
         raise ValueError("ids length must match matrix size")
-    dep_idx, pred_idx = np.nonzero(a)
-    return AdjacencyMatrix(
-        n=n,
-        a=(a != 0).astype(np.int64),
-        ids=tuple(ids),
-        index_of={node_id: i for i, node_id in enumerate(ids)},
-        dep_idx=dep_idx.astype(np.int64),
-        pred_idx=pred_idx.astype(np.int64),
-    )
+    return _edge_matrix(ids, *np.nonzero(a))
 
 
 def fresh_anon_id(rng: random.Random) -> str:
@@ -287,7 +301,6 @@ def network_metrics(case: DsmCase) -> NetworkMetrics:
 
     n = case.n
     e = len(case.edges)
-    # the edge indices alone: build_adjacency would fill a dense n x n matrix
     deps, preds = _edge_rows(case)
     ends = np.concatenate([deps, preds])
     starts = np.concatenate([preds, deps])

@@ -10,6 +10,9 @@ tolerance of 1e-9 count as tied. Each tie group is put in node (row) order
 before its shuffle, so the shuffle depends only on who is in the group, not
 on how differences below the tolerance happened to sort them.
 
+Every key is computed from the edge lists, with no BLAS call: a degree is
+a bincount, and a product with A a scatter-add over the edges.
+
 The walk-exponential keys are the column and row sums of exp(A), summed
 as its Taylor series on the ones vector with matrix-vector products only;
 the series stops once its terms no longer change the sums in float64, and
@@ -39,6 +42,8 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 DELTA = 0.025
 RESOLVENT_MAX_TERMS = 10_000
+# ln of the largest float64, about 709.78
+LOG_MAX_FLOAT = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -129,10 +134,30 @@ def out_in_degree_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     sum); in-degree counts edges where it is the dependent (its row sum).
     The balance is largest for pure prerequisite suppliers, which come first.
     """
-    a = matrix.a
-    out_deg = a.sum(axis=0).astype(float)
-    in_deg = a.sum(axis=1).astype(float)
-    return _rank("out-in-degree", matrix, out_deg - in_deg, None, seed)
+    out_deg = np.bincount(matrix.pred_idx, minlength=matrix.n)
+    in_deg = np.bincount(matrix.dep_idx, minlength=matrix.n)
+    return _rank("out-in-degree", matrix, (out_deg - in_deg).astype(float), None, seed)
+
+
+def _walk_product(matrix: AdjacencyMatrix):
+    """The map from a stacked (2, n) array (r, c) to (A r, c A), one
+    scatter-add over the edge lists: entry i of A r sums r over the
+    predecessors of node i, entry j of c A sums c over the dependents of
+    node j, each in edge order."""
+    n = matrix.n
+    gather = np.concatenate((matrix.pred_idx, matrix.dep_idx + n))
+    scatter = np.concatenate((matrix.dep_idx, matrix.pred_idx + n))
+    return lambda t: np.bincount(scatter, t.take(gather), 2 * n).reshape(2, n)
+
+
+def _perron_floor(image: np.ndarray, x: np.ndarray) -> float:
+    """A floor on the spectral radius of a nonnegative M from a stacked
+    nonnegative pair x = (r, c) and its image (M r, c M): on a side with
+    mu the smallest ratio image / x over the support of x, M x >= mu x, so
+    the radius is at least mu (Collatz-Wielandt; Horn & Johnson, ch. 8).
+    The larger side's mu is returned; an all-zero side bounds nothing."""
+    ratio = np.divide(image, x, out=np.full_like(x, np.inf), where=x > 0)
+    return ratio.min(axis=1, initial=np.inf)[x.any(axis=1)].max(initial=0.0)
 
 
 def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
@@ -168,10 +193,9 @@ def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     if count == n:
         return _rank("eigenvector", matrix, np.zeros(n), None, seed, warning="acyclic")
 
-    shifted = matrix.a + np.eye(n)
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        nxt = v @ shifted
+        nxt = v + np.bincount(matrix.pred_idx, v[matrix.dep_idx], n)
         nxt /= nxt.sum()  # every entry stays positive
         if np.abs(nxt - v).sum() < POWER_TOL:
             return _rank("eigenvector", matrix, nxt, None, seed)
@@ -192,29 +216,32 @@ def walk_exponential_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRankin
     acyclic network: the sum is exact), or once k exceeds the largest row
     and column sum of A, where the tail shrinks geometrically, and no
     entry of either term changes its sum in float64. A network whose
-    exp(A) overflows float64 (spectral radius above about 709) raises
-    ValueError.
+    exp(A) overflows float64 (spectral radius above about 709.78, the ln
+    of the largest float64) raises ValueError: once a term's
+    Collatz-Wielandt floor on the spectral radius passes that, since some
+    entry of exp(A) 1 is at least e^rho, or else once a sum passes float64.
     """
-    a = matrix.a.astype(float)
-    sums = np.ones((2, matrix.n))  # row sums, column sums
-    terms = sums.copy()
-    # past this k each term is at most its predecessor times bound / k
-    bound = max(a.sum(axis=1).max(initial=0), a.sum(axis=0).max(initial=0))
+    product = _walk_product(matrix)
+    sums = terms = np.ones((2, matrix.n))  # row sums, column sums
+    # the largest row or column sum of A: past this k each term is at most
+    # its predecessor times bound / k, and the spectral radius is at most bound
+    bound = product(sums).max(initial=0)
     k = 0
     with np.errstate(over="ignore"):  # an overflow raises below
         while terms.any():
             k += 1
-            terms /= k  # before the product, which could overflow first
-            terms[0] = a @ terms[0]
-            terms[1] = terms[1] @ a
+            scaled = terms / k  # before the product, which could overflow first
+            terms = product(scaled)
             total = sums + terms
             if k > bound and (total == sums).all():
                 break
             sums = total
-            if not np.isfinite(sums).all():
+            if not np.isfinite(sums).all() or (
+                bound > LOG_MAX_FLOAT and _perron_floor(terms, scaled) > LOG_MAX_FLOAT
+            ):
                 raise ValueError(
-                    f"exp(A) overflows float64 (a walk sum passed 1.8e308 after {k} "
-                    f"Taylor terms) at n={matrix.n}; rank this network another way"
+                    f"exp(A) overflows float64 (a walk sum passes 1.8e308, shown by Taylor "
+                    f"term {k}) at n={matrix.n}; rank this network another way"
                 )
     return _rank("walk-exponential", matrix, sums[1], sums[0], seed)
 
@@ -232,15 +259,16 @@ def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     min g <= delta * rho <= max g. Once q, the max g of both sides, is
     below 1, the tail after s' is at most eps * q / (1 - q) * s with
     eps = max(t / s), and the series stops when that bound changes no
-    entry of s'. A side with min g >= 1, or a sum past float64, raises
-    ValueError as divergent; a series that has not stopped after
-    RESOLVENT_MAX_TERMS terms (delta * rho just below 1) raises it too.
+    entry of s'. A side with min g >= 1, a term t' with t' >= t on the
+    support of its predecessor t (delta * rho >= 1 again), or a sum past
+    float64 raises ValueError as divergent; a series that has not stopped
+    after RESOLVENT_MAX_TERMS terms (delta * rho just below 1) raises it too.
     """
-    a = matrix.a.astype(float)
+    product = _walk_product(matrix)
     sums = terms = np.ones((2, matrix.n))  # row sums, column sums
     with np.errstate(over="ignore"):  # an overflow raises below
         for _ in range(RESOLVENT_MAX_TERMS):
-            terms = DELTA * np.array((a @ terms[0], terms[1] @ a))
+            previous, terms = terms, DELTA * product(terms)
             total = sums + terms
             ratio = (total - 1) / sums
             q = ratio.max(initial=0)  # initial: an empty network
@@ -248,7 +276,10 @@ def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
                 tail = (terms / sums).max(initial=0) * q / (1 - q) * sums
                 if (total + tail == total).all():
                     return _rank("walk-resolvent", matrix, total[1], total[0], seed)
-            elif not np.isfinite(q) or ratio.min(axis=1).max() >= 1:
+            # both floors are at most delta * rho <= q. On a periodic hub only min g
+            # reaches 1; next to an isolated node, which keeps min g at 0, only t'/t
+            elif (not np.isfinite(q) or ratio.min(axis=1).max() >= 1
+                  or _perron_floor(terms, previous) >= 1):
                 raise ValueError(
                     f"the attenuated walk series (delta {DELTA:g}) diverges at n={matrix.n}; "
                     "rank this network another way"

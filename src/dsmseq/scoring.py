@@ -13,7 +13,9 @@ from collections import Counter
 
 import numpy as np
 
-from .model import AdjacencyMatrix, matrix_from_array
+# matrix_from_array is unused here but stays importable from this module:
+# benchmarks/workloads.py wraps scoring.matrix_from_array by name
+from .model import AdjacencyMatrix, _edge_matrix, matrix_from_array  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 10
 
@@ -82,11 +84,14 @@ def score_sequence(matrix: AdjacencyMatrix, order) -> int:
 def reorder_matrix(matrix: AdjacencyMatrix, order) -> AdjacencyMatrix:
     """Apply the same permutation to rows and columns.
 
-    Row/column k of the result corresponds to the k-th id in order.
+    Row/column k of the result corresponds to the k-th id in order. The
+    edge lists are permuted; neither matrix's dense array is built.
     """
     order = list(order)
     idx = _index_order(matrix, order)
-    return matrix_from_array(matrix.a[np.ix_(idx, idx)], ids=tuple(order))
+    pos = np.empty(matrix.n, dtype=np.int64)
+    pos[idx] = np.arange(matrix.n)
+    return _edge_matrix(tuple(order), pos[matrix.dep_idx], pos[matrix.pred_idx])
 
 
 def brute_force_optimum(matrix: AdjacencyMatrix) -> tuple[int, list[str]]:

@@ -1,14 +1,17 @@
 """Command-line entry points, driven through main() with captured stdout."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from dsmseq import brute_force_optimum
 from dsmseq.cli import main
-from conftest import adjacency, make_case, naive_score, write_case
+from conftest import DATA_DIR, adjacency, make_case, naive_score, write_case
 
 
 # the replies the CI scripts: two distinct orders of the case's ids, scoring 4
@@ -164,6 +167,35 @@ class TestGa:
         assert message.startswith("dsm-seq: error: the GA ")
         assert "at most 256 nodes, got 257" in message and "\n" not in message
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_a_long_chain_is_refused_without_a_dense_matrix(self, tmp_path):
+        """A 3,000-node chain is refused by the node limit in one line. The
+        dense int64 matrix of this network alone would take 72 MB, and none
+        is built on the way, so the refusing process stays small. The peak
+        is the process's own VmHWM: getrusage's ru_maxrss would also count
+        the forking test process."""
+        path = write_case(tmp_path / "chain_3000.json", make_case(3000, [(i + 1, i) for i in range(2999)]))
+        code = (
+            "import sys\n"
+            "from dsmseq.cli import main\n"
+            "try:\n"
+            "    main(['ga', '--case', sys.argv[1]])\n"
+            "finally:\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        print(next(int(line.split()[1]) // 1024 for line in status if line.startswith('VmHWM:')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env={**os.environ, "PYTHONPATH": str(DATA_DIR.parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("dsm-seq: error: the GA ") and done.stderr.count("\n") == 1
+        assert "at most 256 nodes, got 3000" in done.stderr
+        assert int(done.stdout) < 100, f"peak RSS {done.stdout.strip()} MB"
 
 
 class TestLlm:

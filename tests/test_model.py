@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -24,6 +25,7 @@ from dsmseq import (
     bundled_case_names,
     case_from_dict,
     load_case,
+    matrix_from_array,
     network_metrics,
 )
 
@@ -183,6 +185,30 @@ class TestAdjacency:
         m = build_adjacency(demo_case)
         assert m.ids == demo_case.node_ids
         assert [m.index_of[i] for i in m.ids] == list(range(m.n))
+
+    def test_edges_are_row_major_and_a_is_built_on_first_read(self, demo_case):
+        m = build_adjacency(demo_case)
+        assert "a" not in vars(m)
+        rows, cols = np.nonzero(m.a)
+        assert rows.tolist() == m.dep_idx.tolist() and cols.tolist() == m.pred_idx.tolist()
+        assert vars(m)["a"] is m.a  # kept after the first read
+        again = matrix_from_array(m.a * 7, m.ids)  # every nonzero entry is an edge
+        assert again.dep_idx.tolist() == m.dep_idx.tolist()
+        assert again.pred_idx.tolist() == m.pred_idx.tolist()
+        assert np.array_equal(again.a, m.a)
+
+    def test_a_long_chain_allocates_no_dense_matrix(self):
+        """A dense int64 matrix of 5,000 nodes would take 200 MB; the edge
+        lists of the chain take 80 kB."""
+        case = make_case(5000, [(i + 1, i) for i in range(4999)])
+        tracemalloc.start()
+        try:
+            m = build_adjacency(case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.n, len(m.dep_idx)) == (5000, 4999)
+        assert peak < 5_000_000, peak
 
 
 class TestAnonymize:

@@ -15,6 +15,7 @@ import pytest
 
 from dsmseq import (
     DETERMINISTIC_METHODS,
+    AdjacencyMatrix,
     DsmCase,
     Edge,
     Node,
@@ -40,6 +41,14 @@ PLASTIC_EDGES = [(1, 0), (2, 1), (0, 2), (2, 0)]
 
 def chain(n):
     return adjacency(make_case(n, [(i + 1, i) for i in range(n - 1)]))
+
+
+def complete_digraph(k, isolated=0):
+    """The complete digraph on k nodes, followed by isolated nodes."""
+    n = k + isolated
+    a = np.zeros((n, n), dtype=np.int64)
+    a[:k, :k] = 1 - np.eye(k, dtype=np.int64)
+    return matrix_from_array(a, tuple(f"v{i:03d}" for i in range(n)))
 
 
 def geometric_resolvent(a: np.ndarray, delta: float, terms: int = 60) -> np.ndarray:
@@ -285,19 +294,22 @@ class TestWalkExponential:
     @staticmethod
     def overflow_refusal_seconds() -> float:
         """How long the complete digraph on 720 nodes, whose exp(A) has row
-        sums e^719, takes to be refused."""
-        n = 720
-        matrix = matrix_from_array(1 - np.eye(n, dtype=np.int64), tuple(f"v{i:03d}" for i in range(n)))
+        sums e^719, takes to be refused, alone and with an isolated node
+        added (n = 721)."""
+        matrices = [complete_digraph(720, isolated) for isolated in (0, 1)]
         start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # the ValueError is the one report
-            with pytest.raises(ValueError, match="exp\\(A\\) overflows float64 .* at n=720"):
-                walk_exponential_order(matrix)
+        for matrix in matrices:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # the ValueError is the one report
+                with pytest.raises(ValueError, match=f"exp\\(A\\) overflows float64 .* at n={matrix.n}"):
+                    walk_exponential_order(matrix)
         return time.perf_counter() - start
 
     def test_overflow_is_refused_quickly(self):
-        # about 1,240 matrix-vector products; with threaded BLAS their time
-        # depends on the load on the other cores
+        # each network has over half a million edges, and a product over
+        # them costs milliseconds: a refusal has to come within a few terms,
+        # from the Collatz-Wielandt floor, not after the 621 terms it takes
+        # the sums to pass float64
         elapsed = run_with_blas_threads(
             "import test_ranking; print(test_ranking.TestWalkExponential.overflow_refusal_seconds())", 1
         )
@@ -408,13 +420,14 @@ class TestWalkResolvent:
 
     def test_divergent_series_is_refused(self, monkeypatch):
         # the complete digraphs on 41 and 42 nodes: delta * spectral radius
-        # is 0.025 * 40 = 1 and 0.025 * 41 > 1, and the first term already
-        # shows it, so a cap of one term still refuses them as divergent
-        monkeypatch.setattr("dsmseq.ranking.RESOLVENT_MAX_TERMS", 1)
-        for n in (41, 42):
-            matrix = matrix_from_array(1 - np.eye(n, dtype=np.int64), tuple(f"v{i:02d}" for i in range(n)))
-            with pytest.raises(ValueError, match=f"diverges at n={n}"):
-                walk_resolvent_order(matrix)
+        # is 0.025 * 40 = 1 and 0.025 * 41 > 1. The first term already shows
+        # it, so a cap of one term refuses both. With an isolated node
+        # added, min g stays 0, but the second term is at least the first
+        # on the first term's support, so a cap of two terms refuses them
+        for k, isolated in ((41, 0), (42, 0), (41, 1), (42, 1)):
+            monkeypatch.setattr("dsmseq.ranking.RESOLVENT_MAX_TERMS", 1 + isolated)
+            with pytest.raises(ValueError, match=f"diverges at n={k + isolated}"):
+                walk_resolvent_order(complete_digraph(k, isolated))
 
 
 class TestVisibility:
@@ -473,6 +486,25 @@ class TestSharedBehavior:
         assert isinstance(ranking, NodeRanking)
         assert sorted(ranking.order) == sorted(matrix.ids)
         assert set(ranking.primary_keys) == set(matrix.ids)
+
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_METHODS))
+    def test_keys_come_from_the_edge_lists(self, name, data_dir):
+        """No ranking reads the dense matrix: on a matrix whose a raises,
+        every ranking gives the same result as on the plain one."""
+
+        class EdgesOnly(AdjacencyMatrix):
+            @property
+            def a(self):
+                raise AssertionError("a ranking read the dense matrix")
+
+        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
+        matrices.append(adjacency(random_case(random.Random(5), 40, 0.1)))
+        for matrix in matrices:
+            edges_only = EdgesOnly(**{f.name: getattr(matrix, f.name) for f in dataclasses.fields(matrix)})
+            with quiet_runtime_warnings():
+                ranking = DETERMINISTIC_METHODS[name](edges_only, seed=0)
+                assert ranking == DETERMINISTIC_METHODS[name](matrix, seed=0)
+            assert "a" not in vars(matrix)
 
     @pytest.mark.parametrize("name", sorted(DETERMINISTIC_METHODS))
     def test_empty_matrix_gives_an_empty_order(self, name):
@@ -587,8 +619,8 @@ def analysis_digests() -> dict[str, str]:
 def test_analysis_matches_golden_digests(golden_dir):
     """The digests are pinned in golden/analysis_sha256.json, so a faster
     analysis must reproduce every output exactly, with one BLAS thread and
-    with two: the keys come from matrix-vector products and elementwise
-    sums, whose bits must not depend on the thread count."""
+    with two: the keys come from scatter-adds and elementwise sums, with no
+    BLAS call, so their bits must not depend on the thread count."""
     expected = json.loads((golden_dir / "analysis_sha256.json").read_text(encoding="utf-8"))
     for threads in (1, 2):
         digests = run_with_blas_threads(

@@ -181,6 +181,19 @@ class TestReorder:
             assert r.a.sum() == m.a.sum()
             assert sorted(r.a.sum(axis=1)) == sorted(m.a.sum(axis=1))
 
+    def test_permutes_the_edge_lists_without_a_dense_array(self, demo_case):
+        rng = random.Random(3)
+        for _ in range(10):
+            m = build_adjacency(demo_case)
+            order = rng.sample(list(m.ids), m.n)
+            r = reorder_matrix(m, order)
+            assert "a" not in vars(m) and "a" not in vars(r)
+            assert r.ids == tuple(order)
+            # row-major, as build_adjacency leaves them
+            assert np.array_equal(np.lexsort((r.pred_idx, r.dep_idx)), np.arange(len(r.dep_idx)))
+            idx = [m.index_of[node_id] for node_id in order]
+            assert np.array_equal(r.a, m.a[np.ix_(idx, idx)])
+
     def test_upper_triangle_equals_score(self, demo_case):
         rng = random.Random(2)
         m = build_adjacency(demo_case)
