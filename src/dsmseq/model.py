@@ -295,45 +295,113 @@ class NetworkMetrics:
     connected: bool = True
 
 
-def network_metrics(case: DsmCase) -> NetworkMetrics:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+def strong_components(n: int, deps: np.ndarray, preds: np.ndarray) -> tuple[int, np.ndarray]:
+    """The strongly connected components of the network on n nodes whose
+    edges say node deps[k] depends on node preds[k]: their number and each
+    node's label, every component labelled after the ones it depends on.
 
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972) with an explicit path in
+    place of recursion, so a long chain needs no deep call stack. It walks
+    from each dependent to its predecessors and closes a component only
+    after every component it reaches, so labels follow in that order.
+    """
+    order = np.argsort(deps, kind="stable")
+    heads = preds[order].tolist()
+    stops = np.cumsum(np.bincount(deps, minlength=n)).tolist()
+    cursor = [0, *stops[:-1]]  # the next edge of each node to follow
+    index = [-1] * n  # visit order, -1 until visited
+    low = [0] * n  # smallest visit index reachable on the open path
+    labels = [-1] * n
+    stack: list[int] = []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            k, stop = cursor[v], stops[v]
+            while k < stop:
+                w = heads[k]
+                k += 1
+                if index[w] < 0:
+                    cursor[v] = k
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if labels[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+    return count, np.array(labels, dtype=np.int64)
+
+
+def _bits(columns: np.ndarray) -> np.ndarray:
+    """Column j's bit within word j // 64 of a packed uint64 row."""
+    return np.left_shift(np.uint64(1), (columns % 64).astype(np.uint64))
+
+
+def network_metrics(case: DsmCase) -> NetworkMetrics:
     n = case.n
     e = len(case.edges)
     deps, preds = _edge_rows(case)
-    ends = np.concatenate([deps, preds])
-    starts = np.concatenate([preds, deps])
-    # duplicate entries (edges both ways) merge under logical or
-    undirected = csr_matrix((np.ones(2 * e, dtype=bool), (ends, starts)), shape=(n, n))
-    count, labels = connected_components(undirected, directed=False)
+    # the undirected projection, each pair (lo, hi) once, then as neighbour
+    # lists sorted by node: node ends[m] neighbours node starts[m]
+    lo, hi = np.divmod(np.unique(np.minimum(deps, preds) * n + np.maximum(deps, preds)), n)
+    ends = np.concatenate([lo, hi])
+    starts = np.concatenate([hi, lo])
+    by_end = np.argsort(ends, kind="stable")
+    ends, starts = ends[by_end], starts[by_end]
+    count, labels = strong_components(n, ends, starts)
     # the largest component; among equal sizes, the one holding the lowest
     # node index
     sizes = np.bincount(labels)
-    members = np.flatnonzero(labels == labels[np.argmax(sizes[labels] == sizes.max())])
-    k = len(members)
-    # breadth-first search from every member at once: column s of the
-    # boolean product marks the neighbours of source s's frontier
-    step = undirected[members][:, members]
-    seen = np.eye(k, dtype=bool)
+    largest = labels[np.argmax(sizes[labels] == sizes.max())]
+    k = int(sizes[largest])
+    # breadth-first search from every member at once, on packed bit rows:
+    # bit s of row i says source s has reached node i. One level ORs each
+    # node's neighbours' frontier rows (Akiba, Iwata & Yoshida, SIGMOD 2013)
+    inside = labels[ends] == largest
+    position = np.cumsum(labels == largest) - 1
+    step_ends, step_starts = position[ends[inside]], position[starts[inside]]
+    source = np.arange(k)
+    first = np.searchsorted(step_ends, source)
+    seen = np.zeros((k, (k + 63) // 64), dtype=np.uint64)
+    seen[source, source // 64] = _bits(source)
     frontier = seen
     diameter, hop_sum = 0, 0
-    while True:
-        reached = step @ frontier
+    while k > 1:
+        reached = np.bitwise_or.reduceat(frontier[step_starts], first)
         reached &= ~seen
-        width = int(np.count_nonzero(reached))
+        width = int(np.bitwise_count(reached).sum())
         if not width:
             break
         diameter += 1
         hop_sum += diameter * width
         seen |= reached
         frontier = reached
-    # local clustering 2T/(d(d-1)): with W the projection in float64,
-    # ((W@W)*W) row sums count each triangle at a node twice; exact at
-    # these sizes
-    weights = undirected.astype(float)
-    triangles = (weights @ weights).multiply(weights).sum(axis=1).A1
-    degree = weights.sum(axis=1).A1
+    # local clustering 2T/(d(d-1)): an undirected edge (i, j) closes one
+    # triangle at both ends per common neighbour, so each node's sum over
+    # its edges counts its triangles twice
+    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(rows, (ends, starts // 64), _bits(starts))
+    common = np.bitwise_count(rows[lo] & rows[hi]).sum(axis=1)
+    triangles = np.bincount(lo, common, n) + np.bincount(hi, common, n)
+    degree = np.bincount(ends, minlength=n)
     pairs = degree * (degree - 1)
     local = np.divide(triangles, pairs, out=np.zeros(n), where=pairs > 0)
     return NetworkMetrics(

@@ -31,11 +31,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 
 import numpy as np
 
-from .model import AdjacencyMatrix
+from .model import AdjacencyMatrix, strong_components
 
 KEY_TOLERANCE = 1e-9
 POWER_TOL = 1e-10
@@ -160,18 +159,6 @@ def _perron_floor(image: np.ndarray, x: np.ndarray) -> float:
     return ratio.min(axis=1, initial=np.inf)[x.any(axis=1)].max(initial=0.0)
 
 
-def _strong_components(matrix: AdjacencyMatrix) -> tuple[int, np.ndarray]:
-    """The number of strongly connected components and each node's label."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = csr_matrix(
-        (np.ones(len(matrix.dep_idx), dtype=bool), (matrix.dep_idx, matrix.pred_idx)),
-        shape=(matrix.n, matrix.n),
-    )
-    return connected_components(graph, directed=True, connection="strong")
-
-
 def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     """Rank by the dominant left eigenvector of the dependency matrix.
 
@@ -189,7 +176,7 @@ def eigenvector_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     all-tie seeded shuffle, with warning "acyclic".
     """
     n = matrix.n
-    count, _ = _strong_components(matrix)
+    count, _ = strong_components(n, matrix.dep_idx, matrix.pred_idx)
     if count == n:
         return _rank("eigenvector", matrix, np.zeros(n), None, seed, warning="acyclic")
 
@@ -297,20 +284,21 @@ def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
 
     Nodes of one strongly connected component share a row. Each
     component's row ORs in the rows of the components it depends on,
-    taken in topological order so those rows are already complete.
+    which carry smaller labels and so are already complete.
     """
     n = matrix.n
-    count, labels = _strong_components(matrix)
-    upstream: dict[int, set[int]] = {}
-    for dep, pred in zip(labels[matrix.dep_idx].tolist(), labels[matrix.pred_idx].tolist()):
-        if dep != pred:
-            upstream.setdefault(dep, set()).add(pred)
+    count, labels = strong_components(n, matrix.dep_idx, matrix.pred_idx)
+    dep, pred = labels[matrix.dep_idx], labels[matrix.pred_idx]
+    between = dep != pred
+    by_dep = np.argsort(dep[between], kind="stable")
+    dep, pred = dep[between][by_dep], pred[between][by_dep]
+    bounds = np.searchsorted(dep, np.arange(count + 1)).tolist()
     reach = np.zeros((count, n), dtype=bool)
     reach[labels, np.arange(n)] = True
-    # static_order yields every component after the ones it depends on
-    for component in TopologicalSorter(upstream).static_order():
-        if component in upstream:
-            reach[component] |= reach[list(upstream[component])].any(axis=0)
+    for component in range(count):
+        upstream = pred[bounds[component]:bounds[component + 1]]
+        if len(upstream):
+            reach[component] |= reach[upstream].any(axis=0)
     return reach[labels].astype(np.int64)
 
 

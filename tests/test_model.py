@@ -28,6 +28,7 @@ from dsmseq import (
     matrix_from_array,
     network_metrics,
 )
+from dsmseq.model import strong_components
 
 from conftest import make_case, naive_score, random_case
 
@@ -211,6 +212,66 @@ class TestAdjacency:
         assert peak < 5_000_000, peak
 
 
+def edges_at_degree(rng: np.random.Generator, n: int, degree: float) -> tuple[np.ndarray, np.ndarray]:
+    """A random digraph with each ordered pair an edge with probability
+    degree / (n - 1), as (dependents, predecessors) in row-major order."""
+    kept = rng.random((n, n)) < degree / (n - 1)
+    np.fill_diagonal(kept, False)
+    return np.nonzero(kept)
+
+
+def partition(labels: np.ndarray) -> set[frozenset[int]]:
+    groups: dict[int, set[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        groups.setdefault(label, set()).add(node)
+    return {frozenset(group) for group in groups.values()}
+
+
+class TestStrongComponents:
+    """The component helper against networkx: the same partition, and no
+    component labelled before one it depends on."""
+
+    def check(self, n, deps, preds):
+        deps, preds = np.asarray(deps, dtype=np.int64), np.asarray(preds, dtype=np.int64)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(zip(preds.tolist(), deps.tolist()))
+        # on the symmetric projection the components are the connected ones
+        both = np.concatenate([deps, preds]), np.concatenate([preds, deps])
+        count, labels = strong_components(n, *both)
+        assert partition(labels) == {frozenset(c) for c in nx.connected_components(graph.to_undirected())}
+        assert sorted(set(labels.tolist())) == list(range(count))
+        count, labels = strong_components(n, deps, preds)
+        assert partition(labels) == {frozenset(c) for c in nx.strongly_connected_components(graph)}
+        assert sorted(set(labels.tolist())) == list(range(count))
+        assert (labels[preds] <= labels[deps]).all()
+        return count, labels
+
+    @pytest.mark.parametrize("n", [10, 100, 400])
+    @pytest.mark.parametrize("degree", [1.4, 2.65, 3.9])
+    def test_random_digraphs(self, n, degree):
+        rng = np.random.default_rng(n * 10 + int(degree * 100))
+        for _ in range(3):
+            self.check(n, *edges_at_degree(rng, n, degree))
+
+    def test_complete_digraph(self):
+        deps, preds = np.nonzero(1 - np.eye(30, dtype=np.int64))
+        assert self.check(30, deps, preds)[0] == 1
+
+    def test_a_long_chain_needs_no_recursion(self):
+        # a recursive search would pass Python's default limit of 1,000 frames
+        count, labels = self.check(3000, np.arange(1, 3000), np.arange(2999))
+        assert count == 3000
+        assert labels.tolist() == list(range(3000))
+
+    def test_empty_graph_and_isolated_nodes(self):
+        assert self.check(5, [], [])[0] == 5
+        # a 3-cycle and a pair edge among isolated nodes
+        count, labels = self.check(8, [1, 2, 0, 6], [0, 1, 2, 4])
+        assert count == 6
+        assert labels[0] == labels[1] == labels[2]
+
+
 class TestAnonymize:
     def test_deterministic(self, demo_case):
         _, m1 = anonymize_ids(demo_case, seed=7)
@@ -334,15 +395,16 @@ class TestMetrics:
                 pairs += [(place[1](d), place[1](p)) for d, p in second]
                 cases.append(make_case(9, pairs))
         # the sizes the benchmark times, at the bundled cases' 1.4 to 3.9
-        # edges per node
-        cases += [
-            random_case(rng, n, degree / (n - 1))
-            for n, degree in ((100, 1.4), (100, 3.9), (130, 2.6))
-        ]
+        # edges per node, and the 1.4 and 2.65 of its n = 400 draws
+        sizes = ((100, 1.4), (100, 3.9), (130, 2.6), (400, 1.4), (400, 2.65))
+        cases += [random_case(rng, n, degree / (n - 1)) for n, degree in sizes]
+        # a 300-node chain: diameter 299, the longest run of search levels
+        cases.append(make_case(300, [(i + 1, i) for i in range(299)]))
         results = [(network_metrics(case), networkx_metrics(case)) for case in cases]
         assert {ours.connected for ours, _ in results} == {True, False}
-        assert {ours.diameter for ours, _ in results[-7:-3]} == {1, 3}
-        assert all(ours.diameter > 3 for ours, _ in results[-3:])
+        assert {ours.diameter for ours, _ in results[-10:-6]} == {1, 3}
+        assert all(ours.diameter > 3 for ours, _ in results[-6:-1])
+        assert results[-1][0].diameter == 299
         for ours, reference in results:
             # repr also tells a numpy scalar from a Python number
             assert repr(ours) == repr(reference)
@@ -370,33 +432,37 @@ def networkx_metrics(case: DsmCase) -> NetworkMetrics:
     )
 
 
-def test_scoring_and_search_leave_scipy_out():
-    """scipy loads only where it is used: network metrics and the
-    strong-component rankings. Scoring, the GA, the LLM loop and the
-    walk-exponential and walk-resolvent rankings run without it."""
+def test_the_package_runs_with_scipy_blocked():
+    """No dsmseq code imports scipy: with every scipy import made to fail,
+    network metrics, the five rankings, the GA and the LLM loop run on
+    every bundled case."""
     src = str(Path(dsmseq.__file__).resolve().parents[1])
     code = (
-        "import sys, dsmseq\n"
-        "case = dsmseq.bundled_case('demo_gearbox_7')\n"
-        "matrix = dsmseq.build_adjacency(case)\n"
-        "reply = '<order> ' + ', '.join(reversed(case.node_ids)) + ' </order>'\n"
-        "cfg = dsmseq.OptimizerConfig(termination=dsmseq.TerminationPolicy(max_iterations=2), seed=0)\n"
-        "dsmseq.run_optimization(case, cfg, dsmseq.ScriptedProvider([reply, reply]))\n"
-        "dsmseq.run_ga(matrix, dsmseq.preset_config('balanced', seed=0, generations=5))\n"
-        "dsmseq.score_sequence(matrix, case.node_ids)\n"
-        "dsmseq.walk_exponential_order(matrix)\n"
-        "dsmseq.walk_resolvent_order(matrix)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # an import of scipy or its modules raises ImportError\n"
+        "import dsmseq\n"
+        "names = dsmseq.bundled_case_names()\n"
+        "for name in names:\n"
+        "    case = dsmseq.bundled_case(name)\n"
+        "    matrix = dsmseq.build_adjacency(case)\n"
+        "    dsmseq.network_metrics(case)\n"
+        "    for rank in dsmseq.DETERMINISTIC_METHODS.values():\n"
+        "        rank(matrix)\n"
+        "    dsmseq.run_ga(matrix, dsmseq.preset_config('balanced', seed=0, generations=5))\n"
+        "    reply = '<order> ' + ', '.join(reversed(case.node_ids)) + ' </order>'\n"
+        "    cfg = dsmseq.OptimizerConfig(termination=dsmseq.TerminationPolicy(max_iterations=2), seed=0)\n"
+        "    dsmseq.run_optimization(case, cfg, dsmseq.ScriptedProvider([reply, reply]))\n"
+        "print(len(names), sorted(m for m in sys.modules if m.startswith('scipy.')))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "ignore", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == f"{len(bundled_case_names())} []"
 
 
 def test_import_leaves_networkx_out():

@@ -32,7 +32,8 @@ from dsmseq import (
     walk_exponential_order,
     walk_resolvent_order,
 )
-from dsmseq.ranking import RESOLVENT_MAX_TERMS, _rank, _strong_components, _tie_partition
+from dsmseq.model import strong_components
+from dsmseq.ranking import RESOLVENT_MAX_TERMS, _rank, _tie_partition
 from conftest import adjacency, make_case, random_case, run_with_blas_threads
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
@@ -201,7 +202,7 @@ class TestEigenvector:
         rng = random.Random(37)
         edges = [(d, p) for d in range(100) for p in range(d) if rng.random() < 0.04]
         for matrix in (chain(4), adjacency(make_case(100, edges))):
-            assert _strong_components(matrix)[0] == matrix.n
+            assert strong_components(matrix.n, matrix.dep_idx, matrix.pred_idx)[0] == matrix.n
             elapsed = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -245,7 +246,7 @@ class TestEigenvector:
         rng = random.Random(2026)
         for n, density in ANALYSIS_DRAWS:
             matrix = build_adjacency(random_case(rng, n, density))
-            if _strong_components(matrix)[0] < n:
+            if strong_components(matrix.n, matrix.dep_idx, matrix.pred_idx)[0] < n:
                 matrices.append(matrix)
         assert len(matrices) > 10
         for matrix in matrices:
