@@ -64,23 +64,33 @@ class DsmCase:
         return len(self.nodes)
 
 
+def check_node_ids(ids, where: str) -> None:
+    """Check that an LLM reply can name every id, raising CaseError with a
+    location.
+
+    Replies list ids comma-separated and stripped, so an id must be
+    non-empty and hold no ',' and no leading or trailing whitespace; and
+    each id must name one node.
+    """
+    seen: set[str] = set()
+    for pos, node_id in enumerate(ids):
+        if not node_id:
+            raise CaseError(f"{where}[{pos}]: empty id")
+        if "," in node_id or node_id != node_id.strip():
+            raise CaseError(
+                f"{where}[{pos}]: id {node_id!r} contains ',' or leading/trailing whitespace"
+            )
+        if node_id in seen:
+            raise CaseError(f"{where}[{pos}]: duplicate node id {node_id!r}")
+        seen.add(node_id)
+
+
 def validate_case(case: DsmCase) -> None:
     """Check structural invariants, raising CaseError with a location."""
     if len(case.nodes) < 2:
         raise CaseError(f"need at least 2 nodes, got {len(case.nodes)}")
-    seen: set[str] = set()
-    for pos, node in enumerate(case.nodes):
-        if not node.id:
-            raise CaseError(f"nodes[{pos}]: empty id")
-        # LLM replies list ids comma-separated and stripped, so such an id
-        # could never be read back
-        if "," in node.id or node.id != node.id.strip():
-            raise CaseError(
-                f"nodes[{pos}]: id {node.id!r} contains ',' or leading/trailing whitespace"
-            )
-        if node.id in seen:
-            raise CaseError(f"nodes[{pos}]: duplicate node id {node.id!r}")
-        seen.add(node.id)
+    check_node_ids(case.node_ids, "nodes")
+    seen = set(case.node_ids)
     pairs: set[tuple[str, str]] = set()
     two_cycles = 0
     for pos, edge in enumerate(case.edges):
@@ -231,7 +241,9 @@ def build_adjacency(case: DsmCase) -> AdjacencyMatrix:
 
 def matrix_from_array(a: np.ndarray, ids: tuple[str, ...]) -> AdjacencyMatrix:
     """Wrap a raw 0/1 array (diagonal must be zero) as an AdjacencyMatrix;
-    every nonzero entry is an edge."""
+    every nonzero entry is an edge. The ids follow a case's id rules
+    (check_node_ids); a CaseError, which is a ValueError, names the first
+    that breaks one."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -239,6 +251,7 @@ def matrix_from_array(a: np.ndarray, ids: tuple[str, ...]) -> AdjacencyMatrix:
         raise ValueError("diagonal must be all zero (no self-dependencies)")
     if len(ids) != a.shape[0]:
         raise ValueError("ids length must match matrix size")
+    check_node_ids(ids, "ids")
     return _edge_matrix(ids, *np.nonzero(a))
 
 

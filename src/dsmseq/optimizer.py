@@ -4,6 +4,11 @@ Each iteration samples precedent solutions from the archive, renders the
 prompt, asks the provider for one candidate order, parses it, and files it
 in the archive, which scores each new order once. The loop stops at the
 iteration budget or when the best score reaches a known optimal threshold.
+
+Inside the loop an order is a list of matrix row indices: the parser maps a
+reply's ids to rows and checks them once, and the archive scores the rows.
+Ids appear only where a reader sees them: prompt lines, trace rows and the
+returned best, all taken from the archive's records.
 """
 
 from __future__ import annotations
@@ -80,31 +85,38 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     rng = random.Random(cfg.seed)
     base = SolutionBase(matrix)
 
-    initial, _ = base.insert(rng.sample(list(case.node_ids), case.n))
+    # draws as sampling the id list would, and row r is the id node_ids[r]
+    initial, _ = base.insert(rng.sample(range(case.n), case.n))
     # one seeded edge order for every prompt of the run
     edges = list(case.edges)
     rng.shuffle(edges)
     shuffled_case = replace(case, edges=tuple(edges))
 
-    def entry(iteration: int, **extra) -> dict:
+    def entry(
+        iteration: int,
+        prompt_digest: str | None = None,
+        response_digest: str | None = None,
+        record: SolutionRecord | None = None,
+        failure: str | None = None,
+        duplicate: bool = False,
+        attempts: int = 0,
+    ) -> dict:
         best = base.best()
-        row = {
+        return {
             "iteration": iteration,
-            "prompt_sha256": None,
-            "response_sha256": None,
-            "sequence": None,
-            "score": None,
-            "failure": None,
-            "duplicate": False,
-            "attempts": 0,
+            "prompt_sha256": prompt_digest,
+            "response_sha256": response_digest,
+            "sequence": None if record is None else list(record.sequence),
+            "score": None if record is None else record.score,
+            "failure": failure,
+            "duplicate": duplicate,
+            "attempts": attempts,
             "unique_count": len(base),
             "best_score": best.score,
             "best_sequence": best.sequence,
         }
-        row.update(extra)
-        return row
 
-    trace = [entry(0, sequence=list(initial.sequence), score=initial.score)]
+    trace = [entry(0, record=initial)]
 
     model_name = getattr(client, "model", "") or ""
     iteration = 0
@@ -125,7 +137,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
                 trace.append(
                     entry(
                         iteration,
-                        prompt_sha256=prompt_sha256(attempt_prompt),
+                        prompt_digest=prompt_sha256(attempt_prompt),
                         failure="provider-error",
                         attempts=attempts,
                     )
@@ -154,8 +166,8 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             trace.append(
                 entry(
                     iteration,
-                    prompt_sha256=prompt_sha256(attempt_prompt),
-                    response_sha256=_sha256(response_text),
+                    prompt_digest=prompt_sha256(attempt_prompt),
+                    response_digest=_sha256(response_text),
                     failure=failure,
                     attempts=attempts,
                 )
@@ -166,10 +178,9 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         trace.append(
             entry(
                 iteration,
-                prompt_sha256=prompt_sha256(attempt_prompt),
-                response_sha256=_sha256(response_text),
-                sequence=parsed,
-                score=record.score,
+                prompt_digest=prompt_sha256(attempt_prompt),
+                response_digest=_sha256(response_text),
+                record=record,
                 duplicate=not is_new,
                 attempts=attempts,
             )

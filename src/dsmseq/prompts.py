@@ -4,7 +4,8 @@ The prompt has four parts: network topology (edge list, shuffled once per
 run), optional contextual knowledge (network description and node names),
 meta-instructions, and a worst-to-best list of previously scored orders.
 Rendering is a pure function of PromptContext and is pinned byte-for-byte by
-golden-file tests.
+golden-file tests. Parsing maps a reply's ids to the matrix's row indices
+and checks them once; the loop and the archive work on those rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .model import AdjacencyMatrix, DsmCase, Edge, Node
+from .model import AdjacencyMatrix, DsmCase, Edge, Node, check_node_ids
 from .scoring import is_valid_sequence
 from .solutions import SolutionRecord
 
@@ -163,7 +164,7 @@ def build_prompt(ctx: PromptContext) -> str:
         )
     head, tail, _ = _frame(ctx)
     lines = ",\n".join([record.prompt_line for record in ctx.historical])
-    return head + "[\n" + lines + "\n]" + tail
+    return "".join((head, "[\n", lines, "\n]", tail))
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -213,28 +214,44 @@ def _order_span(raw: str) -> str | None:
     return raw[start:end]
 
 
-def parse_order_response(raw: str, case_ids) -> list[str]:
-    """Extract the first <order>...</order> span as a validated sequence.
+def _permutation(rows: list, n: int) -> bool:
+    """Whether rows, the index_of lookups of a reply's ids, are n known
+    (no None) and distinct rows: a permutation of range(n)."""
+    distinct = set(rows)
+    return len(rows) == n == len(distinct) and None not in distinct
+
+
+def parse_order_response(raw: str, case_ids) -> list[int]:
+    """Extract the first <order>...</order> span as a checked order of row
+    indices.
 
     case_ids is the case's AdjacencyMatrix, as the search loop passes it,
-    or a sequence of its node ids. Surrounding prose is tolerated; the
-    tagged span must contain a comma-separated permutation of the node ids.
-    The ids returned are case_ids' own string objects, not the reply's, so
-    every parsed order of a run shares one string per node.
+    or a sequence of its node ids (held to the case id rules). Surrounding
+    prose is tolerated; the tagged span must contain a comma-separated
+    permutation of the node ids. Row r is the id case_ids.ids[r] (or
+    case_ids[r]), so every parsed order of a run names the matrix's own
+    strings.
+
+    The span is first split on the canonical ", ". No id holds a comma or
+    surrounding whitespace, so when that gives n known, distinct ids they
+    are the ids the general split on "," with stripping gives, which is
+    tried only when it does not.
     """
     span = _order_span(raw)
     if span is None:
         raise OrderParseError("missing-tags", "no <order>...</order> span in response")
     if isinstance(case_ids, AdjacencyMatrix):
-        ids, index_of = case_ids.ids, case_ids.index_of
+        n, index_of = case_ids.n, case_ids.index_of
     else:
         ids = tuple(case_ids)
-        index_of = {node_id: i for i, node_id in enumerate(ids)}
+        check_node_ids(ids, "ids")
+        n, index_of = len(ids), {node_id: i for i, node_id in enumerate(ids)}
+    rows = list(map(index_of.get, span.strip().split(", ")))
+    if _permutation(rows, n):
+        return rows
     items = list(filter(None, map(str.strip, span.split(","))))
     rows = list(map(index_of.get, items))
-    # n rows, all known (no None) and distinct: a permutation
-    distinct = set(rows)
-    if len(rows) == len(ids) == len(distinct) and None not in distinct:
-        return [ids[row] for row in rows]
-    _, diag = is_valid_sequence(ids, items)
+    if _permutation(rows, n):
+        return rows
+    _, diag = is_valid_sequence(index_of.keys(), items)
     raise OrderParseError("invalid-sequence", diag)

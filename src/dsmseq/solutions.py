@@ -1,4 +1,8 @@
-"""Archive of explored sequences with sampling and termination logic."""
+"""Archive of explored sequences with sampling and termination logic.
+
+The archive takes orders as matrix row indices, as the parser returns them,
+and keeps each record's ids for prompts, traces and the returned best.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,14 @@ import bisect
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+
+import numpy as np
 
 from .model import AdjacencyMatrix
-from .scoring import score_sequence
+# score_sequence is unused here but stays importable from this module:
+# benchmarks/workloads.py wraps solutions.score_sequence by name
+from .scoring import feedback_count, score_sequence  # noqa: F401
 
 # each prompt shows the K_P best archive entries plus K_Q random others
 K_P = 5
@@ -47,37 +56,47 @@ class TerminationPolicy:
 class SolutionBase:
     """Stores every distinct explored sequence with the score it computed.
 
-    insert is the only way in: the archive scores each new sequence once on
-    its own matrix and answers a repeat from the stored record. Single-writer:
-    the search loop inserts sequentially. The archive keeps one ranking,
-    (score, arrival index) pairs sorted as records arrive, so a score tie
-    always goes to the record inserted first.
+    insert is the only way in: it takes an order of matrix row indices,
+    scores each new order once on its own matrix and answers a repeat from
+    the stored record. Single-writer: the search loop inserts sequentially.
+    The archive keeps one ranking, (score, arrival index) pairs sorted as
+    records arrive, so a score tie always goes to the record inserted first.
     """
 
     def __init__(self, matrix: AdjacencyMatrix):
         self._matrix = matrix
+        self._rows = set(range(matrix.n))
+        # the matrix's id strings themselves, so a record shares them
+        self._ids = np.array(matrix.ids, dtype=object)
         self._records: list[SolutionRecord] = []
-        self._index: dict[tuple[str, ...], int] = {}  # sequence -> arrival index
+        self._index: dict[tuple[int, ...], int] = {}  # row order -> arrival index
         self._ranking: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def insert(self, sequence) -> tuple[SolutionRecord, bool]:
-        """File a sequence; returns (its record, whether it is new).
+    def insert(self, rows) -> tuple[SolutionRecord, bool]:
+        """File an order of row indices; returns (its record, whether it is new).
 
         A repeat returns the stored record without scoring it again. A new
-        sequence is validated and scored once; an invalid one raises
-        ValueError and stores nothing.
+        order is checked to be a permutation of range(n) and scored once; a
+        record names its nodes by the matrix's ids. An order that is not a
+        permutation raises ValueError and stores nothing.
         """
-        seq = tuple(sequence)
-        index = self._index.get(seq)
+        key = tuple(rows)
+        index = self._index.get(key)
         if index is not None:
             return self._records[index], False
-        record = SolutionRecord(seq, score_sequence(self._matrix, seq))
+        n = self._matrix.n
+        # n rows, all in range(n): no room for a duplicate
+        if len(key) != n or set(key) != self._rows:
+            raise ValueError(f"invalid sequence: not a permutation of rows 0..{n - 1}")
+        order = np.fromiter(key, np.int64, n)
+        score = feedback_count(self._matrix, order)
+        record = SolutionRecord(tuple(self._ids[order].tolist()), score)
         index = len(self._records)
-        self._index[seq] = index
-        bisect.insort(self._ranking, (record.score, index))
+        self._index[key] = index
+        bisect.insort(self._ranking, (score, index))
         self._records.append(record)
         return record, True
 
@@ -98,8 +117,9 @@ class SolutionBase:
         top = self._ranking[:K_P]
         rest = range(len(top), len(self._ranking))  # rank positions below the top
         picked = [self._ranking[j] for j in rng.sample(rest, min(K_Q, len(rest)))]
-        chosen = [self._records[i] for _, i in top + picked]
-        return sorted(chosen, key=lambda r: -r.score)
+        # sorting is stable under reverse=True too: ties keep best-then-picked
+        chosen = sorted(top + picked, key=itemgetter(0), reverse=True)
+        return [self._records[i] for _, i in chosen]
 
     def should_terminate(self, policy: TerminationPolicy, iterations_done: int) -> bool:
         if iterations_done >= policy.max_iterations:

@@ -315,7 +315,7 @@ def test_07_sampling_contract():
             sequence = tuple(list(reversed(ids[: k + 1])) + ids[k + 1 :])
             score = score_sequence(matrix, sequence)
             assert score == k  # reversing a k+1 prefix creates exactly k feedbacks
-            base.insert(sequence)
+            base.insert([matrix.index_of[node_id] for node_id in sequence])
 
         counts = {score: 0 for score in range(5, 20)}
         for seed in range(1000):

@@ -198,6 +198,24 @@ class TestAdjacency:
         assert again.pred_idx.tolist() == m.pred_idx.tolist()
         assert np.array_equal(again.a, m.a)
 
+    # matrix_from_array holds its ids to the case id rules, as validate_case does
+    def test_matrix_from_array_refuses_a_duplicate_id(self):
+        with pytest.raises(ValueError, match=r"ids\[1\]: duplicate node id 'a'"):
+            matrix_from_array(np.zeros((2, 2), dtype=np.int64), ("a", "a"))
+
+    def test_matrix_from_array_refuses_an_empty_id(self):
+        with pytest.raises(ValueError, match=r"ids\[0\]: empty id"):
+            matrix_from_array(np.zeros((2, 2), dtype=np.int64), ("", "b"))
+
+    def test_matrix_from_array_refuses_an_id_with_a_comma(self):
+        with pytest.raises(ValueError, match=r"ids\[1\]: id 'b,c' contains ','"):
+            matrix_from_array(np.zeros((2, 2), dtype=np.int64), ("a", "b,c"))
+
+    @pytest.mark.parametrize("bad", [" b", "b ", "b\n"])
+    def test_matrix_from_array_refuses_an_id_with_outer_whitespace(self, bad):
+        with pytest.raises(ValueError, match=r"ids\[1\]: .* leading/trailing whitespace"):
+            matrix_from_array(np.zeros((2, 2), dtype=np.int64), ("a", bad))
+
     def test_a_long_chain_allocates_no_dense_matrix(self):
         """A dense int64 matrix of 5,000 nodes would take 200 MB; the edge
         lists of the chain take 80 kB."""

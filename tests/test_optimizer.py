@@ -297,21 +297,21 @@ SCORE_ONCE_REPLIES = [
 
 
 class TestScoreOnce:
-    def counted(self, monkeypatch, module, calls):
-        original = module.score_sequence
+    def counted(self, monkeypatch, module, name, calls):
+        original = getattr(module, name)
 
-        def counting(matrix, order):
+        def counting(*args):
             calls.append(module.__name__)
-            return original(matrix, order)
+            return original(*args)
 
-        monkeypatch.setattr(module, "score_sequence", counting)
+        monkeypatch.setattr(module, name, counting)
 
     def test_one_call_per_parsed_reply_plus_initial_and_final(self, monkeypatch):
         from dsmseq import solutions
 
         calls = []
-        self.counted(monkeypatch, solutions, calls)
-        self.counted(monkeypatch, optimizer, calls)
+        self.counted(monkeypatch, solutions, "feedback_count", calls)
+        self.counted(monkeypatch, optimizer, "score_sequence", calls)
         cfg = config(termination=TerminationPolicy(max_iterations=5))
         best, trace = run_optimization(chain_case(), cfg, ScriptedProvider(SCORE_ONCE_REPLIES))
         parsed = [row for row in trace[1:] if row["sequence"] is not None]
@@ -322,6 +322,30 @@ class TestScoreOnce:
         assert distinct == 3
         assert calls == ["dsmseq.solutions"] * (1 + distinct) + ["dsmseq.optimizer"]
         assert best.score == 0
+
+    def test_ids_are_checked_only_for_the_final_rescore(self, monkeypatch):
+        # the parser checks each reply's rows, and the archive scores them:
+        # no reply is mapped from ids or checked at the id level again
+        from dsmseq import scoring
+
+        calls = []
+        self.counted(monkeypatch, scoring, "_index_order", calls)
+        self.counted(monkeypatch, scoring, "is_valid_sequence", calls)
+        replies = [f"<order> {TOPO_ORDER} </order>", "<order> v01, v00, v02, v03, v04, v05 </order>"]
+        cfg = config(termination=TerminationPolicy(max_iterations=4))
+        best, trace = run_optimization(chain_case(), cfg, ScriptedProvider(replies * 2))
+        assert [row["duplicate"] for row in trace[1:]] == [False, False, True, True]
+        assert calls == ["dsmseq.scoring", "dsmseq.scoring"]  # _index_order, then its check
+        assert best.score == 0
+
+    def test_seed_order_draws_as_sampling_the_ids(self):
+        for n in range(2, 131):
+            ids = [f"v{i:03d}" for i in range(n)]
+            for seed in range(20):
+                by_row, by_id = random.Random(seed), random.Random(seed)
+                rows = by_row.sample(range(n), n)
+                assert [ids[r] for r in rows] == by_id.sample(list(ids), n)
+                assert by_row.getstate() == by_id.getstate()
 
     def test_trace_prompt_digests_are_sha256_of_the_last_attempt(self):
         stub = ScriptedProvider(SCORE_ONCE_REPLIES)
@@ -336,9 +360,9 @@ class TestScoreOnce:
     def test_corrupted_best_raises(self, monkeypatch):
         from dsmseq import solutions
 
-        original = solutions.score_sequence
+        original = solutions.feedback_count
         # the archive agrees with itself, but not with an independent count
-        monkeypatch.setattr(solutions, "score_sequence", lambda m, order: original(m, order) + 1)
+        monkeypatch.setattr(solutions, "feedback_count", lambda m, order: original(m, order) + 1)
         cfg = config(termination=TerminationPolicy(max_iterations=2))
         stub = ScriptedProvider([f"<order> {REVERSED_ORDER} </order>"] * 2)
         with pytest.raises(RuntimeError, match="re-scores to"):

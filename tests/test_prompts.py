@@ -211,15 +211,15 @@ class TestParseOrder:
         self.matrix = adjacency(make_case(2, [(1, 0)]))
 
     def test_plain(self):
-        assert parse_order_response("<order> v00, v01 </order>", self.matrix) == ["v00", "v01"]
+        assert parse_order_response("<order> v00, v01 </order>", self.matrix) == [0, 1]
 
     def test_prose_around_tags(self):
         raw = "Sure, here is my suggestion:\n<order>v01,v00</order>\nHope this helps."
-        assert parse_order_response(raw, self.matrix) == ["v01", "v00"]
+        assert parse_order_response(raw, self.matrix) == [1, 0]
 
     def test_first_span_wins(self):
         raw = "<order> v00, v01 </order> ... <order> v01, v00 </order>"
-        assert parse_order_response(raw, self.matrix) == ["v00", "v01"]
+        assert parse_order_response(raw, self.matrix) == [0, 1]
 
     def test_missing_tags_kind(self):
         with pytest.raises(OrderParseError) as info:
@@ -238,14 +238,50 @@ class TestParseOrder:
 
     def test_whitespace_and_newlines_tolerated(self):
         raw = "<order>\n  v00 ,\n  v01\n</order>"
-        assert parse_order_response(raw, self.matrix) == ["v00", "v01"]
+        assert parse_order_response(raw, self.matrix) == [0, 1]
 
     def test_ids_are_the_matrix_own_strings(self):
         matrix = adjacency(make_case(7, [(1, 0), (2, 1)]))
         raw = "<order>  " + " ,\n ".join(reversed(matrix.ids)) + "  </order>"
         parsed = parse_order_response(raw, matrix)
-        assert parsed == list(reversed(matrix.ids))
-        assert all(got is own for got, own in zip(parsed, reversed(matrix.ids)))
+        assert parsed == list(reversed(range(matrix.n)))
+        # each row names the matrix's own string, not the reply's copy
+        named = [matrix.ids[row] for row in parsed]
+        assert named == list(reversed(matrix.ids))
+        assert all(got is own for got, own in zip(named, reversed(matrix.ids)))
+
+    def test_canonical_split_gives_the_general_split_rows(self):
+        # the parser splits on ", " first; every reply must come out as the
+        # split on "," with stripping (the only split before) reads it
+        matrix = adjacency(make_case(4, [(1, 0), (2, 1)]))
+        separators = (", ", ",", " , ", ",\n  ", ", , ", ",,")
+        rng = random.Random(3)
+        accepted = 0
+        for _ in range(3000):
+            items = rng.sample(list(matrix.ids), 4)
+            if rng.random() < 0.3:
+                items[rng.randrange(4)] = rng.choice([*matrix.ids, "v0", "v00 v01", ""])
+            span = rng.choice(["", " ", "\n"]) + items[0]
+            for item in items[1:]:
+                span += rng.choice(separators) + item
+            span += rng.choice(["", " ", "\n"])
+            general = [item.strip() for item in span.split(",") if item.strip()]
+            ok, diag = is_valid_sequence(matrix, general)
+            if ok:
+                accepted += 1
+                assert parse_order_response(f"<order>{span}</order>", matrix) == [
+                    matrix.index_of[node_id] for node_id in general
+                ]
+            else:
+                with pytest.raises(OrderParseError) as info:
+                    parse_order_response(f"<order>{span}</order>", matrix)
+                assert str(info.value) == diag
+        assert 2000 < accepted < 3000
+
+    def test_id_list_form_follows_the_id_rules(self):
+        assert parse_order_response("<order> b, a </order>", ["a", "b"]) == [1, 0]
+        with pytest.raises(ValueError, match="whitespace"):
+            parse_order_response("<order> b,  a </order>", ["b", " a"])
 
     @pytest.mark.parametrize(
         "span",

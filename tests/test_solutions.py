@@ -20,10 +20,15 @@ def chain_case():
     return make_case(4, [(1, 0), (2, 1), (3, 2)])
 
 
+def rows(matrix, order):
+    """An order of ids as the matrix row indices the archive takes."""
+    return [matrix.index_of[node_id] for node_id in order]
+
+
 def filled_base(matrix, orders):
     base = SolutionBase(matrix)
     for order in orders:
-        base.insert(order)
+        base.insert(rows(matrix, order))
     return base
 
 
@@ -32,9 +37,9 @@ class TestInsert:
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
         order = list(m.ids)
-        first, is_new = base.insert(order)
+        first, is_new = base.insert(rows(m, order))
         assert is_new is True and first.sequence == tuple(order)
-        again, is_new = base.insert(order)
+        again, is_new = base.insert(tuple(rows(m, order)))
         assert is_new is False
         assert again is first  # the stored record, as first found
         assert len(base) == 1
@@ -51,7 +56,8 @@ class TestInsert:
         scores = []
         for _ in range(10):
             order = rng.sample(list(m.ids), m.n)
-            record, _ = base.insert(order)
+            record, _ = base.insert(rows(m, order))
+            assert record.sequence == tuple(order)
             assert record.score == score_sequence(m, order)
             scores.append(record.score)
         assert base.best().score == min(scores)
@@ -59,9 +65,15 @@ class TestInsert:
     def test_invalid_sequence_rejected(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        with pytest.raises(ValueError, match="invalid sequence"):
-            base.insert(("v00", "v00", "v01", "v02"))
+        for bad in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 3), (1, 2, 3, 4), (-1, 0, 1, 2)):
+            with pytest.raises(ValueError, match="invalid sequence"):
+                base.insert(bad)
         assert len(base) == 0
+
+    def test_ids_are_the_matrix_own_strings(self, chain_case):
+        m = build_adjacency(chain_case)
+        record, _ = SolutionBase(m).insert([3, 1, 0, 2])
+        assert all(got is m.ids[r] for got, r in zip(record.sequence, (3, 1, 0, 2)))
 
 
 class TestBest:
@@ -103,7 +115,7 @@ def tied_archive(seed, inserts=60):
     base = SolutionBase(m)
     arrived = []
     for _ in range(inserts):
-        record, is_new = base.insert(rng.sample(list(m.ids), m.n))
+        record, is_new = base.insert(rng.sample(range(m.n), m.n))
         if is_new:
             arrived.append(record)
     return base, arrived
@@ -151,7 +163,7 @@ class TestSampling:
         for k in range(size):
             order = list(reversed(ids[: k + 1])) + ids[k + 1 :]
             assert score_sequence(m, order) == k  # reversing a k-prefix flips k edges
-            base.insert(order)
+            base.insert(rows(m, order))
         return base
 
     def test_undersized_base_returns_all(self, chain_case):
@@ -205,7 +217,7 @@ class TestTermination:
     def test_threshold(self, chain_case):
         m = build_adjacency(chain_case)
         base = SolutionBase(m)
-        base.insert(["v03", "v02", "v01", "v00"])  # score 3
+        base.insert([3, 2, 1, 0])  # score 3
         policy = TerminationPolicy(max_iterations=20, optimal_threshold=3)
         assert base.should_terminate(policy, 1) is True
         tighter = TerminationPolicy(max_iterations=20, optimal_threshold=2)
@@ -218,22 +230,20 @@ class TestTermination:
 
 class TestScoreOnce:
     def counting_base(self, monkeypatch, matrix):
-        from dsmseq import solutions
-
         calls = []
-        original = solutions.score_sequence
+        original = solutions.feedback_count
 
         def counting(m, order):
-            calls.append(tuple(order))
+            calls.append(tuple(order.tolist()))
             return original(m, order)
 
-        monkeypatch.setattr(solutions, "score_sequence", counting)
+        monkeypatch.setattr(solutions, "feedback_count", counting)
         return SolutionBase(matrix), calls
 
     def test_repeat_is_not_scored_again(self, monkeypatch, chain_case):
         m = build_adjacency(chain_case)
         base, calls = self.counting_base(monkeypatch, m)
-        order, other = tuple(m.ids), tuple(reversed(m.ids))
+        order, other = (0, 1, 2, 3), (3, 2, 1, 0)
         first, _ = base.insert(order)
         base.insert(other)
         again, is_new = base.insert(list(order))
@@ -243,9 +253,9 @@ class TestScoreOnce:
     def test_score_validates(self, monkeypatch, chain_case):
         m = build_adjacency(chain_case)
         base, calls = self.counting_base(monkeypatch, m)
-        bad = ("v00", "v00", "v01", "v02")
+        bad = (0, 0, 1, 2)
         for _ in range(2):  # a failed order is not remembered as a repeat
             with pytest.raises(ValueError, match="invalid sequence"):
                 base.insert(bad)
-        assert calls == [bad, bad]
+        assert calls == []  # refused before it is scored
         assert len(base) == 0
