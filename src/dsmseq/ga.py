@@ -10,6 +10,13 @@ parents with the same kernel as order_crossover, skipping the argument
 checks, and checks each generation's new orders as permutations once,
 before scoring them in one batch. It maps back to node ids only for the
 returned best.
+
+A generation that starts with every individual the same order skips the
+tournament and the crossovers: every winner is that order, and crossing it
+with itself gives it back, so only the generation's swaps can make a new
+order, and a generation that draws none leaves the population and its
+scores as they are. Its draws are still taken with its block's, so the
+random stream, and with it every run, is the same as without the skip.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "tournament_size", "seed"):
+            value = getattr(self, name)
+            # isinstance counts a bool as an int; a float size would fail only inside run_ga
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -53,8 +65,6 @@ class GaConfig:
         if self.tournament_size < 1:
             # larger than the population is fine: sampling is with replacement
             raise ValueError("tournament_size must be >= 1")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")  # numpy's generators refuse it
 
@@ -247,6 +257,7 @@ def run_ga(
         raise ValueError(f"the GA stores one byte per node and takes at most {MAX_NODES} nodes, got {n}")
     rng = np.random.default_rng(cfg.seed)
     identity = bytes(range(n))
+    pop = cfg.population_size
 
     score_cache: dict[bytes, int] = {}
     unique_count = 0
@@ -270,7 +281,7 @@ def run_ga(
                     convergence.append((unique_count, score))
         return np.fromiter(map(score_cache.__getitem__, individuals), dtype=np.int64, count=len(individuals))
 
-    start = rng.permuted(np.tile(np.arange(n), (cfg.population_size, 1)), axis=1)
+    start = rng.permuted(np.tile(np.arange(n), (pop, 1)), axis=1)
     population = list(map(bytes, start.astype(np.uint8)))
     scores = evaluate(population)
 
@@ -279,14 +290,25 @@ def run_ga(
         for generation in range(size):
             if stop_score is not None and best_score <= stop_score:
                 break
-            offspring = tournament_select(population, scores, entrants[generation])
-            g, i, a, b = crossovers[cx]
-            while g == generation:
-                # crossing a parent with itself reproduces it: skip the work
-                if offspring[i] != offspring[i + 1]:
-                    offspring[i], offspring[i + 1] = _ox(offspring[i], offspring[i + 1], a, b)
-                cx += 1
+            first = population[0]
+            if first == population[-1] and population.count(first) == pop:
+                # a collapsed population: every tournament winner is first and
+                # every crossover crosses it with itself, so only this
+                # generation's swaps can make a new order
+                while crossovers[cx][0] == generation:
+                    cx += 1
+                if mutations[mut][0] != generation:
+                    continue  # the population and its scores stay as they are
+                offspring = [first] * pop
+            else:
+                offspring = tournament_select(population, scores, entrants[generation])
                 g, i, a, b = crossovers[cx]
+                while g == generation:
+                    # crossing a parent with itself reproduces it: skip the work
+                    if offspring[i] != offspring[i + 1]:
+                        offspring[i], offspring[i + 1] = _ox(offspring[i], offspring[i + 1], a, b)
+                    cx += 1
+                    g, i, a, b = crossovers[cx]
             g, row, i, j = mutations[mut]
             while g == generation:
                 mutant, out = row, bytearray(offspring[row])

@@ -84,6 +84,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tournament_size"):
             GaConfig(population_size=4, generations=10, indpb=0.1, tournament_size=0, cxpb=0.5, mutpb=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("population_size", 10.0), ("generations", 2.5), ("generations", True), ("tournament_size", 2.0)],
+    )
+    def test_sizes_must_be_ints(self, field, value):
+        # a float size used to fail late, inside run_ga, and True ran one generation
+        kwargs = dict(population_size=4, generations=10, indpb=0.1, tournament_size=2, cxpb=0.5, mutpb=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            GaConfig(**kwargs)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             preset_config("balanced", seed=-1)
@@ -417,16 +428,41 @@ def test_run_ga_matches_the_public_operators(name):
     replaying the same draws through the public operators gives the same
     runs. The budgets sit on both sides of the _DRAW_BLOCK = 32 boundary,
     and each run is repeated with stop_score at its own best, which stops
-    it after the generation that first reaches that score."""
+    it after the generation that first reaches that score. The full
+    exploitation budget runs mostly through run_ga's path for a collapsed
+    population, which reference_ga does not have."""
     matrix = build_adjacency(bundled_case(name))
-    for preset in ("exploration", "exploitation", "balanced"):
-        for seed in range(3):
-            for generations in (1, 31, 32, 33, 100):
-                cfg = preset_config(preset, seed=seed, generations=generations)
-                best, convergence = run_ga(matrix, cfg)
-                assert reference_ga(matrix, cfg) == (best.sequence, best.score, convergence)
-                best, convergence = run_ga(matrix, cfg, stop_score=best.score)
-                assert reference_ga(matrix, cfg, best.score) == (best.sequence, best.score, convergence)
+    runs = [
+        preset_config(preset, seed=seed, generations=generations)
+        for preset in ("exploration", "exploitation", "balanced")
+        for seed in range(3)
+        for generations in (1, 31, 32, 33, 100)
+    ]
+    for cfg in runs + [preset_config("exploitation", seed=0, generations=GENERATIONS_DEFAULT)]:
+        best, convergence = run_ga(matrix, cfg)
+        assert reference_ga(matrix, cfg) == (best.sequence, best.score, convergence)
+        best, convergence = run_ga(matrix, cfg, stop_score=best.score)
+        assert reference_ga(matrix, cfg, best.score) == (best.sequence, best.score, convergence)
+
+
+def test_a_collapsed_population_skips_selection(monkeypatch):
+    """The gearbox's exploitation run at seed 0 collapses early and never
+    reaches the optimum: a generation that starts with every individual the
+    same order runs no tournament (269 of its 2,000 generations do), and the
+    run is the same as reference_ga's, which selects in every generation."""
+    matrix = build_adjacency(bundled_case("demo_gearbox_7"))
+    cfg = preset_config("exploitation", seed=0)
+    calls = 0
+
+    def counting_select(*args):
+        nonlocal calls
+        calls += 1
+        return tournament_select(*args)
+
+    monkeypatch.setattr(ga, "tournament_select", counting_select)
+    best, convergence = run_ga(matrix, cfg)
+    assert calls < cfg.generations
+    assert reference_ga(matrix, cfg) == (best.sequence, best.score, convergence)
 
 
 class TestPermutationStack:
