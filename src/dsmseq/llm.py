@@ -3,22 +3,21 @@
 The search loop depends only on the ``complete(ChatRequest) -> ChatResult``
 shape, so the HTTP provider and the stub are interchangeable. Credentials
 come from the environment (OPENAI_API_KEY, OPENAI_API_BASE, OPENAI_MODEL)
-and are never echoed into errors, logs, or reprs.
+and are never echoed into errors, logs, or reprs. The reply format is
+known only to prompts; the stub renames ids with its rename_order_ids.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import dataclass
 
+from .prompts import rename_order_ids
+
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
-# a reply's first <order>...</order> span, as the parser reads it, and each stripped item in it
-_ORDER_BODY = re.compile(r"<order>(.*?)</order>", re.IGNORECASE | re.ASCII | re.DOTALL)
-_ORDER_ITEM = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,9 @@ class ProviderConfig:
     requests_per_minute: float | None = None
 
     def __post_init__(self) -> None:
+        # a float would fail only at the first request, inside range()
+        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool):
+            raise ValueError(f"max_retries must be an int, got {self.max_retries!r}")
         if not self.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError(f"endpoint must start with http:// or https://, got {self.endpoint!r}")
         if self.max_retries < 0:
@@ -235,14 +237,7 @@ class ScriptedProvider:
         return ChatResult(text=text, usage={}, retries=0, model=self.model)
 
     def renamed(self, mapping: dict[str, str]) -> ScriptedProvider:
-        """A fresh stub of these replies with the ids in each <order> span
-        renamed through mapping; ids it lacks, and untagged replies, stay."""
-
-        def rename(text: str) -> str:
-            span = _ORDER_BODY.search(text)
-            if span is None:
-                return text
-            body = _ORDER_ITEM.sub(lambda item: mapping.get(item[0], item[0]), span[1])
-            return text[: span.start(1)] + body + text[span.end(1) :]
-
-        return ScriptedProvider([rename(text) for text in self._responses])
+        """A fresh stub of these replies with the ids in each reply's order
+        span renamed through mapping, by the parser's span and split rule;
+        ids it lacks, and replies with no span, stay."""
+        return ScriptedProvider([rename_order_ids(text, mapping) for text in self._responses])

@@ -28,6 +28,7 @@ from .prompts import (
     make_prompt_context,
     parse_order_response,
     prompt_sha256,
+    retry_prompt,
 )
 from .scoring import score_sequence
 from .solutions import SolutionBase, SolutionRecord, TerminationPolicy
@@ -56,10 +57,6 @@ class OptimizationAborted(RuntimeError):
         self.trace = trace
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _audit_write(audit_dir, iteration: int, attempt: int, kind: str, text: str) -> None:
     if audit_dir is None:
         return
@@ -74,8 +71,9 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     """Run the loop; returns (best record, per-iteration trace).
 
     The trace has one entry for iteration 0 (the random seed order) and one
-    per LLM iteration after that, with prompt/response hashes, the parsed
-    sequence or failure kind, and the running unique count and best-so-far.
+    per LLM iteration after that, with the hashes of the last prompt sent in
+    the iteration and of its reply, the parsed sequence or failure kind,
+    and the running unique count and best-so-far.
     Raises OptimizationAborted if the provider fails; the exception carries
     the partial trace. The archive scores each distinct order once and
     answers a repeat from its record; the returned best is re-scored
@@ -94,18 +92,19 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
 
     def entry(
         iteration: int,
-        prompt_digest: str | None = None,
-        response_digest: str | None = None,
         record: SolutionRecord | None = None,
+        sent: str | None = None,
+        reply: str | None = None,
         failure: str | None = None,
         duplicate: bool = False,
         attempts: int = 0,
     ) -> dict:
+        """A trace row; sent is the last prompt sent and reply its answer."""
         best = base.best()
         return {
             "iteration": iteration,
-            "prompt_sha256": prompt_digest,
-            "response_sha256": response_digest,
+            "prompt_sha256": None if sent is None else prompt_sha256(sent),
+            "response_sha256": None if reply is None else hashlib.sha256(reply.encode("utf-8")).hexdigest(),
             "sequence": None if record is None else list(record.sequence),
             "score": None if record is None else record.score,
             "failure": failure,
@@ -116,74 +115,38 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             "best_sequence": best.sequence,
         }
 
-    trace = [entry(0, record=initial)]
+    trace = [entry(0, initial)]
 
     model_name = getattr(client, "model", "") or ""
     iteration = 0
     while not base.should_terminate(cfg.termination, iteration):
         iteration += 1
         records = base.sample_for_prompt(rng)
-        prompt = build_prompt(make_prompt_context(shuffled_case, records, cfg.knowledge_mode))
-
-        attempt_prompt = prompt
-        parsed = None
-        failure = None
-        response_text = None
-        attempts = 0
-        for _ in range(INVALID_RETRY_BUDGET + 1):
+        prompt = sent = build_prompt(make_prompt_context(shuffled_case, records, cfg.knowledge_mode))
+        rows = failure = None
+        for attempt in range(1, INVALID_RETRY_BUDGET + 2):
             try:
-                result = client.complete(ChatRequest.single_turn(model_name, attempt_prompt))
+                reply = client.complete(ChatRequest.single_turn(model_name, sent)).text
             except ProviderError as exc:
-                trace.append(
-                    entry(
-                        iteration,
-                        prompt_digest=prompt_sha256(attempt_prompt),
-                        failure="provider-error",
-                        attempts=attempts,
-                    )
-                )
+                trace.append(entry(iteration, sent=sent, failure="provider-error", attempts=attempt - 1))
                 raise OptimizationAborted(
                     f"provider failed at iteration {iteration}: {exc}", trace
                 ) from exc
-            attempts += 1
-            response_text = result.text
-            _audit_write(cfg.audit_dir, iteration, attempts, "prompt", attempt_prompt)
-            _audit_write(cfg.audit_dir, iteration, attempts, "response", response_text)
+            _audit_write(cfg.audit_dir, iteration, attempt, "prompt", sent)
+            _audit_write(cfg.audit_dir, iteration, attempt, "response", reply)
             try:
-                parsed = parse_order_response(response_text, matrix)
+                rows = parse_order_response(reply, matrix)
                 failure = None
                 break
             except OrderParseError as exc:
                 failure = exc.kind
-                attempt_prompt = (
-                    prompt
-                    + f"\n\nYour previous response was invalid ({exc}). Please answer "
-                    "again: cover all nodes exactly once, start with <order> and "
-                    "end with </order>."
-                )
+                if attempt <= INVALID_RETRY_BUDGET:
+                    sent = retry_prompt(prompt, exc)
 
-        if parsed is None:
-            trace.append(
-                entry(
-                    iteration,
-                    prompt_digest=prompt_sha256(attempt_prompt),
-                    response_digest=_sha256(response_text),
-                    failure=failure,
-                    attempts=attempts,
-                )
-            )
-            continue
-
-        record, is_new = base.insert(parsed)
+        # a failed iteration files nothing, and so repeats nothing
+        record, is_new = (None, True) if rows is None else base.insert(rows)
         trace.append(
-            entry(
-                iteration,
-                prompt_digest=prompt_sha256(attempt_prompt),
-                response_digest=_sha256(response_text),
-                record=record,
-                duplicate=not is_new,
-                attempts=attempts,
-            )
+            entry(iteration, record, sent, reply, failure, duplicate=not is_new, attempts=attempt)
         )
 
     best = base.best()

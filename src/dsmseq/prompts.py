@@ -6,6 +6,9 @@ meta-instructions, and a worst-to-best list of previously scored orders.
 Rendering is a pure function of PromptContext and is pinned byte-for-byte by
 golden-file tests. Parsing maps a reply's ids to the matrix's row indices
 and checks them once; the loop and the archive work on those rows.
+
+This module alone knows the reply format: one rule finds the <order> span
+for the parser and the id renamer, and retry_prompt re-asks after a bad reply.
 """
 
 from __future__ import annotations
@@ -201,8 +204,9 @@ _CLOSE_TAG = "</order>"
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
 
 
-def _order_span(raw: str) -> str | None:
-    """The text of the first <order>...</order> span, tags in any case."""
+def _order_span(raw: str) -> tuple[int, int] | None:
+    """The (start, end) bounds of the text inside the first
+    <order>...</order> span, tags in any case."""
     folded = raw.lower() if raw.isascii() else raw.translate(_ASCII_LOWER)
     start = folded.find(_OPEN_TAG)
     if start < 0:
@@ -211,7 +215,34 @@ def _order_span(raw: str) -> str | None:
     end = folded.find(_CLOSE_TAG, start)
     if end < 0:
         return None
-    return raw[start:end]
+    return start, end
+
+
+def rename_order_ids(raw: str, mapping) -> str:
+    """raw with each id of its first <order> span renamed through mapping.
+
+    The span is split as the parser splits it, on "," with each item
+    stripped; the text around each item stays, and so do ids mapping lacks
+    and a reply with no span.
+    """
+    bounds = _order_span(raw)
+    if bounds is None:
+        return raw
+    start, end = bounds
+    items = []
+    for item in raw[start:end].split(","):
+        node_id = item.strip()
+        # only whitespace precedes the stripped item, so it is the first match
+        items.append(item.replace(node_id, mapping.get(node_id, node_id), 1))
+    return raw[:start] + ",".join(items) + raw[end:]
+
+
+def retry_prompt(prompt: str, error: OrderParseError) -> str:
+    """The prompt re-sent after a reply that failed to parse with error."""
+    return (
+        f"{prompt}\n\nYour previous response was invalid ({error}). Please answer "
+        "again: cover all nodes exactly once, start with <order> and end with </order>."
+    )
 
 
 def _permutation(rows: list, n: int) -> bool:
@@ -237,9 +268,10 @@ def parse_order_response(raw: str, case_ids) -> list[int]:
     are the ids the general split on "," with stripping gives, which is
     tried only when it does not.
     """
-    span = _order_span(raw)
-    if span is None:
+    bounds = _order_span(raw)
+    if bounds is None:
         raise OrderParseError("missing-tags", "no <order>...</order> span in response")
+    span = raw[bounds[0]:bounds[1]]
     if isinstance(case_ids, AdjacencyMatrix):
         n, index_of = case_ids.n, case_ids.index_of
     else:

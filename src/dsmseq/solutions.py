@@ -49,6 +49,9 @@ class TerminationPolicy:
     optimal_threshold: int | None = None
 
     def __post_init__(self) -> None:
+        # 2.5 would pass the >= 1 check, and the loop would run 3 iterations
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -276,6 +276,15 @@ class TestProviderConfigChecks:
     def test_zero_backoff_accepted(self):
         assert ProviderConfig(api_key=KEY, model="m", backoff=0).backoff == 0
 
+    @pytest.mark.parametrize("max_retries", [2.5, True, "3"])
+    def test_non_int_max_retries_rejected(self, max_retries):
+        with pytest.raises(ValueError, match=f"max_retries must be an int, got {max_retries!r}"):
+            ProviderConfig(api_key=KEY, model="m", max_retries=max_retries)
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ValueError, match="max_retries must be >= 0"):
+            ProviderConfig(api_key=KEY, model="m", max_retries=-1)
+
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each POST with the server's next (status, raw body) pair;

@@ -348,14 +348,26 @@ class TestScoreOnce:
                 assert by_row.getstate() == by_id.getstate()
 
     def test_trace_prompt_digests_are_sha256_of_the_last_attempt(self):
-        stub = ScriptedProvider(SCORE_ONCE_REPLIES)
-        cfg = config(termination=TerminationPolicy(max_iterations=5))
-        _, trace = run_optimization(chain_case(), cfg, stub)
-        attempts = [row["attempts"] for row in trace[1:]]
-        last = [sum(attempts[: k + 1]) - 1 for k in range(len(attempts))]
-        assert [row["prompt_sha256"] for row in trace[1:]] == [
-            sha(stub.prompts[k]) for k in last
+        # the first iteration's three replies fail with three different
+        # messages, so each of its three prompts differs from the others
+        distinct_failures = [
+            "<order> v00 </order>",
+            "<order> v00, v00, v01, v02, v03, v04 </order>",
+            "no tags at all",
+            f"<order> {TOPO_ORDER} </order>",
         ]
+        for replies, iterations in ((SCORE_ONCE_REPLIES, 5), (distinct_failures, 2)):
+            stub = ScriptedProvider(replies)
+            cfg = config(termination=TerminationPolicy(max_iterations=iterations))
+            _, trace = run_optimization(chain_case(), cfg, stub)
+            attempts = [row["attempts"] for row in trace[1:]]
+            assert len(stub.prompts) == sum(attempts) == len(replies)
+            last = [sum(attempts[: k + 1]) - 1 for k in range(len(attempts))]
+            assert [row["prompt_sha256"] for row in trace[1:]] == [
+                sha(stub.prompts[k]) for k in last
+            ]
+            assert [row["response_sha256"] for row in trace[1:]] == [sha(replies[k]) for k in last]
+        assert trace[1]["failure"] == "missing-tags" and len(set(stub.prompts[:3])) == 3
 
     def test_corrupted_best_raises(self, monkeypatch):
         from dsmseq import solutions

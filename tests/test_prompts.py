@@ -316,6 +316,11 @@ def generated_replies(count, seed=0):
         yield "".join(rng.choice(REPLY_PIECES) for _ in range(rng.randrange(1, 12)))
 
 
+def span_text(raw):
+    bounds = prompts._order_span(raw)
+    return None if bounds is None else raw[bounds[0]:bounds[1]]
+
+
 class TestOrderSpan:
     @pytest.mark.parametrize(
         "raw",
@@ -333,17 +338,73 @@ class TestOrderSpan:
     )
     def test_matches_reference_regex(self, raw):
         match = REFERENCE_ORDER_RE.search(raw)
-        assert prompts._order_span(raw) == (match.group(1) if match else None)
+        assert span_text(raw) == (match.group(1) if match else None)
 
     def test_generated_replies_match_reference_regex(self):
         for raw in generated_replies(5000):
             match = REFERENCE_ORDER_RE.search(raw)
-            assert prompts._order_span(raw) == (match.group(1) if match else None), raw
+            assert span_text(raw) == (match.group(1) if match else None), raw
 
     def test_empty_span_is_invalid_sequence(self):
         with pytest.raises(OrderParseError) as info:
             parse_order_response("<order> </order>", ["v00", "v01"])
         assert info.value.kind == "invalid-sequence"
+
+
+def parse_outcome(raw, ids):
+    """The rows a reply parses to, or the kind of its OrderParseError."""
+    try:
+        return parse_order_response(raw, ids)
+    except OrderParseError as exc:
+        return exc.kind
+
+
+def tagged_lists(count, seed=1):
+    """Order spans of ids, repeats, empty items and an unknown one, each
+    padded with whitespace, so that many of them parse."""
+    rng = random.Random(seed)
+    space = ("", " ", "\t", "\n", "\x1c")
+    for _ in range(count):
+        items = rng.sample(("v00", "v01", "v01", "", "İ"), rng.randrange(1, 5))
+        yield "<order>" + ",".join(rng.choice(space) + item + rng.choice(space) for item in items) + "</order>"
+
+
+class TestRenameOrderIds:
+    EDGE_REPLIES = (
+        "<ORDER> v01,v00 </Order>",
+        "<order> v00 </order> then <order> v01, v00 </order>",
+        "<order> v01, v00 </order> then <order> v00 </order>",
+        "<order>\tv01,\nv00\x1c</order>",
+        "<order>\x1cv00\x1c,\x1cv01\x1c</order>",
+        "<order> v00,, v01, </order>",
+        "<order>,v00 ,  ,v01,</order>",
+        "<order> , </order>",
+        "İ <order> v01, v00 </ORDER> İ",
+        "<order> v00, İ </order>",
+        "<order> v00 v01 </order>",
+        "<order> v01, v00",
+        "no tags: v00, v01",
+    )
+
+    @pytest.mark.parametrize("mapping", [{"v00": "Id_B", "v01": "Id_A"}, {"v00": "Id_B"}])
+    def test_renaming_then_parsing_with_the_mapped_ids_gives_the_original_outcome(self, mapping):
+        ids = ["v00", "v01"]
+        mapped = [mapping.get(node_id, node_id) for node_id in ids]
+        inverse = {new: old for old, new in mapping.items()}
+        for raw in (*self.EDGE_REPLIES, *generated_replies(5000), *tagged_lists(2000)):
+            renamed = prompts.rename_order_ids(raw, mapping)
+            assert parse_outcome(renamed, mapped) == parse_outcome(raw, ids), raw
+            # only the ids change: renaming back restores every other character
+            assert prompts.rename_order_ids(renamed, inverse) == raw, raw
+
+    def test_edge_replies_rename_inside_the_first_span_only(self):
+        mapping = {"v00": "Id_B", "v01": "Id_A"}
+        renamed = [prompts.rename_order_ids(raw, mapping) for raw in self.EDGE_REPLIES]
+        assert renamed[1] == "<order> Id_B </order> then <order> v01, v00 </order>"
+        assert renamed[3] == "<order>\tId_A,\nId_B\x1c</order>"
+        assert renamed[6] == "<order>,Id_B ,  ,Id_A,</order>"
+        assert renamed[8] == "İ <order> Id_A, Id_B </ORDER> İ"
+        assert renamed[11:] == list(self.EDGE_REPLIES[11:])
 
 
 def sha256_hex(text):

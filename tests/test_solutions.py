@@ -226,6 +226,9 @@ class TestTermination:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TerminationPolicy(max_iterations=0)
+        for value in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"max_iterations must be an int, got {value!r}"):
+                TerminationPolicy(max_iterations=value)
 
 
 class TestScoreOnce:
