@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="write the JSONL trace here")
     p.set_defaults(func=_cmd_llm)
 
-    p = sub.add_parser("oracle", help="exact optimum by exhaustive search (n <= 10)")
+    p = sub.add_parser("oracle", help="exact optimum by subset dynamic program (n <= 10)")
     p.add_argument("--case", required=True)
     p.set_defaults(func=_cmd_oracle)
 

@@ -178,7 +178,6 @@ class OpenAIChatProvider:
         }
         body = {"model": req.model or self.config.model, "messages": list(req.messages)}
 
-        retries = 0
         last_failure = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
             if self._bucket is not None:
@@ -188,7 +187,6 @@ class OpenAIChatProvider:
             except (OSError, HTTPException) as exc:
                 last_failure = f"transport error: {type(exc).__name__}"
                 status = None
-                payload = None
             if status == 200:
                 try:
                     text = payload["choices"][0]["message"]["content"]
@@ -197,7 +195,8 @@ class OpenAIChatProvider:
                         "malformed", "response body has no choices[0].message.content"
                     ) from None
                 usage = payload.get("usage", {}) if isinstance(payload, dict) else {}
-                return ChatResult(text=text, usage=usage, retries=retries, model=body["model"])
+                # each earlier attempt failed and was retried
+                return ChatResult(text=text, usage=usage, retries=attempt, model=body["model"])
             if status in (401, 403):
                 raise ProviderError("auth", f"authentication rejected (HTTP {status})")
             if status is not None and status not in RETRYABLE_STATUS:
@@ -206,7 +205,6 @@ class OpenAIChatProvider:
                 last_failure = f"HTTP {status}"
             if attempt < self.config.max_retries:
                 self._sleep(self.config.backoff * (2**attempt))
-                retries += 1
         raise ProviderError(
             "transport",
             f"gave up after {self.config.max_retries + 1} attempts; last failure: {last_failure}",

@@ -112,6 +112,15 @@ def test_gearbox_visibility_puts_the_final_consumer_last():
     assert (r["score"], r["order"][-1]) == (4, "output_shaft")
 
 
+def test_gearbox_oracle_on_numpy_alone():
+    # the subset DP is filled with numpy's bitwise_count and fancy indexing
+    r = payload("oracle", "--case", GEARBOX)
+    assert r == {
+        "optimal_score": 2,
+        "optimal_order": ["lube", "bearings", "input_shaft", "seals", "housing", "gear_pair", "output_shaft"],
+    }
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -17,6 +17,7 @@ from dsmseq import (
     score_sequence,
 )
 from dsmseq import scoring
+from dsmseq.model import matrix_from_array
 from dsmseq.scoring import feedback_count
 
 from conftest import make_case, naive_score, random_case
@@ -33,6 +34,45 @@ def enumeration_oracle(case):
             best = s
             best_order = list(perm)
     return best, best_order
+
+
+def reference_optimum(matrix):
+    """The subset DP as a pure-Python loop over every mask and every set bit
+    of it, with the same front-first, smallest-id reconstruction: the
+    reference for the numpy fill by subset size."""
+    n = matrix.n
+    preds_mask = [0] * n
+    for d, p in zip(matrix.dep_idx, matrix.pred_idx):
+        preds_mask[int(d)] |= 1 << int(p)
+
+    full = (1 << n) - 1
+    dp = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        best = None
+        rest = mask
+        while rest:
+            v_bit = rest & -rest
+            rest ^= v_bit
+            v = v_bit.bit_length() - 1
+            cost = (preds_mask[v] & (mask ^ v_bit)).bit_count() + dp[mask ^ v_bit]
+            if best is None or cost < best:
+                best = cost
+        dp[mask] = best
+
+    by_id = sorted(range(n), key=lambda v: matrix.ids[v])
+    order = []
+    mask = full
+    while mask:
+        for v in by_id:
+            v_bit = 1 << v
+            if not mask & v_bit:
+                continue
+            cost = (preds_mask[v] & (mask ^ v_bit)).bit_count() + dp[mask ^ v_bit]
+            if cost == dp[mask]:
+                order.append(matrix.ids[v])
+                mask ^= v_bit
+                break
+    return dp[full], order
 
 
 class TestValidation:
@@ -242,10 +282,27 @@ class TestBruteForce:
         assert score_sequence(m, order) == score
         assert score == demo_case.known_optimum
 
+    def test_matches_the_pure_python_reference(self):
+        rng = np.random.default_rng(28)
+        for trial in range(2000):
+            n = int(rng.integers(1, 11))
+            # every tenth network is empty or complete, the rest any density
+            density = (0.0, 1.0)[trial // 10 % 2] if trial % 10 == 0 else rng.random()
+            a = (rng.random((n, n)) < density).astype(np.int8)
+            np.fill_diagonal(a, 0)
+            # shuffled ids: their sorted order is not the row order, so ties
+            # are broken by the id rule and not by the row index
+            ids = tuple(f"n{i:03d}" for i in rng.permutation(1000)[:n])
+            m = matrix_from_array(a, ids)
+            assert brute_force_optimum(m) == reference_optimum(m), trial
+
     @pytest.mark.parametrize("name", bundled_case_names())
     def test_declared_optima_are_exact(self, name, monkeypatch):
         # the subset DP is exact at any n; its guard only bounds the time,
-        # about 0.35 s at the largest bundled case (n = 17)
+        # about 20 ms at the largest bundled case (n = 17)
         monkeypatch.setattr(scoring, "EXHAUSTIVE_LIMIT", 17)
         case = bundled_case(name)
-        assert brute_force_optimum(build_adjacency(case))[0] == case.known_optimum
+        m = build_adjacency(case)
+        score, order = brute_force_optimum(m)
+        assert score == case.known_optimum
+        assert (score, order) == reference_optimum(m)
