@@ -20,18 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ga import GENERATIONS_DEFAULT, preset_config, run_ga
-from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, load_case
+from .ga import GENERATIONS_DEFAULT, PRESETS, preset_config, run_ga
+from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, check_int, load_case, read_json
 from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .llm import ProviderError, ScriptedProvider
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import reorder_matrix, score_sequence
 from .solutions import TerminationPolicy
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(kw_only=True)
@@ -47,35 +43,28 @@ class ExperimentSpec:
     provider: object = None
 
     def __post_init__(self) -> None:
-        # a spec read from JSON may hold any type in any field
-        for name in ("runs_per_method", "base_seed", "ga_generations"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name, ok, what in (
-            ("trial_budgets", _is_int, "ints"),
-            ("methods", lambda item: isinstance(item, str), "strs"),
-            ("cases", lambda item: isinstance(item, (str, os.PathLike)), "paths"),
+        # a spec read from JSON may hold any type in any field; numpy's
+        # generators refuse a negative seed
+        for name, minimum in (("runs_per_method", 1), ("base_seed", 0), ("ga_generations", 1)):
+            check_int(name, getattr(self, name), minimum)
+        for name, kind, what in (
+            ("trial_budgets", int, "ints"),
+            ("methods", str, "strs"),
+            ("cases", (str, os.PathLike), "paths"),
         ):
             value = getattr(self, name)
-            if not (isinstance(value, list) and all(map(ok, value))):
+            if not (isinstance(value, list) and all(isinstance(item, kind) for item in value)):
                 raise ValueError(f"{name} must be a list of {what}, got {value!r}")
+        for i, budget in enumerate(self.trial_budgets):
+            check_int(f"trial_budgets[{i}]", budget, 1)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
-        if self.runs_per_method < 1:
-            raise ValueError("runs_per_method must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")  # numpy's generators refuse it
-        if self.ga_generations < 1:
-            raise ValueError("ga_generations must be >= 1")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
         for name in ("cases", "methods", "trial_budgets"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if any(b < 1 for b in self.trial_budgets):
-            raise ValueError("trial budgets must be >= 1")
         stems = [Path(p).stem for p in self.cases]  # outputs are keyed by stem
         for i, stem in enumerate(stems):
             first = stems.index(stem)
@@ -90,12 +79,7 @@ def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
     a field of the wrong type, is a ValueError naming the spec.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"spec {path}: not valid JSON: {exc}") from exc
+    raw = read_json(path, "spec")
     if not isinstance(raw, dict):
         raise ValueError(f"spec {path}: top level must be an object")
     known = {f.name for f in fields(ExperimentSpec)} - {"provider"}
@@ -267,7 +251,7 @@ METHODS = {
     "llm-without-knowledge": functools.partial(_llm_cell, knowledge_mode=WITHOUT_KNOWLEDGE),
     **{
         f"ga-{preset}": functools.partial(_ga_cell, preset=preset)
-        for preset in ("exploration", "exploitation", "balanced")
+        for preset in PRESETS
     },
     **{f"det-{key}": functools.partial(_deterministic_cell, key=key) for key in DETERMINISTIC_METHODS},
 }

@@ -10,11 +10,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from . import bench, ga
 from .llm import OpenAIChatProvider, ProviderError, ScriptedProvider
-from .model import build_adjacency, load_case, network_metrics
+from .model import build_adjacency, load_case, network_metrics, read_json
 from .optimizer import OptimizationAborted
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .ranking import DETERMINISTIC_METHODS
@@ -28,10 +27,7 @@ def _emit(payload) -> None:
 
 def _load_script(path: str) -> list[str]:
     """The canned responses in a --script file, which must be a JSON list of strings."""
-    try:
-        responses = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-        raise ValueError(f"--script {path}: {exc}") from None
+    responses = read_json(path, "--script")
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
         raise ValueError(f"--script {path}: expected a JSON list of strings")
     return responses
@@ -158,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ga", help="run the genetic algorithm")
     p.add_argument("--preset", default="balanced",
-                   choices=["exploration", "exploitation", "balanced"])
+                   choices=list(ga.PRESETS))
     p.add_argument("--case", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generations", type=int, default=ga.GENERATIONS_DEFAULT,

@@ -26,7 +26,7 @@ from itertools import filterfalse
 
 import numpy as np
 
-from .model import AdjacencyMatrix
+from .model import AdjacencyMatrix, check_int, check_real
 from .scoring import feedback_count, score_sequence
 from .solutions import SolutionRecord
 
@@ -49,28 +49,16 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations", "tournament_size", "seed"):
-            value = getattr(self, name)
-            # isinstance counts a bool as an int; a float size would fail only inside run_ga
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        # a tournament larger than the population is fine: sampling is with
+        # replacement; numpy's generators refuse a negative seed
+        for name, minimum in (("population_size", 2), ("generations", 1), ("tournament_size", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
         for name in ("indpb", "cxpb", "mutpb"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.tournament_size < 1:
-            # larger than the population is fine: sampling is with replacement
-            raise ValueError("tournament_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")  # numpy's generators refuse it
+            check_real(name, getattr(self, name), 0, 1)
 
 
 # population / indpb / tournament size / cxpb / mutpb
-_PRESETS = {
+PRESETS = {
     "exploration": (50, 0.05, 5, 0.6, 0.4),
     "exploitation": (10, 0.01, 20, 0.9, 0.1),
     "balanced": (20, 0.02, 10, 0.7, 0.3),
@@ -79,9 +67,9 @@ _PRESETS = {
 
 def preset_config(name: str, seed: int = 0, generations: int = GENERATIONS_DEFAULT) -> GaConfig:
     """One of the three tuned presets: exploration, exploitation, balanced."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")
-    pop, indpb, tourn, cxpb, mutpb = _PRESETS[name]
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
+    pop, indpb, tourn, cxpb, mutpb = PRESETS[name]
     return GaConfig(
         population_size=pop,
         generations=generations,

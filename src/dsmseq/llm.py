@@ -14,6 +14,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from .model import check_int, check_real
 from .prompts import rename_order_ids
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
@@ -63,22 +64,17 @@ class ProviderConfig:
     requests_per_minute: float | None = None
 
     def __post_init__(self) -> None:
-        # a float would fail only at the first request, inside range()
-        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool):
-            raise ValueError(f"max_retries must be an int, got {self.max_retries!r}")
-        if not self.endpoint.lower().startswith(("http://", "https://")):
+        # each would otherwise fail only at the first request
+        if not (isinstance(self.endpoint, str) and self.endpoint.lower().startswith(("http://", "https://"))):
             raise ValueError(f"endpoint must start with http:// or https://, got {self.endpoint!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
+        check_int("max_retries", self.max_retries, 0)
+        check_real("timeout", self.timeout, 0)
+        if self.timeout == 0:  # a socket with timeout 0 never blocks, so never waits for a reply
             raise ValueError("timeout must be positive")
-        if not self.backoff >= 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+        check_real("backoff", self.backoff, 0)
         # below one request per minute the token bucket never holds a token
-        if self.requests_per_minute is not None and not self.requests_per_minute >= 1:
-            raise ValueError(
-                f"requests_per_minute must be None or >= 1, got {self.requests_per_minute}"
-            )
+        if self.requests_per_minute is not None:
+            check_real("requests_per_minute", self.requests_per_minute, 1)
 
     def __repr__(self) -> str:  # keep the key out of logs and tracebacks
         masked = "***" if self.api_key else "(unset)"

@@ -11,6 +11,7 @@ is built only when ``a`` is first read, to draw the matrix.
 from __future__ import annotations
 
 import json
+import math
 import random
 import string
 from dataclasses import dataclass, field
@@ -26,6 +27,41 @@ ANON_ID_LENGTH = 5
 
 class CaseError(ValueError):
     """Raised when a case file or case structure is invalid."""
+
+
+# The input rules of every config field and user file; each raises a ValueError naming it.
+def check_int(name: str, value, minimum: int) -> None:
+    """Check that value is an int, not a bool, and at least minimum."""
+    # isinstance counts a bool as an int
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf) -> None:
+    """Check that value is a finite int or float, not a bool, in [low, high]."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not low <= value <= high:  # nan fails here too
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in a user's file; what names the file's role in errors.
+
+    A file that cannot be opened is `cannot read <what> <path>: <reason>`;
+    one that is not UTF-8 JSON is `<what> <path>: not valid JSON: <reason>`.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{what} {path}: not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,7 +122,8 @@ def check_node_ids(ids, where: str) -> None:
 
 
 def validate_case(case: DsmCase) -> None:
-    """Check structural invariants, raising CaseError with a location."""
+    """Check structural invariants, raising CaseError with a location; a
+    known_optimum that is not an int raises check_int's ValueError."""
     if len(case.nodes) < 2:
         raise CaseError(f"need at least 2 nodes, got {len(case.nodes)}")
     check_node_ids(case.node_ids, "nodes")
@@ -107,6 +144,7 @@ def validate_case(case: DsmCase) -> None:
         pairs.add(key)
         two_cycles += (edge.predecessor, edge.dependent) in pairs
     if case.known_optimum is not None:
+        check_int("known_optimum", case.known_optimum, 0)
         # each pair of opposite edges costs one feedback in every order, and
         # an order and its reverse score len(edges) together
         low, high = two_cycles, len(case.edges) // 2
@@ -130,15 +168,10 @@ def load_case(path: str | Path) -> DsmCase:
           "edges": [{"dependent": "...", "predecessor": "..."}, ...]
         }
     """
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CaseError(f"{path}: cannot read case file: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CaseError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CaseError(f"{path}: not valid JSON: {exc}") from exc
+        raw = read_json(path, "case file")
+    except ValueError as exc:
+        raise CaseError(str(exc)) from exc
     return case_from_dict(raw, where=str(path))
 
 
@@ -156,17 +189,14 @@ def case_from_dict(raw: dict, where: str = "<dict>") -> DsmCase:
         )
     except (KeyError, TypeError) as exc:
         raise CaseError(f"{where}: malformed node or edge entry: {exc}") from exc
-    known = raw.get("known_optimum")
-    if known is not None and (not isinstance(known, int) or isinstance(known, bool)):
-        raise CaseError(f"{where}: known_optimum must be an integer, got {known!r}")
     try:
         return DsmCase(
             nodes=nodes,
             edges=edges,
             description=str(raw.get("description", "")),
-            known_optimum=known,
+            known_optimum=raw.get("known_optimum"),
         )
-    except CaseError as exc:
+    except ValueError as exc:  # CaseError included
         raise CaseError(f"{where}: {exc}") from exc
 
 

@@ -14,6 +14,7 @@ returned best, all taken from the archive's records.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,6 +48,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
             raise ValueError(f"unknown knowledge_mode {self.knowledge_mode!r}")
+        # anything else would fail only at the first audit write
+        if not (self.audit_dir is None or isinstance(self.audit_dir, (str, os.PathLike))):
+            raise ValueError(f"audit_dir must be None or a path, got {self.audit_dir!r}")
 
 
 class OptimizationAborted(RuntimeError):

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import AdjacencyMatrix
+from .model import AdjacencyMatrix, check_int
 # score_sequence is unused here but stays importable from this module:
 # benchmarks/workloads.py wraps solutions.score_sequence by name
 from .scoring import feedback_count, score_sequence  # noqa: F401
@@ -49,11 +49,10 @@ class TerminationPolicy:
     optimal_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        # 2.5 would pass the >= 1 check, and the loop would run 3 iterations
-        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
-            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # 2.5 iterations would run 3; a threshold of "3" would fail after the first reply
+        check_int("max_iterations", self.max_iterations, 1)
+        if self.optimal_threshold is not None:
+            check_int("optimal_threshold", self.optimal_threshold, 0)
 
 
 class SolutionBase:

@@ -131,13 +131,16 @@ class TestSpec:
             )
 
     def test_budget_floor(self, tmp_path):
-        with pytest.raises(ValueError, match="trial budgets"):
-            ExperimentSpec(
-                cases=["x.json"],
-                methods=["det-outin"],
-                output_dir=tmp_path,
-                trial_budgets=[0],
-            )
+        # each budget is an int of at least 1, and a bool is not an int here
+        for budgets, message in (([0], r"trial_budgets\[0\] must be >= 1, got 0"),
+                                 ([1, False], r"trial_budgets\[1\] must be an int, got False")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ExperimentSpec(
+                    cases=["x.json"],
+                    methods=["det-outin"],
+                    output_dir=tmp_path,
+                    trial_budgets=budgets,
+                )
 
     @pytest.mark.parametrize(
         "field, value, expected",
@@ -148,7 +151,7 @@ class TestSpec:
             ("ga_generations", None, "an int"),
             ("trial_budgets", 5, "a list of ints"),
             ("trial_budgets", [1, "5"], "a list of ints"),
-            ("trial_budgets", [1, False], "a list of ints"),
+            ("trial_budgets", [1, 2.5], "a list of ints"),
             ("methods", "det-outin", "a list of strs"),
             ("methods", [1], "a list of strs"),
             ("cases", "x.json", "a list of paths"),

@@ -91,8 +91,9 @@ class TestBaseline:
     @pytest.mark.parametrize(
         "raw, reason",
         [
-            pytest.param(b"{not json", "not valid JSON", id="not-json"),
-            pytest.param(b"\xff{}", "not UTF-8", id="not-utf8"),
+            pytest.param(b"{not json", "Expecting property name", id="not-json"),
+            pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+            pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="nested-too-deep"),
         ],
     )
     def test_bad_case_file_is_one_line(self, capsys, tmp_path, raw, reason):
@@ -101,7 +102,7 @@ class TestBaseline:
         with pytest.raises(SystemExit) as info:
             main(["metrics", "--case", str(path)])
         message = info.value.code
-        assert message.startswith(f"dsm-seq: error: {path}: {reason}: ")
+        assert message.startswith(f"dsm-seq: error: case file {path}: not valid JSON: {reason}")
         assert "\n" not in message
         assert capsys.readouterr().out == ""
 
@@ -480,8 +481,7 @@ class TestScriptFile:
     def test_missing_file(self, capsys, argv, tmp_path):
         script = tmp_path / "nowhere.json"
         message = self.fails_with(capsys, argv, script)
-        assert message.startswith(f"dsm-seq: error: --script {script}: ")
-        assert "No such file or directory" in message
+        assert message == f"dsm-seq: error: cannot read --script {script}: No such file or directory"
 
     @pytest.mark.parametrize("content", ["[1, 2]", '{"reply": "x"}', '"<order> a </order>"',
                                          '["ok", null]'])
@@ -495,7 +495,7 @@ class TestScriptFile:
         script = tmp_path / "script.json"
         script.write_text("[unquoted]", encoding="utf-8")
         message = self.fails_with(capsys, argv, script)
-        assert message.startswith(f"dsm-seq: error: --script {script}: Expecting value")
+        assert message.startswith(f"dsm-seq: error: --script {script}: not valid JSON: Expecting value")
 
 
 class TestParser:

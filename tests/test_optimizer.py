@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -42,6 +43,13 @@ class TestConfig:
     def test_unknown_knowledge_mode(self):
         with pytest.raises(ValueError, match="knowledge_mode"):
             OptimizerConfig(knowledge_mode="telepathy")
+
+    @pytest.mark.parametrize("audit_dir", [5, b"audit", ["audit"]])
+    def test_audit_dir_must_be_a_path(self, audit_dir):
+        # refused at construction, not after the first model call
+        message = f"audit_dir must be None or a path, got {audit_dir!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(audit_dir=audit_dir)
 
 
 class TestHappyPath:

@@ -64,24 +64,33 @@ def complete_digraph(size: int, extra=()) -> dict:
 
 @pytest.mark.parametrize("startup", [BLOCK, "import sys\n"], ids=["blocked", "where-installed"])
 def test_the_library_loads_neither_scipy_nor_networkx(startup):
-    # the rankings, the closure and the metrics read the edge lists and never
-    # build the dense matrix; where scipy or networkx is installed, no code
-    # path imports it either
+    # on every bundled case, the rankings, the closure and the metrics read
+    # the edge lists and never build the dense matrix, and the GA and the
+    # LLM loop run; where scipy or networkx is installed, no code path
+    # imports it either
     code = startup + (
         "import dsmseq\n"
-        "case = dsmseq.bundled_case('demo_gearbox_7')\n"
-        "matrix = dsmseq.build_adjacency(case)\n"
-        "for rank in dsmseq.DETERMINISTIC_METHODS.values():\n"
-        "    rank(matrix)\n"
-        "dsmseq.reachability_closure(matrix)\n"
-        "dsmseq.network_metrics(case)\n"
+        "names = dsmseq.bundled_case_names()\n"
+        "dense = []\n"
+        "for name in names:\n"
+        "    case = dsmseq.bundled_case(name)\n"
+        "    matrix = dsmseq.build_adjacency(case)\n"
+        "    for rank in dsmseq.DETERMINISTIC_METHODS.values():\n"
+        "        rank(matrix)\n"
+        "    dsmseq.reachability_closure(matrix)\n"
+        "    dsmseq.network_metrics(case)\n"
+        "    dense += [name] * ('a' in vars(matrix))\n"
+        "    dsmseq.run_ga(matrix, dsmseq.preset_config('balanced', seed=0, generations=5))\n"
+        "    reply = '<order> ' + ', '.join(reversed(case.node_ids)) + ' </order>'\n"
+        "    cfg = dsmseq.OptimizerConfig(termination=dsmseq.TerminationPolicy(max_iterations=2))\n"
+        "    dsmseq.run_optimization(case, cfg, dsmseq.ScriptedProvider([reply, reply]))\n"
         "print(sorted(m for m, module in sys.modules.items()\n"
         "             if m.split('.')[0] in ('scipy', 'networkx') and module is not None))\n"
-        "print('a' in vars(matrix))\n"
+        "print(len(names), dense)\n"
     )
     done = python(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["[]", "False", ""]
+    assert done.stdout.split("\n") == ["[]", f"{len(list(DATA_DIR.glob('*.json')))} []", ""]
 
 
 def test_gearbox_metrics_by_breadth_first_search():
