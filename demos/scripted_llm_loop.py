@@ -1,9 +1,11 @@
 """Drive the iterative optimization loop with a scripted chat provider.
 
 The loop builds a prompt from an archive of scored orders, asks the
-provider for a better one, verifies the reply, and repeats. Scripting the
-replies keeps the demo offline; swap in OpenAIChatProvider.from_env() to
-run against a live endpoint:
+provider for a better one, verifies the reply, and repeats. The model sees
+fresh ids drawn from the seed, never the case's; the scripted replies name
+the case's ids and are renamed to match, and the trace and the best come
+back in the case's ids. Scripting the replies keeps the demo offline; swap
+in OpenAIChatProvider.from_env() to run against a live endpoint:
 
     export OPENAI_API_KEY=...          # required
     export OPENAI_API_BASE=...         # optional, defaults to api.openai.com

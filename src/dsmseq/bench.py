@@ -21,10 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .ga import GENERATIONS_DEFAULT, PRESETS, preset_config, run_ga
-from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, check_int, load_case, read_json
+# anonymize_ids is unused here but stays importable from this module:
+# benchmarks/workloads.py wraps bench.anonymize_ids by name
+from .model import AdjacencyMatrix, DsmCase, anonymize_ids, build_adjacency, check_int, load_case, read_json  # noqa: F401
 from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
-from .llm import ProviderError, ScriptedProvider
+from .llm import ProviderError
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import reorder_matrix, score_sequence
 from .solutions import TerminationPolicy
@@ -62,6 +64,9 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
+        for i, method in enumerate(self.methods):
+            if method in self.methods[:i]:  # its cells would run, and be written, twice
+                raise ValueError(f"methods[{i}] {method!r} is listed twice")
         for name in ("cases", "methods", "trial_budgets"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -199,34 +204,15 @@ def run_llm(case: DsmCase, seed: int, knowledge_mode: str, iterations: int, prov
             audit_dir: str | Path | None = None) -> list[dict]:
     """The one LLM run of the grid and the CLI; returns the trace.
 
-    The model sees fresh ids drawn from the seed, never the case's names; a
-    ScriptedProvider's replies, written in the case's ids, are renamed to
-    match. The run stops after `iterations` or at the case's known_optimum.
-    The trace, and an OptimizationAborted's partial trace, come back in the
-    case's ids.
+    The run stops after `iterations` or at the case's known_optimum.
     """
-    anon_case, mapping = anonymize_ids(case, seed)
-    inverse = {new: old for old, new in mapping.items()}
     cfg = OptimizerConfig(
         termination=TerminationPolicy(max_iterations=iterations, optimal_threshold=case.known_optimum),
         knowledge_mode=knowledge_mode,
         seed=seed,
         audit_dir=audit_dir,
     )
-    if isinstance(provider, ScriptedProvider):
-        provider = provider.renamed(mapping)
-    trace: list[dict] = []
-    try:
-        _, trace = run_optimization(anon_case, cfg, provider)
-    except OptimizationAborted as exc:
-        trace = exc.trace
-        raise
-    finally:
-        for row in trace:
-            for key in ("sequence", "best_sequence"):
-                if row[key] is not None:
-                    row[key] = [inverse[i] for i in row[key]]
-    return trace
+    return run_optimization(case, cfg, provider)[1]
 
 
 def _llm_cell(

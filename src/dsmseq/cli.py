@@ -188,9 +188,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ProviderError, OptimizationAborted) as exc:
-        # bad input (CaseError included), no API key, or a provider that gave
-        # up mid-run: one line, no traceback
+    except (ValueError, OSError, ProviderError, OptimizationAborted) as exc:
+        # bad input (CaseError included), an output path that cannot be
+        # written, no API key, or a provider that gave up mid-run: one line,
+        # no traceback
         raise SystemExit(f"dsm-seq: error: {exc}") from None
 
 

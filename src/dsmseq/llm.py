@@ -233,5 +233,8 @@ class ScriptedProvider:
     def renamed(self, mapping: dict[str, str]) -> ScriptedProvider:
         """A fresh stub of these replies with the ids in each reply's order
         span renamed through mapping, by the parser's span and split rule;
-        ids it lacks, and replies with no span, stay."""
-        return ScriptedProvider([rename_order_ids(text, mapping) for text in self._responses])
+        ids it lacks, and replies with no span, stay; it records into this
+        stub's prompts list."""
+        stub = ScriptedProvider([rename_order_ids(text, mapping) for text in self._responses])
+        stub.prompts = self.prompts
+        return stub

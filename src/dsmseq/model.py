@@ -178,22 +178,33 @@ def load_case(path: str | Path) -> DsmCase:
 def case_from_dict(raw: dict, where: str = "<dict>") -> DsmCase:
     if not isinstance(raw, dict):
         raise CaseError(f"{where}: top level must be an object")
+
+    def text(entry: dict, key: str, at: str, default: str | None = None) -> str:
+        """entry[key], which must be a JSON string; a KeyError if it is
+        missing and has no default."""
+        value = entry[key] if default is None else entry.get(key, default)
+        if not isinstance(value, str):
+            raise CaseError(f"{where}: {at}{key} must be a string, got {value!r}")
+        return value
+
     try:
         nodes = tuple(
-            Node(id=str(item["id"]), name=str(item.get("name", "")))
-            for item in raw.get("nodes", [])
+            Node(id=text(item, "id", f"nodes[{i}]: "), name=text(item, "name", f"nodes[{i}]: ", ""))
+            for i, item in enumerate(raw.get("nodes", []))
         )
         edges = tuple(
-            Edge(dependent=str(item["dependent"]), predecessor=str(item["predecessor"]))
-            for item in raw.get("edges", [])
+            Edge(dependent=text(item, "dependent", f"edges[{i}]: "),
+                 predecessor=text(item, "predecessor", f"edges[{i}]: "))
+            for i, item in enumerate(raw.get("edges", []))
         )
     except (KeyError, TypeError) as exc:
         raise CaseError(f"{where}: malformed node or edge entry: {exc}") from exc
+    description = text(raw, "description", "", "")
     try:
         return DsmCase(
             nodes=nodes,
             edges=edges,
-            description=str(raw.get("description", "")),
+            description=description,
             known_optimum=raw.get("known_optimum"),
         )
     except ValueError as exc:  # CaseError included

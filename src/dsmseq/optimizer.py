@@ -7,20 +7,21 @@ iteration budget or when the best score reaches a known optimal threshold.
 
 Inside the loop an order is a list of matrix row indices: the parser maps a
 reply's ids to rows and checks them once, and the archive scores the rows.
-Ids appear only where a reader sees them: prompt lines, trace rows and the
-returned best, all taken from the archive's records.
+The model sees only fresh ids drawn from the seed; trace rows and the
+returned best map the archive's records back to the case's ids.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .llm import ChatRequest, ProviderError
-from .model import DsmCase, build_adjacency
+from .llm import ChatRequest, ProviderError, ScriptedProvider
+from .model import DsmCase, anonymize_ids, build_adjacency
 from .prompts import (
     WITH_KNOWLEDGE,
     WITHOUT_KNOWLEDGE,
@@ -81,18 +82,25 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     Raises OptimizationAborted if the provider fails; the exception carries
     the partial trace. The archive scores each distinct order once and
     answers a repeat from its record; the returned best is re-scored
-    independently, and a mismatch raises RuntimeError.
+    independently on the case's matrix, and a mismatch raises RuntimeError.
+    A ScriptedProvider, whose replies name the case's ids, answers through a
+    renamed copy that records into its prompts list.
     """
-    matrix = build_adjacency(case)
+    anon_case, mapping = anonymize_ids(case, cfg.seed)
+    if isinstance(client, ScriptedProvider):
+        client = client.renamed(mapping)
+    to_case = {new: old for old, new in mapping.items()}.__getitem__
+    case_order = functools.cache(lambda order: tuple(map(to_case, order)))  # one per best record
+    matrix = build_adjacency(anon_case)
     rng = random.Random(cfg.seed)
     base = SolutionBase(matrix)
 
     # draws as sampling the id list would, and row r is the id node_ids[r]
     initial, _ = base.insert(rng.sample(range(case.n), case.n))
     # one seeded edge order for every prompt of the run
-    edges = list(case.edges)
+    edges = list(anon_case.edges)
     rng.shuffle(edges)
-    shuffled_case = replace(case, edges=tuple(edges))
+    shuffled_case = replace(anon_case, edges=tuple(edges))
 
     def entry(
         iteration: int,
@@ -109,14 +117,14 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
             "iteration": iteration,
             "prompt_sha256": None if sent is None else prompt_sha256(sent),
             "response_sha256": None if reply is None else hashlib.sha256(reply.encode("utf-8")).hexdigest(),
-            "sequence": None if record is None else list(record.sequence),
+            "sequence": None if record is None else list(map(to_case, record.sequence)),
             "score": None if record is None else record.score,
             "failure": failure,
             "duplicate": duplicate,
             "attempts": attempts,
             "unique_count": len(base),
             "best_score": best.score,
-            "best_sequence": best.sequence,
+            "best_sequence": case_order(best.sequence),
         }
 
     trace = [entry(0, initial)]
@@ -154,7 +162,8 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         )
 
     best = base.best()
-    rescored = score_sequence(matrix, best.sequence)
+    best = SolutionRecord(case_order(best.sequence), best.score)
+    rescored = score_sequence(build_adjacency(case), best.sequence)
     if rescored != best.score:
         raise RuntimeError(f"LLM best re-scores to {rescored}, not its recorded {best.score}")
     return best, trace

@@ -181,6 +181,11 @@ class TestSpec:
         with pytest.raises(ValueError, match=expected):
             ExperimentSpec(**fields)
 
+    def test_method_listed_twice_rejected(self, tmp_path):
+        # its cells would run twice, and write the same files twice
+        with pytest.raises(ValueError, match=r"^methods\[2\] 'det-outin' is listed twice$"):
+            ExperimentSpec(cases=["x.json"], methods=["det-outin", "det-eig", "det-outin"], output_dir=tmp_path)
+
     def test_cases_sharing_a_file_stem_rejected(self, tmp_path):
         first, second = tmp_path / "a" / "case.json", tmp_path / "b" / "case.json"
         with pytest.raises(ValueError, match="share the name 'case'") as info:

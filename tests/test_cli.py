@@ -428,6 +428,10 @@ class TestRun:
             ),
             ({"cases": [], "output_dir": "out"}, "cases must not be empty"),
             ({"cases": ["demo.json"], "output_dir": "out", "methods": []}, "methods must not be empty"),
+            (
+                {"cases": ["demo.json"], "output_dir": "out", "methods": ["det-outin", "det-outin"]},
+                r"methods\[1\] 'det-outin' is listed twice",
+            ),
             pytest.param(
                 b'{"cases": [nope]}',
                 r"not valid JSON: Expecting value: line 1 column 12 \(char 11\)",
@@ -451,6 +455,35 @@ class TestRun:
         message = info.value.code
         prefix = re.escape(f"dsm-seq: error: spec {spec_path}: ")
         assert re.fullmatch(prefix + expected, message)
+        assert capsys.readouterr().out == ""
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends in one error line naming it."""
+
+    @pytest.mark.parametrize("target", ["run", "ga --convergence-out", "llm --trace-out", "llm --audit-dir"])
+    def test_is_one_line(self, capsys, demo_path, tmp_path, target):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory is needed\n", encoding="utf-8")
+        under = str(blocker / "out")
+        if target == "run":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({
+                "cases": [demo_path], "methods": ["det-outin"], "output_dir": str(blocker),
+                "runs_per_method": 1,
+            }), encoding="utf-8")
+            argv = ["run", "--spec", str(spec_path)]
+        elif target.startswith("ga"):
+            argv = ["ga", "--case", demo_path, "--generations", "3", "--convergence-out", under]
+        else:
+            argv = ["llm", "--knowledge", "on", "--case", demo_path, "--trials", "2",
+                    "--script", write_script(tmp_path, GEARBOX_REPLIES), target.split()[1], under]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code
+        # a str code exits with status 1
+        assert isinstance(message, str) and message.startswith("dsm-seq: error: ")
+        assert str(blocker) in message and "\n" not in message
         assert capsys.readouterr().out == ""
 
 

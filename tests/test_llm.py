@@ -104,9 +104,11 @@ class TestScriptedStub:
         renamed = stub.renamed({"a": "x1", "b": "y2"})
         assert renamed.complete(request()).text == "try <ORDER> x1,  y2 ,zz </order> not a, b"
         assert renamed.complete(request()).text == "no tags: a, b"
-        assert renamed.prompts == ["hello", "hello"]
-        # the original is untouched and still replays from its first reply
-        assert stub.prompts == []
+        # the copy records into the original's list, so a caller holding the
+        # original sees what its copy was asked
+        assert renamed.prompts is stub.prompts
+        assert stub.prompts == ["hello", "hello"]
+        # the original's replies are untouched and it still replays from its first
         assert stub.complete(request()).text == "try <ORDER> a,  b ,zz </order> not a, b"
 
 

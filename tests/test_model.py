@@ -74,6 +74,24 @@ class TestLoadAndValidate:
         with pytest.raises(CaseError, match=r"nodes\[1\]"):
             case_from_dict(payload)
 
+    @pytest.mark.parametrize("value", [None, True, 7, 2.5, [], {}], ids=repr)
+    @pytest.mark.parametrize("at, key", [
+        ("nodes[0]: ", "id"), ("nodes[0]: ", "name"),
+        ("edges[0]: ", "dependent"), ("edges[0]: ", "predecessor"), ("", "description"),
+    ])
+    def test_text_must_be_a_json_string(self, tmp_path, at, key, value):
+        # an id of 7 would otherwise load as "7", and null as "None"
+        payload = {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"dependent": "b", "predecessor": "a"}],
+        }
+        {"nodes[0]: ": payload["nodes"][0], "edges[0]: ": payload["edges"][0], "": payload}[at][key] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: {at}{key} must be a string, got {value!r}"
+        with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+            load_case(path)
+
     def test_self_loop_rejected(self):
         payload = {
             "nodes": [{"id": "a"}, {"id": "b"}],

@@ -7,13 +7,19 @@ import re
 import pytest
 
 from dsmseq import (
+    ChatResult,
     OptimizationAborted,
     OptimizerConfig,
     ScriptedProvider,
     TerminationPolicy,
+    anonymize_ids,
+    build_adjacency,
+    run_llm,
     run_optimization,
+    score_sequence,
 )
 from dsmseq import optimizer
+from dsmseq.prompts import rename_order_ids
 from conftest import make_case, naive_score
 
 # v00 -> v01 -> ... -> v05; each task needs the previous one's output
@@ -37,6 +43,11 @@ def config(**overrides):
 
 def sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def as_received(reply, case, seed):
+    """A scripted reply as the loop receives it: in the ids the run draws from its seed."""
+    return rename_order_ids(reply, anonymize_ids(case, seed)[1])
 
 
 class TestConfig:
@@ -125,7 +136,8 @@ class TestHappyPath:
         seed_row, llm_row = trace
         assert seed_row["prompt_sha256"] is None
         assert llm_row["prompt_sha256"] == sha(stub.prompts[0])
-        assert llm_row["response_sha256"] == sha(f"<order> {REVERSED_ORDER} </order>")
+        # the digest is of the reply the loop received, in the run's ids
+        assert llm_row["response_sha256"] == sha(as_received(f"<order> {REVERSED_ORDER} </order>", case, cfg.seed))
         assert llm_row["attempts"] == 1
         assert llm_row["failure"] is None
 
@@ -216,7 +228,8 @@ class TestAudit:
         prompt_file = audit / "iter001_attempt1_prompt.txt"
         response_file = audit / "iter001_attempt1_response.txt"
         assert prompt_file.read_text(encoding="utf-8") == stub.prompts[0]
-        assert response_file.read_text(encoding="utf-8") == f"<order> {TOPO_ORDER} </order>"
+        received = as_received(f"<order> {TOPO_ORDER} </order>", case, cfg.seed)
+        assert response_file.read_text(encoding="utf-8") == received
 
     def test_each_retry_audited(self, monkeypatch, tmp_path):
         monkeypatch.setattr(optimizer, "INVALID_RETRY_BUDGET", 1)
@@ -275,6 +288,63 @@ class TestDeterminism:
         _, trace_a = run_optimization(case, cfg_a, ScriptedProvider([f"<order> {TOPO_ORDER} </order>"]))
         _, trace_b = run_optimization(case, cfg_b, ScriptedProvider([f"<order> {TOPO_ORDER} </order>"]))
         assert trace_a[0]["sequence"] != trace_b[0]["sequence"]
+
+
+class SwapClient:
+    """Answers with the best order its prompt lists, two seeded positions
+    swapped, in whatever ids the prompt uses; records every prompt."""
+
+    model = "swap"
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.prompts = []
+
+    def complete(self, request):
+        prompt = request.messages[-1]["content"]
+        self.prompts.append(prompt)
+        order = re.findall(r"'solution': '([^']*)'", prompt)[-1].split(", ")
+        i, j = self._rng.sample(range(len(order)), 2)
+        order[i], order[j] = order[j], order[i]
+        return ChatResult(text=f"<order> {', '.join(order)} </order>", usage={}, retries=0, model=self.model)
+
+
+class TestAnonymization:
+    """A direct run hides the case's ids from the model and answers in them."""
+
+    @pytest.mark.parametrize("mode", ["with", "without"])
+    def test_direct_run_hides_ids_and_matches_the_grid_run(self, demo_case, mode):
+        seed, budget = 4, 12
+        cfg = OptimizerConfig(
+            termination=TerminationPolicy(max_iterations=budget, optimal_threshold=demo_case.known_optimum),
+            knowledge_mode=mode,
+            seed=seed,
+        )
+        client = SwapClient(seed)
+        best, trace = run_optimization(demo_case, cfg, client)
+
+        # the case's own text may share a word with an id ("housing"); the
+        # rest of the prompt must not name any node by its case id
+        knowledge = [demo_case.description, *(node.name for node in demo_case.nodes)]
+        assert client.prompts
+        for prompt in client.prompts:
+            for text in knowledge:
+                prompt = prompt.replace(text, "")
+            for node_id in demo_case.node_ids:
+                assert not re.search(rf"\b{re.escape(node_id)}\b", prompt), node_id
+
+        matrix = build_adjacency(demo_case)
+        ids = sorted(demo_case.node_ids)
+        for row in trace:
+            if row["sequence"] is not None:
+                assert sorted(row["sequence"]) == ids
+                assert score_sequence(matrix, row["sequence"]) == row["score"]
+            assert sorted(row["best_sequence"]) == ids
+            assert score_sequence(matrix, row["best_sequence"]) == row["best_score"]
+        assert best.sequence == trace[-1]["best_sequence"]
+        assert score_sequence(matrix, best.sequence) == best.score
+
+        assert trace == run_llm(demo_case, seed, mode, budget, SwapClient(seed))
 
 
 class TestEdgeShuffling:
@@ -374,7 +444,9 @@ class TestScoreOnce:
             assert [row["prompt_sha256"] for row in trace[1:]] == [
                 sha(stub.prompts[k]) for k in last
             ]
-            assert [row["response_sha256"] for row in trace[1:]] == [sha(replies[k]) for k in last]
+            assert [row["response_sha256"] for row in trace[1:]] == [
+                sha(as_received(replies[k], chain_case(), cfg.seed)) for k in last
+            ]
         assert trace[1]["failure"] == "missing-tags" and len(set(stub.prompts[:3])) == 3
 
     def test_corrupted_best_raises(self, monkeypatch):
