@@ -258,6 +258,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     trace of the iterations that ran.
     """
     out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable output dir fails before any cell runs
     rows: list[dict] = []
     failures: list[dict] = []
     seeds_used: dict[str, dict[str, list[int]]] = {}

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from . import bench, ga
 from .llm import OpenAIChatProvider, ProviderError, ScriptedProvider
@@ -93,6 +94,8 @@ def _cmd_llm(args) -> int:
     else:
         provider = OpenAIChatProvider.from_env(model=args.model)
     knowledge_mode = WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE
+    if args.trace_out:  # an unwritable trace path fails before any request
+        Path(args.trace_out).parent.mkdir(parents=True, exist_ok=True)
     try:
         trace = bench.run_llm(case, args.seed, knowledge_mode, args.trials, provider, args.audit_dir)
     except OptimizationAborted as exc:

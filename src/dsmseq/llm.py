@@ -1,10 +1,13 @@
 """Chat-completion providers: an OpenAI-compatible HTTP client and a scripted stub.
 
 The search loop depends only on the ``complete(ChatRequest) -> ChatResult``
-shape, so the HTTP provider and the stub are interchangeable. Credentials
-come from the environment (OPENAI_API_KEY, OPENAI_API_BASE, OPENAI_MODEL)
-and are never echoed into errors, logs, or reprs. The reply format is
-known only to prompts; the stub renames ids with its rename_order_ids.
+shape, so the HTTP provider and the stub are interchangeable. The HTTP
+provider takes only an API key, a model and an endpoint, which from_env
+reads from OPENAI_API_KEY, OPENAI_MODEL and OPENAI_API_BASE; its timeout,
+retries and backoff are the module constants below. The key is sent only
+in the request headers and never appears in errors or reprs. The reply
+format is known only to prompts; the stub renames ids with its
+rename_order_ids.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ import os
 import time
 from dataclasses import dataclass
 
-from .model import check_int, check_real
 from .prompts import rename_order_ids
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+REQUEST_TIMEOUT_S = 60.0
+MAX_RETRIES = 3  # retries after the first attempt, so 4 attempts in all
+BACKOFF_S = 1.0  # the first retry's wait; each later one doubles it
 
 
 @dataclass(frozen=True)
@@ -53,39 +58,6 @@ class ProviderError(RuntimeError):
         self.kind = kind
 
 
-@dataclass
-class ProviderConfig:
-    endpoint: str = DEFAULT_BASE_URL
-    api_key: str = ""
-    model: str = ""
-    timeout: float = 60.0
-    max_retries: int = 3
-    backoff: float = 1.0
-    requests_per_minute: float | None = None
-
-    def __post_init__(self) -> None:
-        # each would otherwise fail only at the first request
-        if not (isinstance(self.endpoint, str) and self.endpoint.lower().startswith(("http://", "https://"))):
-            raise ValueError(f"endpoint must start with http:// or https://, got {self.endpoint!r}")
-        check_int("max_retries", self.max_retries, 0)
-        check_real("timeout", self.timeout, 0)
-        if self.timeout == 0:  # a socket with timeout 0 never blocks, so never waits for a reply
-            raise ValueError("timeout must be positive")
-        check_real("backoff", self.backoff, 0)
-        # below one request per minute the token bucket never holds a token
-        if self.requests_per_minute is not None:
-            check_real("requests_per_minute", self.requests_per_minute, 1)
-
-    def __repr__(self) -> str:  # keep the key out of logs and tracebacks
-        masked = "***" if self.api_key else "(unset)"
-        return (
-            f"ProviderConfig(endpoint={self.endpoint!r}, api_key={masked}, "
-            f"model={self.model!r}, timeout={self.timeout}, "
-            f"max_retries={self.max_retries}, backoff={self.backoff}, "
-            f"requests_per_minute={self.requests_per_minute})"
-        )
-
-
 def _urllib_transport(url: str, headers: dict, body: dict, timeout: float):
     """Default transport: POST JSON, return (status code, parsed body).
 
@@ -111,75 +83,46 @@ def _urllib_transport(url: str, headers: dict, body: dict, timeout: float):
     return status, payload
 
 
-class _TokenBucket:
-    """Soft requests-per-minute cap shared by all calls on one provider."""
-
-    def __init__(self, per_minute: float, clock=time.monotonic, sleep=time.sleep):
-        self.capacity = per_minute
-        self.tokens = per_minute
-        self.rate = per_minute / 60.0
-        self.clock = clock
-        self.sleep = sleep
-        self.last = clock()
-
-    def acquire(self) -> None:
-        while True:
-            now = self.clock()
-            self.tokens = min(self.capacity, self.tokens + (now - self.last) * self.rate)
-            self.last = now
-            if self.tokens >= 1.0:
-                self.tokens -= 1.0
-                return
-            self.sleep((1.0 - self.tokens) / self.rate)
-
-
 class OpenAIChatProvider:
     """Chat-completions over the OpenAI-compatible wire format.
 
-    transport/sleep/clock are injectable so tests can simulate status codes
-    and time without a network. Retries transport errors and retryable
-    statuses (429/5xx) with exponential backoff; auth failures are final.
+    transport/sleep are injectable so tests can simulate status codes and
+    time without a network. Retries transport errors and retryable statuses
+    (429/5xx) MAX_RETRIES times with exponential backoff; auth failures are
+    final. The key is kept only in the request headers.
     """
 
-    def __init__(self, config: ProviderConfig, transport=None, sleep=time.sleep, clock=time.monotonic):
-        if not config.api_key:
+    def __init__(self, api_key: str, model: str = "", endpoint: str = DEFAULT_BASE_URL,
+                 transport=None, sleep=time.sleep):
+        # each would otherwise fail only at the first request
+        if not api_key:
             raise ProviderError("auth", "no API key configured")
-        self.config = config
-        self.model = config.model
+        if not (isinstance(endpoint, str) and endpoint.lower().startswith(("http://", "https://"))):
+            raise ValueError(f"endpoint must start with http:// or https://, got {endpoint!r}")
+        self.model = model
+        self._url = endpoint.rstrip("/") + "/chat/completions"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         self._transport = transport or _urllib_transport
         self._sleep = sleep
-        self._bucket = None
-        if config.requests_per_minute is not None:
-            self._bucket = _TokenBucket(config.requests_per_minute, clock=clock, sleep=sleep)
 
     @classmethod
-    def from_env(cls, **overrides) -> "OpenAIChatProvider":
-        config = ProviderConfig(
-            endpoint=os.environ.get("OPENAI_API_BASE", DEFAULT_BASE_URL),
+    def from_env(cls, model: str | None = None) -> "OpenAIChatProvider":
+        return cls(
             api_key=os.environ.get("OPENAI_API_KEY", ""),
-            model=overrides.pop("model", None) or os.environ.get("OPENAI_MODEL", ""),
-            **overrides,
+            model=model or os.environ.get("OPENAI_MODEL", ""),
+            endpoint=os.environ.get("OPENAI_API_BASE", DEFAULT_BASE_URL),
         )
-        return cls(config)
 
     def complete(self, req: ChatRequest) -> ChatResult:
         # OSError covers refused connections, timeouts and URLError;
         # IncompleteRead and BadStatusLine are HTTPExceptions, not OSErrors
         from http.client import HTTPException
 
-        url = self.config.endpoint.rstrip("/") + "/chat/completions"
-        headers = {
-            "Authorization": f"Bearer {self.config.api_key}",
-            "Content-Type": "application/json",
-        }
-        body = {"model": req.model or self.config.model, "messages": list(req.messages)}
-
+        body = {"model": req.model or self.model, "messages": list(req.messages)}
         last_failure = "no attempt made"
-        for attempt in range(self.config.max_retries + 1):
-            if self._bucket is not None:
-                self._bucket.acquire()
+        for attempt in range(MAX_RETRIES + 1):
             try:
-                status, payload = self._transport(url, headers, body, self.config.timeout)
+                status, payload = self._transport(self._url, self._headers, body, REQUEST_TIMEOUT_S)
             except (OSError, HTTPException) as exc:
                 last_failure = f"transport error: {type(exc).__name__}"
                 status = None
@@ -187,10 +130,10 @@ class OpenAIChatProvider:
                 try:
                     text = payload["choices"][0]["message"]["content"]
                 except (KeyError, IndexError, TypeError):
-                    raise ProviderError(
-                        "malformed", "response body has no choices[0].message.content"
-                    ) from None
-                usage = payload.get("usage", {}) if isinstance(payload, dict) else {}
+                    text = None
+                if not isinstance(text, str):  # a refusal or tool call has null content
+                    raise ProviderError("malformed", "response body has no text at choices[0].message.content")
+                usage = payload.get("usage", {})
                 # each earlier attempt failed and was retried
                 return ChatResult(text=text, usage=usage, retries=attempt, model=body["model"])
             if status in (401, 403):
@@ -199,11 +142,10 @@ class OpenAIChatProvider:
                 raise ProviderError("protocol", f"unexpected HTTP status {status}")
             if status is not None:
                 last_failure = f"HTTP {status}"
-            if attempt < self.config.max_retries:
-                self._sleep(self.config.backoff * (2**attempt))
+            if attempt < MAX_RETRIES:
+                self._sleep(BACKOFF_S * (2**attempt))
         raise ProviderError(
-            "transport",
-            f"gave up after {self.config.max_retries + 1} attempts; last failure: {last_failure}",
+            "transport", f"gave up after {MAX_RETRIES + 1} attempts; last failure: {last_failure}"
         )
 
 

@@ -65,9 +65,7 @@ class OptimizationAborted(RuntimeError):
 def _audit_write(audit_dir, iteration: int, attempt: int, kind: str, text: str) -> None:
     if audit_dir is None:
         return
-    directory = Path(audit_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"iter{iteration:03d}_attempt{attempt}_{kind}.txt").write_text(
+    (Path(audit_dir) / f"iter{iteration:03d}_attempt{attempt}_{kind}.txt").write_text(
         text, encoding="utf-8"
     )
 
@@ -86,6 +84,8 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     A ScriptedProvider, whose replies name the case's ids, answers through a
     renamed copy that records into its prompts list.
     """
+    if cfg.audit_dir is not None:  # an unwritable audit dir fails before any request
+        Path(cfg.audit_dir).mkdir(parents=True, exist_ok=True)
     anon_case, mapping = anonymize_ids(case, cfg.seed)
     if isinstance(client, ScriptedProvider):
         client = client.renamed(mapping)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from dsmseq import brute_force_optimum
+from dsmseq import brute_force_optimum, cli, llm
 from dsmseq.cli import main
 from conftest import DATA_DIR, adjacency, make_case, naive_score, write_case
 
@@ -267,6 +267,10 @@ class TestLlm:
             assert leaked == [], path.name
 
     def test_endpoint_without_scheme_is_one_line(self, capsys, demo_path, monkeypatch):
+        def no_request(*args):
+            pytest.fail("a request went out with a bad endpoint")
+
+        monkeypatch.setattr(llm, "_urllib_transport", no_request)
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         monkeypatch.setenv("OPENAI_API_BASE", "api.example.com/v1")
         with pytest.raises(SystemExit) as info:
@@ -458,26 +462,41 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
 
+class NoRequestProvider:
+    """Stands in for the live provider; a request to it fails the test."""
+
+    model = "no-request"
+
+    @classmethod
+    def from_env(cls, model=None):
+        return cls()
+
+    def complete(self, req):
+        pytest.fail("a request went out before the run's output paths were made")
+
+
 class TestUnwritableOutput:
-    """An output path that cannot be written ends in one error line naming it."""
+    """An output path that cannot be written ends in one error line naming
+    it, before the live provider is sent any request."""
 
     @pytest.mark.parametrize("target", ["run", "ga --convergence-out", "llm --trace-out", "llm --audit-dir"])
-    def test_is_one_line(self, capsys, demo_path, tmp_path, target):
+    def test_is_one_line(self, capsys, monkeypatch, demo_path, tmp_path, target):
+        monkeypatch.setattr(cli, "OpenAIChatProvider", NoRequestProvider)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory is needed\n", encoding="utf-8")
         under = str(blocker / "out")
         if target == "run":
             spec_path = tmp_path / "spec.json"
             spec_path.write_text(json.dumps({
-                "cases": [demo_path], "methods": ["det-outin"], "output_dir": str(blocker),
-                "runs_per_method": 1,
+                "cases": [demo_path], "methods": ["llm-with-knowledge", "det-outin"],
+                "output_dir": str(blocker), "runs_per_method": 1,
             }), encoding="utf-8")
             argv = ["run", "--spec", str(spec_path)]
         elif target.startswith("ga"):
             argv = ["ga", "--case", demo_path, "--generations", "3", "--convergence-out", under]
         else:
             argv = ["llm", "--knowledge", "on", "--case", demo_path, "--trials", "2",
-                    "--script", write_script(tmp_path, GEARBOX_REPLIES), target.split()[1], under]
+                    target.split()[1], under]
         with pytest.raises(SystemExit) as info:
             main(argv)
         message = info.value.code

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dsmseq
-from dsmseq import ExperimentSpec, GaConfig, ProviderConfig, TerminationPolicy
+from dsmseq import ExperimentSpec, GaConfig, TerminationPolicy
 from dsmseq.ranking import DETERMINISTIC_METHODS
 
 from conftest import DATA_DIR
@@ -47,10 +47,6 @@ FIELDS = [
     (ga_config, "indpb", ("0",)),
     (ga_config, "cxpb", ("0",)),
     (ga_config, "mutpb", ("0",)),
-    (ProviderConfig, "timeout", ("2.5",)),
-    (ProviderConfig, "max_retries", ("0",)),
-    (ProviderConfig, "backoff", ("2.5", "0")),
-    (ProviderConfig, "requests_per_minute", ("None", "2.5")),
     (TerminationPolicy, "max_iterations", ()),
     (TerminationPolicy, "optimal_threshold", ("None", "0")),
 ]

@@ -8,6 +8,7 @@ import pytest
 
 from dsmseq import (
     ChatResult,
+    OpenAIChatProvider,
     OptimizationAborted,
     OptimizerConfig,
     ScriptedProvider,
@@ -213,6 +214,23 @@ class TestAbort:
         assert sorted(last["best_sequence"]) == sorted(case.node_ids)
         assert naive_score(case, last["best_sequence"]) == last["best_score"]
         assert last["best_score"] == min(row["best_score"] for row in exc.trace)
+
+    def test_reply_with_no_text_aborts_with_the_rows_run_so_far(self):
+        case = chain_case()
+        cfg = config(termination=TerminationPolicy(max_iterations=3))
+        first = as_received(f"<order> {TOPO_ORDER} </order>", case, cfg.seed)
+        replies = [
+            {"choices": [{"message": {"content": first}}]},
+            {"choices": [{"message": {"content": None}}]},  # a refusal or a tool call
+        ]
+        provider = OpenAIChatProvider("sk-test", "m", transport=lambda *_: (200, replies.pop(0)))
+        with pytest.raises(OptimizationAborted, match="iteration 2: response body has no text") as info:
+            run_optimization(case, cfg, provider)
+        trace = info.value.trace
+        assert [row["iteration"] for row in trace] == [0, 1, 2]
+        assert trace[1]["sequence"] == list(case.node_ids) and trace[1]["score"] == 0
+        assert trace[2]["failure"] == "provider-error"
+        assert (trace[2]["best_score"], trace[2]["best_sequence"]) == (0, tuple(case.node_ids))
 
 
 class TestAudit:
