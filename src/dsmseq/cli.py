@@ -34,6 +34,16 @@ def _load_script(path: str) -> list[str]:
     return responses
 
 
+def _make_output_parent(option: str, path: str | None) -> None:
+    """Make the parent of an output file, so a path that cannot be written
+    fails before the run."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise ValueError(f"{option} {path}: is a directory")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_run(args) -> int:
     provider = ScriptedProvider(_load_script(args.script)) if args.script else None
     spec = bench.load_experiment_spec(args.spec, provider=provider)
@@ -72,6 +82,7 @@ def _cmd_ga(args) -> int:
     case = load_case(args.case)
     matrix = build_adjacency(case)
     cfg = ga.preset_config(args.preset, seed=args.seed, generations=args.generations)
+    _make_output_parent("--convergence-out", args.convergence_out)
     best, convergence = ga.run_ga(matrix, cfg, stop_score=case.known_optimum)
     if args.convergence_out:
         bench.write_csv(args.convergence_out, ["unique_count", "best_score"], convergence)
@@ -94,8 +105,7 @@ def _cmd_llm(args) -> int:
     else:
         provider = OpenAIChatProvider.from_env(model=args.model)
     knowledge_mode = WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE
-    if args.trace_out:  # an unwritable trace path fails before any request
-        Path(args.trace_out).parent.mkdir(parents=True, exist_ok=True)
+    _make_output_parent("--trace-out", args.trace_out)
     try:
         trace = bench.run_llm(case, args.seed, knowledge_mode, args.trials, provider, args.audit_dir)
     except OptimizationAborted as exc:

@@ -26,10 +26,10 @@ from .prompts import (
     WITH_KNOWLEDGE,
     WITHOUT_KNOWLEDGE,
     OrderParseError,
+    PromptContext,
+    PromptFrame,
     build_prompt,
-    make_prompt_context,
     parse_order_response,
-    prompt_sha256,
     retry_prompt,
 )
 from .scoring import score_sequence
@@ -100,7 +100,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     # one seeded edge order for every prompt of the run
     edges = list(anon_case.edges)
     rng.shuffle(edges)
-    shuffled_case = replace(anon_case, edges=tuple(edges))
+    frame = PromptFrame(replace(anon_case, edges=tuple(edges)), cfg.knowledge_mode)
 
     def entry(
         iteration: int,
@@ -115,7 +115,7 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
         best = base.best()
         return {
             "iteration": iteration,
-            "prompt_sha256": None if sent is None else prompt_sha256(sent),
+            "prompt_sha256": None if sent is None else frame.sha256(sent),
             "response_sha256": None if reply is None else hashlib.sha256(reply.encode("utf-8")).hexdigest(),
             "sequence": None if record is None else list(map(to_case, record.sequence)),
             "score": None if record is None else record.score,
@@ -130,11 +130,14 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     trace = [entry(0, initial)]
 
     model_name = getattr(client, "model", "") or ""
+    policy = cfg.termination
     iteration = 0
-    while not base.should_terminate(cfg.termination, iteration):
+    while iteration < policy.max_iterations and (
+        policy.optimal_threshold is None or base.best().score > policy.optimal_threshold
+    ):
         iteration += 1
         records = base.sample_for_prompt(rng)
-        prompt = sent = build_prompt(make_prompt_context(shuffled_case, records, cfg.knowledge_mode))
+        prompt = sent = build_prompt(PromptContext(frame, tuple(records)))
         rows = failure = None
         for attempt in range(1, INVALID_RETRY_BUDGET + 2):
             try:

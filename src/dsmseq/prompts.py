@@ -3,9 +3,12 @@
 The prompt has four parts: network topology (edge list, shuffled once per
 run), optional contextual knowledge (network description and node names),
 meta-instructions, and a worst-to-best list of previously scored orders.
-Rendering is a pure function of PromptContext and is pinned byte-for-byte by
-golden-file tests. Parsing maps a reply's ids to the matrix's row indices
-and checks them once; the loop and the archive work on those rows.
+Only the last part changes within a run. A run builds one PromptFrame from
+its case and knowledge mode, which renders the text around that list once
+and hashes the run's prompts; each iteration's PromptContext pairs the
+frame with the archive sample. Rendering is pure and pinned byte-for-byte
+by golden-file tests. Parsing maps a reply's ids to the matrix's row
+indices and checks them once; the loop and the archive work on those rows.
 
 This module alone knows the reply format: one rule finds the <order> span
 for the parser and the id renamer, and retry_prompt re-asks after a bad reply.
@@ -66,37 +69,6 @@ Output Format:
 Please provide only the order and nothing else."""
 
 
-@dataclass(frozen=True)
-class PromptContext:
-    network_description: str
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
-    historical: tuple[SolutionRecord, ...]
-    knowledge_mode: str = WITH_KNOWLEDGE
-
-    def __post_init__(self) -> None:
-        if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
-            raise ValueError(f"unknown knowledge_mode {self.knowledge_mode!r}")
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.nodes)
-
-
-def make_prompt_context(
-    case: DsmCase, records: list[SolutionRecord], knowledge_mode: str
-) -> PromptContext:
-    """Assemble a context from a case, edges in the case's order, and an
-    archive sample."""
-    return PromptContext(
-        network_description=case.description,
-        nodes=case.nodes,
-        edges=case.edges,
-        historical=tuple(records),
-        knowledge_mode=knowledge_mode,
-    )
-
-
 def _render_nodes_with_descriptions(nodes: tuple[Node, ...]) -> str:
     lines = ",\n".join(f"{{'id': {n.id!r}, 'name': {n.name!r}}}" for n in nodes)
     return f"[\n{lines}\n]"
@@ -109,53 +81,60 @@ def _render_edge_list(edges: tuple[Edge, ...]) -> str:
     return f"[\n{lines}\n]"
 
 
-def _split_template(template: str) -> tuple[str, str]:
-    """The template's text before and after the historical solutions field."""
-    head, tail = template.split("{selected_historical_solutions}")
-    # formatted like the whole template would be: escaped braces come out single
-    return head, tail.format()
+class PromptFrame:
+    """The text of a run's prompts before and after the historical solutions.
 
-
-_TEMPLATE_PARTS = {
-    WITH_KNOWLEDGE: _split_template(TEMPLATE_WITH_KNOWLEDGE),
-    WITHOUT_KNOWLEDGE: _split_template(TEMPLATE_WITHOUT_KNOWLEDGE),
-}
-
-# (key, (head, tail, sha256 state fed the head's bytes)) of the last frame
-# rendered; one tuple, replaced whole, so a reader never pairs one key with
-# another key's frame
-_last_frame: tuple = ((), ("", "", hashlib.sha256()))
-
-
-def _frame(ctx: PromptContext) -> tuple:
-    """The rendered text before and after the historical solutions, and
-    the digest state of the text before.
-
-    It depends only on the topology and the knowledge mode, which stay fixed
-    through a run, so the last one is kept. The key is compared with == and
-    never hashed: equal tuples that share their elements compare by
-    identity, while hashing would walk every node and edge.
+    It depends only on the case (description, nodes, edges in the order
+    given) and the knowledge mode, which stay fixed through a run, so it is
+    rendered once. The digest state of the head is kept too: every prompt
+    and retry prompt of the run starts with the head.
     """
-    global _last_frame
-    key = (ctx.knowledge_mode, ctx.network_description, ctx.nodes, ctx.edges)
-    last_key, frame = _last_frame
-    if last_key == key:
-        return frame
-    head, tail = _TEMPLATE_PARTS[ctx.knowledge_mode]
-    if ctx.knowledge_mode == WITH_KNOWLEDGE:
-        head = head.format(
-            network_description=ctx.network_description,
-            node_list_with_description=_render_nodes_with_descriptions(ctx.nodes),
-            edge_list=_render_edge_list(ctx.edges),
-        )
-    else:
-        head = head.format(
-            node_list=repr(list(ctx.node_ids)),
-            edge_list=_render_edge_list(ctx.edges),
-        )
-    frame = (head, tail, hashlib.sha256(head.encode("utf-8")))
-    _last_frame = (key, frame)
-    return frame
+
+    def __init__(self, case: DsmCase, knowledge_mode: str):
+        if knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
+            raise ValueError(f"unknown knowledge_mode {knowledge_mode!r}")
+        self.nodes = case.nodes
+        self.knowledge_mode = knowledge_mode
+        if knowledge_mode == WITH_KNOWLEDGE:
+            template = TEMPLATE_WITH_KNOWLEDGE
+            fields = dict(
+                network_description=case.description,
+                node_list_with_description=_render_nodes_with_descriptions(case.nodes),
+            )
+        else:
+            template = TEMPLATE_WITHOUT_KNOWLEDGE
+            fields = dict(node_list=repr(list(case.node_ids)))
+        head, tail = template.split("{selected_historical_solutions}")
+        self.head = head.format(edge_list=_render_edge_list(case.edges), **fields)
+        # formatted like the whole template would be: escaped braces come out single
+        self.tail = tail.format()
+        self._head_state = hashlib.sha256(self.head.encode("utf-8"))
+
+    def sha256(self, prompt: str) -> str:
+        """Hex sha256 of the prompt's UTF-8 bytes.
+
+        A prompt that starts with the head resumes from the head's digest
+        state and hashes only the rest.
+        """
+        if not prompt.startswith(self.head):
+            return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        digest = self._head_state.copy()
+        digest.update(prompt[len(self.head):].encode("utf-8"))
+        return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class PromptContext:
+    frame: PromptFrame
+    historical: tuple[SolutionRecord, ...]
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return self.frame.nodes
+
+    @property
+    def knowledge_mode(self) -> str:
+        return self.frame.knowledge_mode
 
 
 def build_prompt(ctx: PromptContext) -> str:
@@ -165,24 +144,8 @@ def build_prompt(ctx: PromptContext) -> str:
             "historical solutions must be non-empty: the loop always seeds "
             "the archive with one random order first"
         )
-    head, tail, _ = _frame(ctx)
     lines = ",\n".join([record.prompt_line for record in ctx.historical])
-    return "".join((head, "[\n", lines, "\n]", tail))
-
-
-def prompt_sha256(prompt: str) -> str:
-    """Hex sha256 of the prompt's UTF-8 bytes.
-
-    A prompt that starts with the head of the last rendered frame, as every
-    prompt and retry prompt of a run does, resumes from the head's digest
-    state and hashes only the rest.
-    """
-    _, (head, _, head_state) = _last_frame
-    if not prompt.startswith(head):
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-    digest = head_state.copy()
-    digest.update(prompt[len(head):].encode("utf-8"))
-    return digest.hexdigest()
+    return "".join((ctx.frame.head, "[\n", lines, "\n]", ctx.frame.tail))
 
 
 class OrderParseError(ValueError):

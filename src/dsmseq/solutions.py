@@ -1,4 +1,4 @@
-"""Archive of explored sequences with sampling and termination logic.
+"""Archive of explored sequences with sampling for prompts.
 
 The archive takes orders as matrix row indices, as the parser returns them,
 and keeps each record's ids for prompts, traces and the returned best.
@@ -122,10 +122,3 @@ class SolutionBase:
         # sorting is stable under reverse=True too: ties keep best-then-picked
         chosen = sorted(top + picked, key=itemgetter(0), reverse=True)
         return [self._records[i] for _, i in chosen]
-
-    def should_terminate(self, policy: TerminationPolicy, iterations_done: int) -> bool:
-        if iterations_done >= policy.max_iterations:
-            return True
-        if policy.optimal_threshold is not None and self._records:
-            return self.best().score <= policy.optimal_threshold
-        return False

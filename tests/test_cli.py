@@ -492,17 +492,30 @@ class TestUnwritableOutput:
                 "output_dir": str(blocker), "runs_per_method": 1,
             }), encoding="utf-8")
             argv = ["run", "--spec", str(spec_path)]
-        elif target.startswith("ga"):
-            argv = ["ga", "--case", demo_path, "--generations", "3", "--convergence-out", under]
         else:
-            argv = ["llm", "--knowledge", "on", "--case", demo_path, "--trials", "2",
-                    target.split()[1], under]
+            argv = self.argv(demo_path, target, under)
         with pytest.raises(SystemExit) as info:
             main(argv)
         message = info.value.code
         # a str code exits with status 1
         assert isinstance(message, str) and message.startswith("dsm-seq: error: ")
         assert str(blocker) in message and "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def argv(demo_path, target, out):
+        command, option = target.split()
+        if command == "ga":
+            return ["ga", "--case", demo_path, "--generations", "3", option, out]
+        return ["llm", "--knowledge", "on", "--case", demo_path, "--trials", "2", option, out]
+
+    @pytest.mark.parametrize("target", ["ga --convergence-out", "llm --trace-out"])
+    def test_directory_is_one_line_naming_it(self, capsys, monkeypatch, demo_path, tmp_path, target):
+        monkeypatch.setattr(cli, "OpenAIChatProvider", NoRequestProvider)
+        with pytest.raises(SystemExit) as info:
+            main(self.argv(demo_path, target, str(tmp_path)))
+        option = target.split()[1]
+        assert info.value.code == f"dsm-seq: error: {option} {tmp_path}: is a directory"
         assert capsys.readouterr().out == ""
 
 

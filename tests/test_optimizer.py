@@ -76,6 +76,23 @@ class TestHappyPath:
         assert len(trace) == 2  # iteration 0 plus one model call
         assert len(stub.prompts) == 1
 
+    @pytest.mark.parametrize("threshold, calls", [(1, 1), (0, 3)])
+    def test_stops_once_the_best_is_at_or_below_the_threshold(self, threshold, calls):
+        # the reply scores 1: it ends the run at threshold 1, not at 0
+        stub = ScriptedProvider(["<order> v01, v00, v02, v03, v04, v05 </order>"] * 3)
+        cfg = config(termination=TerminationPolicy(max_iterations=3, optimal_threshold=threshold))
+        _, trace = run_optimization(chain_case(), cfg, stub)
+        assert trace[0]["score"] > 1
+        assert len(stub.prompts) == calls == len(trace) - 1
+
+    def test_seed_order_within_the_threshold_sends_nothing(self):
+        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"])
+        # 5 is the most feedback a chain of 6 can have
+        cfg = config(termination=TerminationPolicy(max_iterations=3, optimal_threshold=5))
+        best, trace = run_optimization(chain_case(), cfg, stub)
+        assert len(trace) == 1 and stub.prompts == []
+        assert best.score == trace[0]["score"]
+
     def test_runs_to_iteration_budget(self):
         case = chain_case()
         responses = [

@@ -9,14 +9,15 @@ import pytest
 
 from dsmseq import prompts
 from dsmseq import (
+    DsmCase,
     Edge,
     Node,
     OrderParseError,
     PromptContext,
+    PromptFrame,
     SolutionRecord,
     build_prompt,
     is_valid_sequence,
-    make_prompt_context,
     parse_order_response,
 )
 
@@ -48,15 +49,11 @@ FIXTURE_DESCRIPTION = (
     "edge records that one task needs the output of another before it can start."
 )
 
+FIXTURE_CASE = DsmCase(nodes=FIXTURE_NODES, edges=FIXTURE_EDGES, description=FIXTURE_DESCRIPTION)
+
 
 def fixture_context(mode):
-    return PromptContext(
-        network_description=FIXTURE_DESCRIPTION,
-        nodes=FIXTURE_NODES,
-        edges=FIXTURE_EDGES,
-        historical=FIXTURE_HISTORICAL,
-        knowledge_mode=mode,
-    )
+    return PromptContext(PromptFrame(FIXTURE_CASE, mode), FIXTURE_HISTORICAL)
 
 
 class TestGolden:
@@ -74,23 +71,23 @@ class TestGolden:
         assert build_prompt(fixture_context("with")) == build_prompt(fixture_context("with"))
 
 
-def whole_template_render(ctx):
+def whole_template_render(case, mode, historical):
     """The prompt formatted from the whole template in one str.format call,
     each previous order rendered as the repr of a plain dict."""
-    rows = [{"solution": ", ".join(r.sequence), "score": float(r.score)} for r in ctx.historical]
-    historical = "[\n" + ",\n".join(map(repr, rows)) + "\n]"
-    edges = prompts._render_edge_list(ctx.edges)
-    if ctx.knowledge_mode == "with":
+    rows = [{"solution": ", ".join(r.sequence), "score": float(r.score)} for r in historical]
+    rendered = "[\n" + ",\n".join(map(repr, rows)) + "\n]"
+    edges = prompts._render_edge_list(case.edges)
+    if mode == "with":
         return prompts.TEMPLATE_WITH_KNOWLEDGE.format(
-            network_description=ctx.network_description,
-            node_list_with_description=prompts._render_nodes_with_descriptions(ctx.nodes),
+            network_description=case.description,
+            node_list_with_description=prompts._render_nodes_with_descriptions(case.nodes),
             edge_list=edges,
-            selected_historical_solutions=historical,
+            selected_historical_solutions=rendered,
         )
     return prompts.TEMPLATE_WITHOUT_KNOWLEDGE.format(
-        node_list=repr([node.id for node in ctx.nodes]),
+        node_list=repr([node.id for node in case.nodes]),
         edge_list=edges,
-        selected_historical_solutions=historical,
+        selected_historical_solutions=rendered,
     )
 
 
@@ -101,54 +98,71 @@ def shuffled(case, rng):
     return dataclasses.replace(case, edges=tuple(edges))
 
 
+def first_order_record(case):
+    """The case's ids in file order, scored, as the archive would record them."""
+    from dsmseq import build_adjacency, score_sequence
+
+    m = build_adjacency(case)
+    return SolutionRecord(tuple(m.ids), score_sequence(m, m.ids))
+
+
 # each changes one part of the frame: the text around the historical solutions
 FRAME_CHANGES = {
     "topology": dict(nodes=FIXTURE_NODES[:4], edges=FIXTURE_EDGES[:3]),
     "node-names": dict(nodes=tuple(Node(n.id, n.name.upper()) for n in FIXTURE_NODES)),
     "edge-order": dict(edges=FIXTURE_EDGES[::-1]),
-    "description": dict(network_description="Another line."),
+    "description": dict(description="Another line."),
 }
 
 
-class TestFrameCache:
+class TestPromptFrame:
     @pytest.mark.parametrize("change", sorted(FRAME_CHANGES))
     @pytest.mark.parametrize("mode", ["with", "without"])
-    def test_interleaved_contexts_render_as_whole_template(self, mode, change):
-        first = fixture_context(mode)
-        second = dataclasses.replace(first, **FRAME_CHANGES[change])
-        for ctx in (first, second, first, second):
-            assert build_prompt(ctx) == whole_template_render(ctx)
+    def test_alternating_frames_render_as_whole_template(self, mode, change):
+        other = dataclasses.replace(FIXTURE_CASE, **FRAME_CHANGES[change])
+        frames = [(case, PromptFrame(case, mode)) for case in (FIXTURE_CASE, other)]
+        for case, frame in frames + frames:
+            prompt = build_prompt(PromptContext(frame, FIXTURE_HISTORICAL))
+            assert prompt == whole_template_render(case, mode, FIXTURE_HISTORICAL)
 
-    def test_interleaved_knowledge_modes_render_as_whole_template(self):
-        first, second = fixture_context("with"), fixture_context("without")
-        for ctx in (first, second, first, second):
-            assert build_prompt(ctx) == whole_template_render(ctx)
+    def test_alternating_knowledge_modes_render_as_whole_template(self):
+        frames = [(mode, PromptFrame(FIXTURE_CASE, mode)) for mode in ("with", "without")]
+        for mode, frame in frames + frames:
+            prompt = build_prompt(PromptContext(frame, FIXTURE_HISTORICAL))
+            assert prompt == whole_template_render(FIXTURE_CASE, mode, FIXTURE_HISTORICAL)
 
     def test_new_historical_on_the_same_frame(self):
-        ctx = fixture_context("with")
-        build_prompt(ctx)
-        again = dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL[::-1])
-        assert build_prompt(again) == whole_template_render(again)
+        frame = PromptFrame(FIXTURE_CASE, "with")
+        for historical in (FIXTURE_HISTORICAL, FIXTURE_HISTORICAL[::-1], FIXTURE_HISTORICAL[:1]):
+            prompt = build_prompt(PromptContext(frame, historical))
+            assert prompt == whole_template_render(FIXTURE_CASE, "with", historical)
 
     def test_equal_topology_in_new_objects_gives_the_same_bytes(self):
         copied = dataclasses.replace(
-            fixture_context("with"),
+            FIXTURE_CASE,
             nodes=tuple(Node(n.id, n.name) for n in FIXTURE_NODES),
             edges=tuple(Edge(e.dependent, e.predecessor) for e in FIXTURE_EDGES),
         )
-        assert build_prompt(copied) == build_prompt(fixture_context("with"))
+        ctx = PromptContext(PromptFrame(copied, "with"), FIXTURE_HISTORICAL)
+        assert build_prompt(ctx) == build_prompt(fixture_context("with"))
 
     def test_seeded_reshuffles_render_as_whole_template(self, demo_case):
-        from dsmseq import build_adjacency, score_sequence
-
-        m = build_adjacency(demo_case)
-        order = tuple(m.ids)
-        rec = SolutionRecord(order, score_sequence(m, order))
+        rec = first_order_record(demo_case)
         rng = random.Random(3)
         for mode in ("with", "without", "with"):
             for _ in range(3):
-                ctx = make_prompt_context(shuffled(demo_case, rng), [rec], mode)
-                assert build_prompt(ctx) == whole_template_render(ctx)
+                case = shuffled(demo_case, rng)
+                prompt = build_prompt(PromptContext(PromptFrame(case, mode), (rec,)))
+                assert prompt == whole_template_render(case, mode, (rec,))
+
+    def test_context_reads_nodes_and_mode_from_its_frame(self):
+        ctx = fixture_context("without")
+        assert ctx.nodes is FIXTURE_NODES
+        assert ctx.knowledge_mode == "without"
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="knowledge_mode"):
+            PromptFrame(FIXTURE_CASE, "maybe")
 
 
 class TestPromptContent:
@@ -175,34 +189,13 @@ class TestPromptContent:
         assert rendered.index("'score': 6.0") < rendered.index("'score': 1.0")
 
     def test_empty_historical_rejected(self):
-        ctx = PromptContext(
-            network_description="x",
-            nodes=FIXTURE_NODES,
-            edges=FIXTURE_EDGES,
-            historical=(),
-            knowledge_mode="with",
-        )
+        ctx = PromptContext(PromptFrame(FIXTURE_CASE, "with"), ())
         with pytest.raises(ValueError, match="historical"):
             build_prompt(ctx)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="knowledge_mode"):
-            fixture_context("maybe")
-
-
-class TestMakeContext:
-    def test_without_rng_the_case_edges_pass_through(self, demo_case):
-        ctx = make_prompt_context(demo_case, [], "with")
-        assert ctx.edges is demo_case.edges
-
     def test_historical_scores_are_floats(self, demo_case):
-        from dsmseq import build_adjacency, score_sequence
-
-        m = build_adjacency(demo_case)
-        order = tuple(m.ids)
-        rec = SolutionRecord(order, score_sequence(m, order))
-        ctx = make_prompt_context(demo_case, [rec], "without")
-        assert ctx.historical == (rec,)
+        rec = first_order_record(demo_case)
+        ctx = PromptContext(PromptFrame(demo_case, "without"), (rec,))
         assert f"'score': {float(rec.score)!r}}}" in build_prompt(ctx)
 
 
@@ -412,36 +405,27 @@ def sha256_hex(text):
 
 
 class TestPromptDigest:
-    def test_frame_hit(self):
-        ctx = fixture_context("with")
-        build_prompt(ctx)
-        prompt = build_prompt(dataclasses.replace(ctx, historical=FIXTURE_HISTORICAL[::-1]))
-        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+    @pytest.mark.parametrize("mode", ["with", "without"])
+    def test_prompts_and_retry_prompts(self, mode):
+        frame = PromptFrame(FIXTURE_CASE, mode)
+        error = OrderParseError("missing-tags", "no <order>...</order> span in response")
+        for historical in (FIXTURE_HISTORICAL, FIXTURE_HISTORICAL[::-1]):
+            prompt = build_prompt(PromptContext(frame, historical))
+            for text in (prompt, prompts.retry_prompt(prompt, error)):
+                assert frame.sha256(text) == sha256_hex(text)
 
-    def test_frame_miss(self):
-        prompt = build_prompt(fixture_context("with"))
-        build_prompt(fixture_context("without"))  # replaces the kept frame
-        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
-
-    def test_retry_suffix(self):
-        prompt = build_prompt(fixture_context("without")) + "\n\nYour previous response was invalid."
-        assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
-
-    def test_reshuffled_edges_each_prompt(self, demo_case):
-        from dsmseq import build_adjacency, score_sequence
-
-        m = build_adjacency(demo_case)
-        rec = SolutionRecord(tuple(m.ids), score_sequence(m, m.ids))
+    def test_another_frames_prompts(self, demo_case):
+        frame = PromptFrame(FIXTURE_CASE, "with")
+        rec = first_order_record(demo_case)
         rng = random.Random(7)
         for mode in ("with", "without"):
             for _ in range(3):
-                prompt = build_prompt(make_prompt_context(shuffled(demo_case, rng), [rec], mode))
-                assert prompts.prompt_sha256(prompt) == sha256_hex(prompt)
+                prompt = build_prompt(PromptContext(PromptFrame(shuffled(demo_case, rng), mode), (rec,)))
+                assert frame.sha256(prompt) == sha256_hex(prompt)
 
     @pytest.mark.parametrize("text", ["", "unrelated text", "Ünïcödé ✓"])
     def test_unrelated_string(self, text):
-        build_prompt(fixture_context("with"))
-        assert prompts.prompt_sha256(text) == sha256_hex(text)
+        assert PromptFrame(FIXTURE_CASE, "with").sha256(text) == sha256_hex(text)
 
 
 AWKWARD_IDS = ("it's", 'say "hi"', "back\\slash", "Ünïcödé", "节点", "tab\there")
@@ -455,8 +439,6 @@ class TestCachedLines:
             assert rec.prompt_line == repr({"solution": ", ".join(sequence), "score": float(k)})
 
     def test_prompt_from_records_matches_prompt_from_dicts(self):
-        from dsmseq import DsmCase
-
         case = DsmCase(
             nodes=tuple(Node(i, f"Task {i}") for i in AWKWARD_IDS),
             edges=(Edge(AWKWARD_IDS[1], AWKWARD_IDS[0]), Edge(AWKWARD_IDS[3], AWKWARD_IDS[4])),
@@ -467,6 +449,5 @@ class TestCachedLines:
             SolutionRecord(AWKWARD_IDS, 1),
         ]
         for mode in ("with", "without"):
-            ctx = make_prompt_context(case, records, mode)
-            assert ctx.historical == tuple(records)
-            assert build_prompt(ctx) == whole_template_render(ctx)
+            ctx = PromptContext(PromptFrame(case, mode), tuple(records))
+            assert build_prompt(ctx) == whole_template_render(case, mode, records)

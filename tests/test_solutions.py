@@ -207,22 +207,6 @@ class TestSampling:
 
 
 class TestTermination:
-    def test_max_iterations(self, chain_case):
-        m = build_adjacency(chain_case)
-        base = filled_base(m, [list(m.ids)])
-        policy = TerminationPolicy(max_iterations=20)
-        assert base.should_terminate(policy, 20) is True
-        assert base.should_terminate(policy, 3) is False
-
-    def test_threshold(self, chain_case):
-        m = build_adjacency(chain_case)
-        base = SolutionBase(m)
-        base.insert([3, 2, 1, 0])  # score 3
-        policy = TerminationPolicy(max_iterations=20, optimal_threshold=3)
-        assert base.should_terminate(policy, 1) is True
-        tighter = TerminationPolicy(max_iterations=20, optimal_threshold=2)
-        assert base.should_terminate(tighter, 1) is False
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TerminationPolicy(max_iterations=0)
