@@ -215,11 +215,10 @@ def bundled_case_names() -> tuple[str, ...]:
 
 def bundled_case(name: str) -> DsmCase:
     """Load a case shipped with the package by name, without the .json suffix."""
-    entry = resources.files("dsmseq") / "data" / f"{name}.json"
-    if not entry.is_file():
-        known = ", ".join(bundled_case_names())
-        raise CaseError(f"no bundled case named {name!r}; available: {known}")
-    raw = json.loads(entry.read_text(encoding="utf-8"))
+    known = bundled_case_names()
+    if name not in known:
+        raise CaseError(f"no bundled case named {name!r}; available: {', '.join(known)}")
+    raw = json.loads((resources.files("dsmseq") / "data" / f"{name}.json").read_text(encoding="utf-8"))
     return case_from_dict(raw, where=f"bundled:{name}")
 
 

@@ -502,7 +502,7 @@ class TestUrllibTransport:
 def test_import_loads_no_http_module():
     src = str(Path(dsmseq.__file__).resolve().parents[1])
     code = (
-        "import sys, dsmseq; "
+        "import sys, dsmseq.llm; dsmseq.OpenAIChatProvider; "
         "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'ssl') if m in sys.modules))"
     )
     done = subprocess.run(

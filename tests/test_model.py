@@ -125,6 +125,12 @@ class TestLoadAndValidate:
         with pytest.raises(CaseError, match="demo_gearbox_7"):
             bundled_case("no_such_network")
 
+    # a relative path that reaches a case file, and one that reaches a digest file
+    @pytest.mark.parametrize("name", ["../data/demo_gearbox_7", "../../../tests/golden/grid_sha256"])
+    def test_bundled_case_rejects_a_path(self, name):
+        with pytest.raises(CaseError, match=r"^no bundled case named .*; available: demo_gearbox_7, "):
+            bundled_case(name)
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_file_is_a_case_error(self, tmp_path, name):
         path = tmp_path / name  # absent, or a directory
