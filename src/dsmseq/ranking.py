@@ -11,7 +11,8 @@ before its shuffle, so the shuffle depends only on who is in the group, not
 on how differences below the tolerance happened to sort them.
 
 Every key is computed from the edge lists, with no BLAS call: a degree is
-a bincount, and a product with A a scatter-add over the edges.
+a bincount, a product with A a scatter-add over the edges, and a
+visibility sum a count over the strong components' bool reachability rows.
 
 The walk-exponential keys are the column and row sums of exp(A), summed
 as its Taylor series on the ones vector with matrix-vector products only;
@@ -67,18 +68,16 @@ class NodeRanking:
         }
 
 
-def _tie_partition(values: list[float]) -> list[list[int]]:
-    """Group positions of a descending-sorted value list, chaining near-equals."""
-    groups: list[list[int]] = []
-    for i, v in enumerate(values):
-        if groups:
-            prev = values[groups[-1][-1]]
-            tol = KEY_TOLERANCE * max(1.0, abs(prev), abs(v))
-            if abs(prev - v) <= tol:
-                groups[-1].append(i)
-                continue
-        groups.append([i])
-    return groups
+def _tie_starts(values: np.ndarray) -> np.ndarray:
+    """True where a sorted key vector starts a tie group. A key is tied to
+    the one before it when they differ by at most KEY_TOLERANCE times the
+    largest of 1 and their magnitudes, so ties chain through neighbours."""
+    size = np.abs(values)
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    bound = KEY_TOLERANCE * np.maximum(np.maximum(size[:-1], size[1:]), 1.0)
+    np.greater(np.abs(values[1:] - values[:-1]), bound, out=starts[1:])
+    return starts
 
 
 def _rank(
@@ -89,38 +88,33 @@ def _rank(
     seed: int,
     warning: str | None = None,
 ) -> NodeRanking:
-    rng = random.Random(seed)
     ids = matrix.ids
-    primary_keys = primary.tolist()
-    secondary_keys = None if secondary is None else secondary.tolist()
-    # a stable sort, reversed too, keeps equal keys in node order
-    order_idx = sorted(range(matrix.n), key=primary_keys.__getitem__, reverse=True)
-    sorted_primary = [primary_keys[i] for i in order_idx]
+    # node[k] sits at position k of a stable sort, which keeps equal keys in node order
+    node = (-primary).argsort(kind="stable")
+    starts = _tie_starts(primary[node])
+    group = starts.cumsum()
+    # each group by secondary key, if any, and then in node order
+    order = node[np.lexsort((node, group) if secondary is None else (node, secondary[node], group))]
+    if secondary is not None:
+        starts |= _tie_starts(secondary[order])
+        order = order[np.lexsort((order, starts.cumsum()))]
 
-    final: list[int] = []
+    final = order.tolist()
+    bounds = np.append(starts.nonzero()[0], len(final))  # each group's start, then n
+    wide = (bounds[1:] - bounds[:-1] > 1).nonzero()[0]
+    rng = random.Random(seed)
     residual_groups: list[tuple[str, ...]] = []
-    for group in _tie_partition(sorted_primary):
-        if len(group) == 1:
-            final.append(order_idx[group[0]])
-            continue
-        members = sorted(order_idx[g] for g in group)
-        if secondary_keys is not None:
-            members.sort(key=secondary_keys.__getitem__)
-            sub_groups = _tie_partition([secondary_keys[i] for i in members])
-        else:
-            sub_groups = [list(range(len(members)))]
-        for sub in sub_groups:
-            sub_members = sorted(members[s] for s in sub)
-            if len(sub_members) > 1:
-                rng.shuffle(sub_members)
-                residual_groups.append(tuple(ids[i] for i in sub_members))
-            final.extend(sub_members)
+    for lo, hi in zip(bounds[wide].tolist(), bounds[wide + 1].tolist()):
+        members = final[lo:hi]
+        rng.shuffle(members)
+        final[lo:hi] = members
+        residual_groups.append(tuple(ids[i] for i in members))
 
     return NodeRanking(
         method=method,
         order=tuple(ids[i] for i in final),
-        primary_keys=dict(zip(ids, primary_keys)),
-        secondary_keys=None if secondary_keys is None else dict(zip(ids, secondary_keys)),
+        primary_keys=dict(zip(ids, primary.tolist())),
+        secondary_keys=None if secondary is None else dict(zip(ids, secondary.tolist())),
         tie_groups=tuple(residual_groups),
         warning=warning,
     )
@@ -278,14 +272,11 @@ def walk_resolvent_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     )
 
 
-def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
-    """Binary matrix with entry [i][j] = 1 iff some directed dependency
-    path (length >= 0) leads from j to i.
-
-    Nodes of one strongly connected component share a row. Each
-    component's row ORs in the rows of the components it depends on,
-    which carry smaller labels and so are already complete.
-    """
+def _component_reach(matrix: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's strong component label, and per component a bool row
+    marking the nodes from which a dependency path (length >= 0) leads to
+    it. A component's row ORs in the rows of the components it depends
+    on, which carry smaller labels and so are already complete."""
     n = matrix.n
     count, labels = strong_components(n, matrix.dep_idx, matrix.pred_idx)
     dep, pred = labels[matrix.dep_idx], labels[matrix.pred_idx]
@@ -299,6 +290,13 @@ def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
         upstream = pred[bounds[component]:bounds[component + 1]]
         if len(upstream):
             reach[component] |= reach[upstream].any(axis=0)
+    return labels, reach
+
+
+def reachability_closure(matrix: AdjacencyMatrix) -> np.ndarray:
+    """Binary matrix with entry [i][j] = 1 iff some directed dependency
+    path (length >= 0) leads from j to i."""
+    labels, reach = _component_reach(matrix)
     return reach[labels].astype(np.int64)
 
 
@@ -306,8 +304,10 @@ def visibility_order(matrix: AdjacencyMatrix, seed: int = 0) -> NodeRanking:
     """Rank by column sums of the reachability closure, the number of
     nodes that depend on a node by some path; ties by row sums (the nodes
     it depends on), then seeded RNG."""
-    f = reachability_closure(matrix).astype(float)
-    return _rank("visibility", matrix, f.sum(axis=0), f.sum(axis=1), seed)
+    labels, reach = _component_reach(matrix)
+    column = np.count_nonzero(reach[labels], axis=0).astype(float)
+    row = np.count_nonzero(reach, axis=1)[labels].astype(float)
+    return _rank("visibility", matrix, column, row, seed)
 
 
 DETERMINISTIC_METHODS = {

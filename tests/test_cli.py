@@ -34,6 +34,32 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_with_peak_rss(tmp_path, *argv) -> tuple[subprocess.CompletedProcess, int]:
+    """Run the command line on a 3,000-node chain in a fresh interpreter
+    and return the run and its peak RSS in MB. The peak is the
+    process's own VmHWM: getrusage's ru_maxrss would also count the
+    forking test process."""
+    path = write_case(tmp_path / "chain_3000.json", make_case(3000, [(i + 1, i) for i in range(2999)]))
+    code = (
+        "import sys\n"
+        "from dsmseq.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        print(next(int(line.split()[1]) // 1024 for line in status if line.startswith('VmHWM:')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--case", str(path)],
+        env={**os.environ, "PYTHONPATH": str(DATA_DIR.parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    *_, peak = done.stdout.splitlines()
+    return done, int(peak)
+
+
 @pytest.fixture()
 def demo_path(data_dir):
     return str(data_dir / "demo_gearbox_7.json")
@@ -115,6 +141,17 @@ class TestBaseline:
         assert str(path) in message and "\n" not in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_visibility_on_a_long_chain_builds_no_integer_closure(self, tmp_path):
+        """Visibility on a 3,000-node chain counts on its 9 MB of bool
+        reachability rows; an int64 closure would take 72 MB, and its float
+        copy 72 MB more. The chain's visibility order is its dependency order."""
+        done, peak = run_with_peak_rss(tmp_path, "baseline", "visibility")
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout[:done.stdout.rstrip().rindex("\n")])
+        assert (payload["score"], payload["tie_groups"]) == (0, [])
+        assert peak < 100, f"peak RSS {peak} MB"
+
 
 class TestGa:
     def test_ga_payload_and_convergence_file(self, capsys, demo_path, demo_case, tmp_path):
@@ -173,30 +210,12 @@ class TestGa:
     def test_a_long_chain_is_refused_without_a_dense_matrix(self, tmp_path):
         """A 3,000-node chain is refused by the node limit in one line. The
         dense int64 matrix of this network alone would take 72 MB, and none
-        is built on the way, so the refusing process stays small. The peak
-        is the process's own VmHWM: getrusage's ru_maxrss would also count
-        the forking test process."""
-        path = write_case(tmp_path / "chain_3000.json", make_case(3000, [(i + 1, i) for i in range(2999)]))
-        code = (
-            "import sys\n"
-            "from dsmseq.cli import main\n"
-            "try:\n"
-            "    main(['ga', '--case', sys.argv[1]])\n"
-            "finally:\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        print(next(int(line.split()[1]) // 1024 for line in status if line.startswith('VmHWM:')))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(path)],
-            env={**os.environ, "PYTHONPATH": str(DATA_DIR.parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        is built on the way, so the refusing process stays small."""
+        done, peak = run_with_peak_rss(tmp_path, "ga")
         assert done.returncode == 1
         assert done.stderr.startswith("dsm-seq: error: the GA ") and done.stderr.count("\n") == 1
         assert "at most 256 nodes, got 3000" in done.stderr
-        assert int(done.stdout) < 100, f"peak RSS {done.stdout.strip()} MB"
+        assert peak < 100, f"peak RSS {peak} MB"
 
 
 class TestLlm:

@@ -1,8 +1,6 @@
 """Deterministic orderings, each checked against an independent computation."""
 
 import dataclasses
-import hashlib
-import json
 import math
 import random
 import time
@@ -24,7 +22,6 @@ from dsmseq import (
     eigenvector_order,
     load_case,
     matrix_from_array,
-    network_metrics,
     out_in_degree_order,
     reachability_closure,
     score_sequence,
@@ -33,8 +30,9 @@ from dsmseq import (
     walk_resolvent_order,
 )
 from dsmseq.model import strong_components
-from dsmseq.ranking import RESOLVENT_MAX_TERMS, _rank, _tie_partition
+from dsmseq.ranking import KEY_TOLERANCE, RESOLVENT_MAX_TERMS, _rank, _tie_starts
 from conftest import adjacency, make_case, random_case, run_with_blas_threads
+from test_analysis_golden import ANALYSIS_DRAWS
 
 # 0 -> 1 -> 2 -> 0 plus 0 -> 2: strongly connected and aperiodic, all keys distinct
 PLASTIC_EDGES = [(1, 0), (2, 1), (0, 2), (2, 0)]
@@ -89,16 +87,91 @@ def quiet_runtime_warnings():
         yield
 
 
-class TestTiePartition:
+def reference_tie_partition(values: list[float]) -> list[list[int]]:
+    """Group positions of a descending-sorted value list, chaining near-equals."""
+    groups: list[list[int]] = []
+    for i, v in enumerate(values):
+        if groups:
+            prev = values[groups[-1][-1]]
+            tol = KEY_TOLERANCE * max(1.0, abs(prev), abs(v))
+            if abs(prev - v) <= tol:
+                groups[-1].append(i)
+                continue
+        groups.append([i])
+    return groups
+
+
+def reference_rank(method, matrix, primary, secondary, seed, warning=None) -> NodeRanking:
+    """_rank written as one walk over the keys: sort by primary key, split
+    the tie groups, put each group in node order, sort it by secondary key
+    and split that again, and shuffle each group left in node order."""
+    rng = random.Random(seed)
+    ids = matrix.ids
+    primary_keys = primary.tolist()
+    secondary_keys = None if secondary is None else secondary.tolist()
+    # a stable sort, reversed too, keeps equal keys in node order
+    order_idx = sorted(range(matrix.n), key=primary_keys.__getitem__, reverse=True)
+    sorted_primary = [primary_keys[i] for i in order_idx]
+
+    final: list[int] = []
+    residual_groups: list[tuple[str, ...]] = []
+    for group in reference_tie_partition(sorted_primary):
+        if len(group) == 1:
+            final.append(order_idx[group[0]])
+            continue
+        members = sorted(order_idx[g] for g in group)
+        if secondary_keys is not None:
+            members.sort(key=secondary_keys.__getitem__)
+            sub_groups = reference_tie_partition([secondary_keys[i] for i in members])
+        else:
+            sub_groups = [list(range(len(members)))]
+        for sub in sub_groups:
+            sub_members = sorted(members[s] for s in sub)
+            if len(sub_members) > 1:
+                rng.shuffle(sub_members)
+                residual_groups.append(tuple(ids[i] for i in sub_members))
+            final.extend(sub_members)
+
+    return NodeRanking(
+        method=method,
+        order=tuple(ids[i] for i in final),
+        primary_keys=dict(zip(ids, primary_keys)),
+        secondary_keys=None if secondary_keys is None else dict(zip(ids, secondary_keys)),
+        tie_groups=tuple(residual_groups),
+        warning=warning,
+    )
+
+
+def key_vector(rng: random.Random, n: int, kind: str) -> np.ndarray:
+    """n keys of one kind, each drawn to put ties where the tolerance test
+    decides them."""
+    draw = {
+        # many exact ties, as degree and visibility counts have
+        "integer": lambda: float(rng.randrange(-3, 4)),
+        # steps of 0.9e-9 chain three or four keys into one group
+        "chain": lambda: rng.choice([-1.0, 1.0, 2.0]) + rng.randrange(4) * 0.9e-9,
+        # below magnitude 1 the tolerance is absolute; 0 and 1e-9 tie at the bound itself
+        "zero": lambda: rng.choice([0.0, -0.0, 1e-10, -1e-10, 1e-9, 2e-9, 1.0]),
+        # near 1e12 it is relative, 1e3: 999 ties, 1001 and 2000 do not
+        "large": lambda: rng.choice([1e12, -1e12]) + rng.choice([0.0, 999.0, 1001.0, 1998.0, -999.0, 2e3]),
+        "uniform": lambda: rng.uniform(-5.0, 5.0),
+    }[kind]
+    return np.array([draw() for _ in range(n)])
+
+
+class TestTieStarts:
+    @staticmethod
+    def starts(values) -> list[int]:
+        return np.flatnonzero(_tie_starts(np.array(values))).tolist()
+
     def test_groups_near_equal_values(self):
-        assert _tie_partition([5.0, 5.0 + 1e-12, 3.0]) == [[0, 1], [2]]
+        assert self.starts([5.0, 5.0 + 1e-12, 3.0]) == [0, 2]
 
     def test_chains_through_adjacent_members(self):
-        values = [1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9]
-        assert _tie_partition(values) == [[0, 1, 2]]
+        assert self.starts([1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9]) == [0]
 
     def test_distinct_values_stay_apart(self):
-        assert _tie_partition([2.0, 1.0, 0.0]) == [[0], [1], [2]]
+        assert self.starts([2.0, 1.0, 0.0]) == [0, 1, 2]
 
 
 class TestRank:
@@ -124,6 +197,31 @@ class TestRank:
                 noisy_secondary = None if secondary is None else self.jitter(secondary, rng)
                 noisy = _rank("m", matrix, self.jitter(self.TIE_KEYS, rng), noisy_secondary, seed)
                 assert (noisy.order, noisy.tie_groups) == (exact.order, exact.tie_groups)
+
+    KINDS = ("integer", "chain", "zero", "large", "uniform")
+
+    def test_matches_the_reference_walk(self):
+        """2,100 seeded key vectors at every size, with and without a
+        secondary key: the same order, tie groups and keys, the sign of a
+        zero key included."""
+        # _rank reads only the matrix's size and ids
+        matrices = {n: complete_digraph(0, isolated=n) for n in (0, 1, 2, 3, 10, 100, 400)}
+        compared = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            for n, matrix in matrices.items():
+                for kind in self.KINDS:
+                    for secondary_kind in (None,) + self.KINDS:
+                        primary = key_vector(rng, n, kind)
+                        secondary = None if secondary_kind is None else key_vector(rng, n, secondary_kind)
+                        got = _rank("m", matrix, primary, secondary, seed)
+                        want = reference_rank("m", matrix, primary, secondary, seed)
+                        where = (seed, n, kind, secondary_kind)
+                        assert (got.order, got.tie_groups) == (want.order, want.tie_groups), where
+                        assert repr((got.primary_keys, got.secondary_keys)) == repr(
+                            (want.primary_keys, want.secondary_keys))
+                        compared += 1
+        assert compared == 2100
 
 
 class TestOutInDegree:
@@ -469,6 +567,22 @@ class TestVisibility:
                 reached[list(nx.descendants(graph, j) | {j})] = 1
                 assert np.array_equal(closure[:, j], reached)
 
+    def test_keys_are_the_closure_sums(self, data_dir):
+        """Visibility counts on the component rows and does not read the
+        closure, so the two are held together here: on the bundled cases
+        and seeded draws from one component to many, the primary keys are
+        the closure's column sums and the secondary keys its row sums."""
+        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randrange(2, 80)
+            matrices.append(adjacency(random_case(rng, n, rng.choice([0.5, 1.5, 3.0, 8.0]) / n)))
+        for matrix in matrices:
+            ranking = visibility_order(matrix, seed=0)
+            closure = reachability_closure(matrix)
+            assert [ranking.primary_keys[i] for i in matrix.ids] == closure.sum(axis=0).tolist()
+            assert [ranking.secondary_keys[i] for i in matrix.ids] == closure.sum(axis=1).tolist()
+
     def test_closure_is_binary_and_reflexive(self):
         matrix = adjacency(random_case(random.Random(4), 7, 0.4))
         closure = reachability_closure(matrix)
@@ -585,46 +699,3 @@ class TestOrientation:
             with quiet_runtime_warnings():
                 total = sum(score_sequence(m, DETERMINISTIC_METHODS[name](m, seed=0).order) for m in matrices)
             assert total < half, (name, total, half)
-
-
-# (n, density) of the golden analysis draws: sparse draws leave the network
-# disconnected, dense ones are cyclic; the n = 400 draw is near the degree
-# at which the benchmark's networks connect
-ANALYSIS_DRAWS = [(10, 0.05), (10, 0.15), (10, 0.5)] * 3 + [
-    (100, 0.006),
-    (100, 0.02),
-    (100, 0.039),
-    (100, 0.3),
-    (400, 0.008),
-]
-
-
-def analysis_digests() -> dict[str, str]:
-    """For each seeded draw, the sha256 over network_metrics, every
-    deterministic ranking at seed 0 and the reachability closure."""
-    rng = random.Random(2026)
-    digests = {}
-    for pos, (n, density) in enumerate(ANALYSIS_DRAWS):
-        case = random_case(rng, n, density)
-        matrix = build_adjacency(case)
-        digest = hashlib.sha256(repr(dataclasses.asdict(network_metrics(case))).encode("utf-8"))
-        for name in sorted(DETERMINISTIC_METHODS):
-            with quiet_runtime_warnings():
-                ranking = DETERMINISTIC_METHODS[name](matrix, seed=0)
-            digest.update(repr(ranking.to_dict()).encode("utf-8"))
-        digest.update(reachability_closure(matrix).tobytes())
-        digests[f"{pos:02d}/n{n}/p{density}"] = digest.hexdigest()
-    return digests
-
-
-def test_analysis_matches_golden_digests(golden_dir):
-    """The digests are pinned in golden/analysis_sha256.json, so a faster
-    analysis must reproduce every output exactly, with one BLAS thread and
-    with two: the keys come from scatter-adds and elementwise sums, with no
-    BLAS call, so their bits must not depend on the thread count."""
-    expected = json.loads((golden_dir / "analysis_sha256.json").read_text(encoding="utf-8"))
-    for threads in (1, 2):
-        digests = run_with_blas_threads(
-            "import json, test_ranking; print(json.dumps(test_ranking.analysis_digests()))", threads
-        )
-        assert json.loads(digests) == expected, f"{threads} BLAS threads"
