@@ -1,9 +1,11 @@
 """Run a small seeded benchmark grid and inspect the output files.
 
 The grid crosses cases with methods. Deterministic and GA cells need no
-network; the two llm-* cells accept any object with a .complete(request)
-method, so this demo wires in a tiny provider that reads the archive
-shown in its own prompt and replies with the best listed order reversed.
+network; the two llm-* cells call a zero-argument provider factory once
+per run, and the provider it returns needs only a .complete(request)
+method. This demo passes a tiny provider class as that factory; each
+instance reads the archive shown in its own prompt and replies with the
+first listed order reversed.
 That is enough to exercise the anonymization round trip and the budget
 snapshots without any credentials.
 """
@@ -38,7 +40,7 @@ def main():
             runs_per_method=3,
             trial_budgets=[1, 3],
             ga_generations=60,
-            provider=ReverseEchoProvider(),
+            provider=ReverseEchoProvider,  # the class is the factory: one instance per run
         )
         table = run_experiment(spec)
 

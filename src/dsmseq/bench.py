@@ -41,7 +41,7 @@ class ExperimentSpec:
     trial_budgets: list[int] = field(default_factory=lambda: [1, 5, 20])
     base_seed: int = 0
     ga_generations: int = GENERATIONS_DEFAULT
-    # an instance with .complete, or a zero-arg factory returning one per run
+    # a zero-argument factory called once per LLM run: a provider class, or `lambda: client`
     provider: object = None
 
     def __post_init__(self) -> None:
@@ -61,13 +61,15 @@ class ExperimentSpec:
             check_int(f"trial_budgets[{i}]", budget, 1)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
+        if not (self.provider is None or callable(self.provider)):
+            raise ValueError(f"provider must be a zero-argument factory, got {self.provider!r}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
         for i, method in enumerate(self.methods):
             if method in self.methods[:i]:  # its cells would run, and be written, twice
                 raise ValueError(f"methods[{i}] {method!r} is listed twice")
-        for name in ("cases", "methods", "trial_budgets"):
+        for name in ("cases", "methods", "trial_budgets", "output_dir"):  # "" is the working directory
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
         stems = [Path(p).stem for p in self.cases]  # outputs are keyed by stem
@@ -77,11 +79,12 @@ class ExperimentSpec:
                 raise ValueError(f"cases {str(self.cases[first])!r} and {str(self.cases[i])!r} share the name {stem!r}")
 
 
-def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
+def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read a JSON spec; relative case paths are read from the spec's directory.
 
     A key that is not a spec field, a missing required key or case file, or
-    a field of the wrong type, is a ValueError naming the spec.
+    a field of the wrong type, is a ValueError naming the spec. The spec has
+    no provider; set one with dataclasses.replace.
     """
     path = Path(path)
     raw = read_json(path, "spec")
@@ -95,7 +98,7 @@ def load_experiment_spec(path: str | Path, provider=None) -> ExperimentSpec:
         if key not in raw:
             raise ValueError(f"spec {path}: missing required key {key!r}")
     try:
-        spec = ExperimentSpec(**raw, provider=provider)
+        spec = ExperimentSpec(**raw)
     except ValueError as exc:
         raise ValueError(f"spec {path}: {exc}") from exc
     cases = [path.parent / case for case in spec.cases]
@@ -219,13 +222,10 @@ def _llm_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, knowledge_mode: str
 ) -> CellResult:
     """One run_llm, read off at every trial budget."""
-    provider = spec.provider
-    if provider is None:
-        raise ProviderError("auth", "LLM methods need a provider (or a provider factory)")
-    if callable(provider) and not hasattr(provider, "complete"):
-        provider = provider()  # a factory: one fresh provider per run
+    if spec.provider is None:
+        raise ProviderError("auth", "LLM methods need a provider factory")
     budgets = sorted(spec.trial_budgets)
-    trace = run_llm(case, seed, knowledge_mode, budgets[-1], provider)
+    trace = run_llm(case, seed, knowledge_mode, budgets[-1], spec.provider())
     # row i is iteration i; a run that stopped early keeps its best for the larger budgets
     scores = {budget: trace[min(budget, len(trace) - 1)]["best_score"] for budget in budgets}
     return CellResult(scores=scores, trace=trace)
@@ -257,20 +257,17 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     the grid keeps going; an LLM run whose provider failed still writes the
     trace of the iterations that ran.
     """
+    # a bad case file, or an unwritable output dir, fails before any cell runs
+    cases = {Path(case_path).stem: load_case(case_path) for case_path in spec.cases}
     out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)  # an unwritable output dir fails before any cell runs
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = [spec.base_seed + run for run in range(spec.runs_per_method)]
     rows: list[dict] = []
     failures: list[dict] = []
-    seeds_used: dict[str, dict[str, list[int]]] = {}
 
-    for case_path in spec.cases:
-        case = load_case(case_path)
-        case_name = Path(case_path).stem
+    for case_name, case in cases.items():
         matrix = build_adjacency(case)
-        seeds_used[case_name] = {}
         for method in spec.methods:
-            seeds = [spec.base_seed + run for run in range(spec.runs_per_method)]
-            seeds_used[case_name][method] = seeds
             curves: list[list[tuple[int, int]]] = []
             for run, seed in enumerate(seeds):
                 cell = f"{case_name}__{method}__run{run}"
@@ -345,7 +342,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "base_seed": spec.base_seed,
         "ga_generations": spec.ga_generations,
         "seed_derivation": "base_seed + run_index",
-        "seeds": seeds_used,
+        "seeds": {case_name: dict.fromkeys(spec.methods, seeds) for case_name in cases},
         "failures": failures,
     }
     _atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

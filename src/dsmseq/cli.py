@@ -45,10 +45,13 @@ def _make_output_parent(option: str, path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    provider = ScriptedProvider(_load_script(args.script)) if args.script else None
-    spec = bench.load_experiment_spec(args.spec, provider=provider)
-    if provider is None and any(m in bench.LLM_METHODS for m in spec.methods):
-        spec.provider = OpenAIChatProvider.from_env()
+    spec = bench.load_experiment_spec(args.spec)
+    if args.script:  # each run replays the script from its first reply
+        script = _load_script(args.script)
+        spec = dataclasses.replace(spec, provider=lambda: ScriptedProvider(script))
+    elif any(m in bench.LLM_METHODS for m in spec.methods):
+        client = OpenAIChatProvider.from_env()  # a missing key fails before any cell
+        spec = dataclasses.replace(spec, provider=lambda: client)
     table = bench.run_experiment(spec)
     _emit({"summary": table.summary, "failures": table.failures,
            "output_dir": str(spec.output_dir)})

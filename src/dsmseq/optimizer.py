@@ -49,8 +49,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
             raise ValueError(f"unknown knowledge_mode {self.knowledge_mode!r}")
-        # anything else would fail only at the first audit write
-        if not (self.audit_dir is None or isinstance(self.audit_dir, (str, os.PathLike))):
+        # anything else would fail only at the first audit write, and "" would write into the working directory
+        if self.audit_dir == "" or not (self.audit_dir is None or isinstance(self.audit_dir, (str, os.PathLike))):
             raise ValueError(f"audit_dir must be None or a path, got {self.audit_dir!r}")
 
 

@@ -186,6 +186,11 @@ class TestSpec:
         with pytest.raises(ValueError, match=r"^methods\[2\] 'det-outin' is listed twice$"):
             ExperimentSpec(cases=["x.json"], methods=["det-outin", "det-eig", "det-outin"], output_dir=tmp_path)
 
+    def test_a_provider_instance_is_refused(self, tmp_path):
+        # a factory is called once per LLM run; an instance would be called as one
+        with pytest.raises(ValueError, match=r"^provider must be a zero-argument factory, got <"):
+            ExperimentSpec(cases=["x.json"], output_dir=tmp_path, provider=EchoProvider())
+
     def test_cases_sharing_a_file_stem_rejected(self, tmp_path):
         first, second = tmp_path / "a" / "case.json", tmp_path / "b" / "case.json"
         with pytest.raises(ValueError, match="share the name 'case'") as info:
@@ -209,14 +214,14 @@ class TestSpec:
             ),
             encoding="utf-8",
         )
-        stub = ScriptedProvider([])
-        spec = load_experiment_spec(spec_path, provider=stub)
+        spec = load_experiment_spec(spec_path)
         assert spec.cases == [tmp_path / "a.json"]  # relative to the spec file
         assert spec.methods == ["det-outin", "ga-balanced"]
         assert spec.runs_per_method == 4
         assert spec.base_seed == 9
         assert spec.trial_budgets == [1, 5, 20]  # default
-        assert spec.provider is stub
+        assert spec.provider is None  # a JSON file cannot hold a factory
+        assert replace(spec, provider=EchoProvider).provider is EchoProvider
 
     @pytest.mark.parametrize(
         "extra, unknown",
@@ -430,7 +435,7 @@ class TestRunExperiment:
             methods=["llm-with-knowledge"],
             runs_per_method=2,
             trial_budgets=[1, 3],
-            provider=EchoProvider(),
+            provider=EchoProvider,
         )
         table = run_experiment(spec)
         assert table.failures == []
@@ -470,6 +475,38 @@ class TestRunExperiment:
         )
         run_experiment(spec)
         assert len(built) == 3
+
+    def test_a_provider_class_is_a_factory(self, data_dir, tmp_path):
+        class Counted(EchoProvider):
+            built = 0
+
+            def __init__(self):
+                type(self).built += 1
+
+        spec = self.make_spec(
+            data_dir, tmp_path / "out", methods=list(LLM_METHODS), runs_per_method=2,
+            trial_budgets=[2], provider=Counted,
+        )
+        table = run_experiment(spec)
+        assert table.failures == []
+        assert len(table.rows) == len(LLM_METHODS) * 2
+        assert Counted.built == len(LLM_METHODS) * 2  # one provider per run
+
+    def test_a_bad_second_case_fails_before_any_cell(self, data_dir, tmp_path, monkeypatch):
+        good = data_dir / "demo_gearbox_7.json"
+        raw = json.loads(good.read_text(encoding="utf-8"))
+        raw["edges"][-1]["predecessor"] = "nowhere"  # a dangling edge
+        bad = tmp_path / "zbad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        called = []
+        for method in bench.METHODS:
+            monkeypatch.setitem(bench.METHODS, method, lambda *args: called.append(args))
+        out = tmp_path / "out"
+        spec = self.make_spec(data_dir, out, cases=[good, bad], methods=list(ALL_METHODS))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            run_experiment(spec)
+        assert called == []
+        assert not out.exists()
 
     def test_provider_failure_marks_cell_and_grid_continues(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -587,7 +624,7 @@ class TestRunExperiment:
             runs_per_method=2,
             trial_budgets=[1, 3],
             ga_generations=60,
-            provider=EchoProvider(),
+            provider=EchoProvider,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

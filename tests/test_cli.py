@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -426,6 +427,27 @@ class TestRun:
             (3, 0, single["best_score"])
         ]
         assert single["best_score"] == 4  # the value the CI asserts on both paths
+
+    def test_a_bad_second_case_is_one_line_before_any_cell(self, capsys, monkeypatch, demo_path, tmp_path):
+        raw = json.loads(Path(demo_path).read_text(encoding="utf-8"))
+        raw["edges"][-1]["predecessor"] = "nowhere"  # a dangling edge
+        bad = tmp_path / "zbad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        called = []
+        for method in cli.bench.METHODS:
+            monkeypatch.setitem(cli.bench.METHODS, method, lambda *args: called.append(args))
+        out_dir = tmp_path / "results"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "cases": [demo_path, str(bad)], "output_dir": str(out_dir), "runs_per_method": 1,
+        }), encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--spec", str(spec_path), "--script", write_script(tmp_path, GEARBOX_REPLIES)])
+        message = info.value.code
+        assert message.startswith(f"dsm-seq: error: {bad}: edges[") and "\n" not in message
+        assert called == []
+        assert not out_dir.exists()
+        assert capsys.readouterr().out == ""
 
 
     @pytest.mark.parametrize(

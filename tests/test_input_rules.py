@@ -15,6 +15,7 @@ import pytest
 
 import dsmseq
 from dsmseq import ExperimentSpec, GaConfig, TerminationPolicy
+from dsmseq.cli import main
 from dsmseq.ranking import DETERMINISTIC_METHODS
 
 from conftest import DATA_DIR
@@ -277,3 +278,30 @@ def test_mutated_input_files_run_or_fail_with_one_line(tmp_path):
             pytest.fail(f"hung or died: {' '.join(argv)}: {path.read_bytes()!r}\n{err}")
         for (argv, path), result in zip(share, results):
             check(argv, path, result)
+
+
+# --- an empty output path, which would name the working directory ---
+
+@pytest.mark.parametrize("command", ["run", "llm"])
+def test_an_empty_output_path_is_one_line_and_writes_nothing(command, tmp_path, monkeypatch, capsys):
+    inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
+    inputs.mkdir()
+    cwd.mkdir()
+    script = inputs / "script.json"
+    script.write_text(json.dumps(SCRIPT), encoding="utf-8")
+    if command == "run":
+        spec_path = inputs / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, "cases": [str(DATA_DIR / "demo_gearbox_7.json")],
+                                         "output_dir": ""}), encoding="utf-8")
+        argv = ["run", "--spec", str(spec_path), "--script", str(script)]
+        expected = f"spec {spec_path}: output_dir must not be empty"
+    else:
+        argv = ["llm", "--knowledge", "on", "--trials", "2", "--case", str(DATA_DIR / "demo_gearbox_7.json"),
+                "--script", str(script), "--audit-dir", ""]
+        expected = "audit_dir must be None or a path, got ''"
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == f"dsm-seq: error: {expected}"
+    assert list(cwd.iterdir()) == []
+    assert capsys.readouterr().out == ""
