@@ -52,7 +52,7 @@ def main():
                 f"{row['mean']:>6.2f} {row['best']:>4}"
             )
         if table.failures:
-            print(f"failures: {table.failures}")
+            raise RuntimeError(f"{len(table.failures)} grid cells failed: {table.failures}")
         print()
 
         produced = sorted(p.relative_to(out) for p in Path(out).rglob("*") if p.is_file())

@@ -17,9 +17,10 @@ from dsmseq import (
 def show_matrix(matrix, sequence):
     """Print the reordered matrix; entries above the diagonal are feedback."""
     reordered = reorder_matrix(matrix, sequence)
+    marks = set(zip(reordered.dep_idx.tolist(), reordered.pred_idx.tolist()))
     width = max(len(node_id) for node_id in sequence)
-    for row_id, row in zip(reordered.ids, reordered.a):
-        cells = " ".join("X" if v else "." for v in row)
+    for i, row_id in enumerate(reordered.ids):
+        cells = " ".join("X" if (i, j) in marks else "." for j in range(reordered.n))
         print(f"  {row_id:>{width}} | {cells}")
 
 

@@ -16,7 +16,6 @@ _EXPORTS = {
         "aggregate_stats",
         "load_experiment_spec",
         "merge_curves",
-        "render_trajectory",
         "run_experiment",
         "run_llm",
     ),

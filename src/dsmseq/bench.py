@@ -1,8 +1,7 @@
-"""Seeded experiment grid over cases and methods, with CSV/JSONL/SVG outputs.
+"""Seeded experiment grid over cases and methods, with CSV/JSONL outputs.
 
 Runs every (case, method, run) cell, aggregates mean/std/best per cell
-(population std), writes convergence series on the unique-solutions axis,
-and can render reordered-matrix snapshots along an optimization trace.
+(population std), and writes convergence series on the unique-solutions axis.
 Seeds are derived as base_seed + run index so a manifest replays exactly.
 """
 
@@ -28,7 +27,7 @@ from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .llm import ProviderError
 from .ranking import DETERMINISTIC_METHODS
-from .scoring import reorder_matrix, score_sequence
+from .scoring import score_sequence
 from .solutions import TerminationPolicy
 
 
@@ -347,77 +346,3 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     }
     _atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ResultTable(rows=rows, summary=summary, failures=failures)
-
-
-def _snapshot_svg(a: np.ndarray, iteration: int, score: int) -> str:
-    """Hand-rolled SVG: filled cells for dependencies, above-diagonal in red."""
-    n = a.shape[0]
-    cell = 16
-    margin = 28
-    size = n * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size + 2 * margin}" '
-        f'height="{size + 2 * margin}" viewBox="0 0 {size + 2 * margin} {size + 2 * margin}">',
-        f'<text x="{margin}" y="{margin - 10}" font-family="monospace" font-size="12">'
-        f"iteration {iteration}: feedback={score}</text>",
-        f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
-        'fill="white" stroke="black"/>',
-    ]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                parts.append(
-                    f'<rect x="{margin + j * cell}" y="{margin + i * cell}" '
-                    f'width="{cell}" height="{cell}" fill="#dddddd"/>'
-                )
-            elif a[i, j]:
-                color = "#d62728" if j > i else "#1f77b4"  # above diagonal = feedback
-                parts.append(
-                    f'<rect x="{margin + j * cell}" y="{margin + i * cell}" '
-                    f'width="{cell}" height="{cell}" fill="{color}"/>'
-                )
-    for k in range(1, n):
-        parts.append(
-            f'<line x1="{margin + k * cell}" y1="{margin}" x2="{margin + k * cell}" '
-            f'y2="{margin + size}" stroke="#bbbbbb" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<line x1="{margin}" y1="{margin + k * cell}" x2="{margin + size}" '
-            f'y2="{margin + k * cell}" stroke="#bbbbbb" stroke-width="0.5"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def render_trajectory(
-    case: DsmCase,
-    trace: list[dict],
-    iterations: list[int],
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write SVG + CSV snapshots of the best-so-far reordered matrix.
-
-    For each requested iteration, rows/columns follow that iteration's
-    best sequence and the annotation states the recomputed feedback count;
-    the files are trajectory_iterNNN.svg and .csv. The trace's ids must
-    match the case's.
-    """
-    out = Path(out_dir)
-    matrix = build_adjacency(case)
-    by_iteration: dict[int, dict] = {}
-    for row in trace:
-        by_iteration[row["iteration"]] = row  # last entry per iteration wins
-    written: list[Path] = []
-    for iteration in iterations:
-        if iteration not in by_iteration:
-            raise ValueError(f"iteration {iteration} not present in trace")
-        row = by_iteration[iteration]
-        sequence = row["best_sequence"]
-        reordered = reorder_matrix(matrix, sequence)
-        score = score_sequence(matrix, sequence)
-        svg_path = out / f"trajectory_iter{iteration:03d}.svg"
-        csv_path = out / f"trajectory_iter{iteration:03d}.csv"
-        _atomic_write_text(svg_path, _snapshot_svg(reordered.a, iteration, score))
-        write_csv(csv_path, list(sequence), [list(map(int, r)) for r in reordered.a])
-        written.extend([svg_path, csv_path])
-    return written

@@ -4,8 +4,8 @@ A case is a directed dependency network. An edge ``{dependent: d,
 predecessor: p}`` means task ``d`` needs the output of task ``p``. The
 adjacency matrix follows the convention ``a[i][j] = 1`` iff node ``i``
 depends on node ``j`` (a directed edge from ``j`` to ``i``). It is held as
-its edge lists, the row and column of each 1-entry; the dense n x n array
-is built only when ``a`` is first read, to draw the matrix.
+its edge lists, the row and column of each 1-entry; no dense n x n array
+is built.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import random
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -229,7 +228,6 @@ class AdjacencyMatrix:
 
     Edge k says node ids[dep_idx[k]] depends on node ids[pred_idx[k]], the
     1-entry a[dep_idx[k]][pred_idx[k]]; the edges are in row-major order.
-    The dense array a is built from them on first read and kept.
     """
 
     n: int
@@ -237,13 +235,6 @@ class AdjacencyMatrix:
     index_of: dict[str, int]
     dep_idx: np.ndarray = field(repr=False)
     pred_idx: np.ndarray = field(repr=False)
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        """The n-by-n 0/1 int64 array, a[i][j] = 1 iff ids[i] depends on ids[j]."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[self.dep_idx, self.pred_idx] = 1
-        return a
 
 
 def _edge_rows(case: DsmCase) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +291,10 @@ def anonymize_ids(case: DsmCase, seed: int) -> tuple[DsmCase, dict[str, str]]:
 
     Deterministic for a given seed. Names, description, known_optimum and
     node/edge order are preserved. Returns the rewritten case and the
-    old-to-new mapping.
+    old-to-new mapping. A negative seed is refused: random.Random(-s)
+    draws the same ids as random.Random(s).
     """
+    check_int("seed", seed, 0)
     rng = random.Random(seed)
     mapping: dict[str, str] = {}
     used: set[str] = set()

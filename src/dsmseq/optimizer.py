@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .llm import ChatRequest, ProviderError, ScriptedProvider
-from .model import DsmCase, anonymize_ids, build_adjacency
+from .model import DsmCase, anonymize_ids, build_adjacency, check_int
 from .prompts import (
     WITH_KNOWLEDGE,
     WITHOUT_KNOWLEDGE,
@@ -47,6 +47,8 @@ class OptimizerConfig:
     audit_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
+        # random.Random(-s) draws as random.Random(s) does
+        check_int("seed", self.seed, 0)
         if self.knowledge_mode not in (WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE):
             raise ValueError(f"unknown knowledge_mode {self.knowledge_mode!r}")
         # anything else would fail only at the first audit write, and "" would write into the working directory

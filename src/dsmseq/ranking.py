@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdjacencyMatrix, strong_components
+from .model import AdjacencyMatrix, check_int, strong_components
 
 KEY_TOLERANCE = 1e-9
 POWER_TOL = 1e-10
@@ -88,6 +88,8 @@ def _rank(
     seed: int,
     warning: str | None = None,
 ) -> NodeRanking:
+    # random.Random(-s) shuffles ties as random.Random(s) does
+    check_int("seed", seed, 0)
     ids = matrix.ids
     # node[k] sits at position k of a stable sort, which keeps equal keys in node order
     node = (-primary).argsort(kind="stable")

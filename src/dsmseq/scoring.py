@@ -84,8 +84,8 @@ def score_sequence(matrix: AdjacencyMatrix, order) -> int:
 def reorder_matrix(matrix: AdjacencyMatrix, order) -> AdjacencyMatrix:
     """Apply the same permutation to rows and columns.
 
-    Row/column k of the result corresponds to the k-th id in order. The
-    edge lists are permuted; neither matrix's dense array is built.
+    Row/column k of the result corresponds to the k-th id in order; only
+    the edge lists are permuted.
     """
     order = list(order)
     idx = _index_order(matrix, order)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dsmseq import DsmCase, Edge, Node, build_adjacency, load_case
@@ -78,6 +79,15 @@ def naive_score(case: DsmCase, order) -> int:
 
 def adjacency(case: DsmCase):
     return build_adjacency(case)
+
+
+def dense(matrix) -> np.ndarray:
+    """The n x n 0/1 int64 array of an AdjacencyMatrix, a[i][j] = 1 iff
+    ids[i] depends on ids[j], filled from its edge lists: the reference
+    the tests compare the package's edge-list results against."""
+    a = np.zeros((matrix.n, matrix.n), dtype=np.int64)
+    a[matrix.dep_idx, matrix.pred_idx] = 1
+    return a
 
 
 def run_with_blas_threads(code: str, threads: int) -> str:

@@ -43,7 +43,7 @@ from dsmseq import (
     walk_exponential_order,
     walk_resolvent_order,
 )
-from conftest import adjacency, make_case, naive_score, random_case
+from conftest import adjacency, dense, make_case, naive_score, random_case
 from test_prompts import (
     FIXTURE_DESCRIPTION,
     FIXTURE_EDGES,
@@ -204,7 +204,7 @@ def test_04_matrix_function_oracles():
     with runtime_budget(60, "criterion 4"):
         for _ in range(100):
             matrix = sample_small_norm_matrix(rng)
-            a = matrix.a.astype(float)
+            a = dense(matrix).astype(float)
             n = matrix.n
 
             taylor = np.eye(n)
@@ -227,7 +227,7 @@ def test_04_matrix_function_oracles():
 
             closure = reachability_closure(matrix)
             reach = np.eye(n, dtype=np.int64)
-            adj_out = [np.nonzero(matrix.a[:, j])[0].tolist() for j in range(n)]
+            adj_out = [np.nonzero(a[:, j])[0].tolist() for j in range(n)]
             for start in range(n):
                 stack = [start]
                 seen = {start}

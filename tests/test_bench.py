@@ -1,4 +1,4 @@
-"""Experiment harness: stats, curves, the grid runner, and snapshot rendering."""
+"""Experiment harness: stats, curves and the grid runner."""
 
 import csv
 import hashlib
@@ -20,7 +20,6 @@ from dsmseq import (
     load_experiment_spec,
     matrix_from_array,
     merge_curves,
-    render_trajectory,
     run_experiment,
 )
 from dsmseq import bench
@@ -655,51 +654,3 @@ class TestGaCell:
         unbounded = _ga_cell(replace(case, known_optimum=None), matrix, 0, spec, "exploration")
         assert unbounded.scores == {None: best.score}
         assert unbounded.curve == full
-
-
-class TestRenderTrajectory:
-    def fake_trace(self, case):
-        ids = list(case.node_ids)
-        start = list(reversed(ids))
-        better = ids[:]
-        return [
-            {"iteration": 0, "best_sequence": start},
-            {"iteration": 1, "best_sequence": better},
-        ]
-
-    def test_snapshot_files_and_annotation(self, data_dir, tmp_path, demo_case):
-        trace = self.fake_trace(demo_case)
-        written = render_trajectory(demo_case, trace, [0, 1], tmp_path)
-        names = sorted(p.name for p in written)
-        assert names == [
-            "trajectory_iter000.csv",
-            "trajectory_iter000.svg",
-            "trajectory_iter001.csv",
-            "trajectory_iter001.svg",
-        ]
-        svg = (tmp_path / "trajectory_iter001.svg").read_text(encoding="utf-8")
-        expected = naive_score(demo_case, trace[1]["best_sequence"])
-        assert f"iteration 1: feedback={expected}" in svg
-
-    def test_csv_header_is_the_sequence(self, data_dir, tmp_path, demo_case):
-        trace = self.fake_trace(demo_case)
-        render_trajectory(demo_case, trace, [0], tmp_path)
-        rows = read_csv(tmp_path / "trajectory_iter000.csv")
-        assert rows[0] == trace[0]["best_sequence"]
-        assert len(rows) == len(demo_case.node_ids) + 1
-
-    def test_last_entry_per_iteration_wins(self, tmp_path, demo_case):
-        ids = list(demo_case.node_ids)
-        trace = [
-            {"iteration": 0, "best_sequence": list(reversed(ids))},
-            {"iteration": 0, "best_sequence": ids[:]},
-        ]
-        render_trajectory(demo_case, trace, [0], tmp_path)
-        svg = (tmp_path / "trajectory_iter000.svg").read_text(encoding="utf-8")
-        expected = naive_score(demo_case, ids)
-        assert f"iteration 0: feedback={expected}" in svg
-
-    def test_unknown_iteration_rejected(self, tmp_path, demo_case):
-        trace = self.fake_trace(demo_case)
-        with pytest.raises(ValueError, match="iteration 7 not present"):
-            render_trajectory(demo_case, trace, [7], tmp_path)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import dsmseq
-from dsmseq import ExperimentSpec, GaConfig, TerminationPolicy
+from dsmseq import ExperimentSpec, GaConfig, OptimizerConfig, TerminationPolicy
 from dsmseq.cli import main
 from dsmseq.ranking import DETERMINISTIC_METHODS
 
@@ -50,6 +50,7 @@ FIELDS = [
     (ga_config, "mutpb", ("0",)),
     (TerminationPolicy, "max_iterations", ()),
     (TerminationPolicy, "optimal_threshold", ("None", "0")),
+    (OptimizerConfig, "seed", ("0",)),
 ]
 
 
@@ -278,6 +279,33 @@ def test_mutated_input_files_run_or_fail_with_one_line(tmp_path):
             pytest.fail(f"hung or died: {' '.join(argv)}: {path.read_bytes()!r}\n{err}")
         for (argv, path), result in zip(share, results):
             check(argv, path, result)
+
+
+# --- a negative seed, which random.Random reads as its absolute value ---
+
+@pytest.mark.parametrize("command", ["baseline", "llm"])
+def test_a_negative_seed_is_one_line(command, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT), encoding="utf-8")
+    argv = {
+        "baseline": ["baseline", "visibility", "--case", str(DATA_DIR / "packaging_line_12.json")],
+        "llm": ["llm", "--knowledge", "on", "--trials", "1", "--case", str(DATA_DIR / "demo_gearbox_7.json"),
+                "--script", str(script)],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == "dsm-seq: error: seed must be >= 0, got -1"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("seeded", ["anonymize_ids", *sorted(DETERMINISTIC_METHODS)])
+def test_every_seeded_shuffle_refuses_a_negative_seed(seeded):
+    case = dsmseq.bundled_case("demo_gearbox_7")
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        if seeded == "anonymize_ids":
+            dsmseq.anonymize_ids(case, -1)
+        else:
+            DETERMINISTIC_METHODS[seeded](dsmseq.build_adjacency(case), seed=-1)
 
 
 # --- an empty output path, which would name the working directory ---

@@ -26,7 +26,7 @@ from dsmseq import (
 )
 from dsmseq.model import strong_components
 
-from conftest import make_case, naive_score, random_case
+from conftest import dense, make_case, naive_score, random_case
 
 
 class TestLoadAndValidate:
@@ -182,41 +182,37 @@ class TestAdjacency:
     def test_single_edge_position(self):
         # B depends on A, node order [A, B] -> a[1][0] = 1
         case = make_case(2, [(1, 0)])
-        m = build_adjacency(case)
-        assert m.a[1][0] == 1
-        assert m.a.sum() == 1
+        a = dense(build_adjacency(case))
+        assert a[1][0] == 1
+        assert a.sum() == 1
 
     def test_empty_edges_zero_matrix(self):
         case = make_case(3, [])
-        assert build_adjacency(case).a.sum() == 0
+        assert dense(build_adjacency(case)).sum() == 0
 
     def test_three_cycle_entries(self):
         # dependency cycle: 1 depends on 0, 2 on 1, 0 on 2
         case = make_case(3, [(1, 0), (2, 1), (0, 2)])
-        m = build_adjacency(case)
-        assert m.a.sum() == 3
-        assert np.all(np.diag(m.a) == 0)
-        assert m.a[1][0] == 1 and m.a[2][1] == 1 and m.a[0][2] == 1
+        a = dense(build_adjacency(case))
+        assert a.sum() == 3
+        assert np.all(np.diag(a) == 0)
+        assert a[1][0] == 1 and a[2][1] == 1 and a[0][2] == 1
 
     def test_edge_count_matches_ones(self, demo_case):
-        m = build_adjacency(demo_case)
-        assert int(m.a.sum()) == len(demo_case.edges)
+        assert int(dense(build_adjacency(demo_case)).sum()) == len(demo_case.edges)
 
     def test_row_order_follows_node_list(self, demo_case):
         m = build_adjacency(demo_case)
         assert m.ids == demo_case.node_ids
         assert [m.index_of[i] for i in m.ids] == list(range(m.n))
 
-    def test_edges_are_row_major_and_a_is_built_on_first_read(self, demo_case):
+    def test_edges_are_row_major_and_round_trip_through_an_array(self, demo_case):
         m = build_adjacency(demo_case)
-        assert "a" not in vars(m)
-        rows, cols = np.nonzero(m.a)
+        rows, cols = np.nonzero(dense(m))
         assert rows.tolist() == m.dep_idx.tolist() and cols.tolist() == m.pred_idx.tolist()
-        assert vars(m)["a"] is m.a  # kept after the first read
-        again = matrix_from_array(m.a * 7, m.ids)  # every nonzero entry is an edge
+        again = matrix_from_array(dense(m) * 7, m.ids)  # every nonzero entry is an edge
         assert again.dep_idx.tolist() == m.dep_idx.tolist()
         assert again.pred_idx.tolist() == m.pred_idx.tolist()
-        assert np.array_equal(again.a, m.a)
 
     # matrix_from_array holds its ids to the case id rules, as validate_case does
     def test_matrix_from_array_refuses_a_duplicate_id(self):
