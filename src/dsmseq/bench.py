@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import functools
-from collections import Counter
 import io
 import json
 import os
@@ -65,9 +64,10 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
-        for i, method in enumerate(self.methods):
-            if method in self.methods[:i]:  # its cells would run, and be written, twice
-                raise ValueError(f"methods[{i}] {method!r} is listed twice")
+        for name in ("methods", "trial_budgets"):  # a cell would run twice, a budget be recorded twice
+            for i, value in enumerate(getattr(self, name)):
+                if value in getattr(self, name)[:i]:
+                    raise ValueError(f"{name}[{i}] {value!r} is listed twice")
         for name in ("cases", "methods", "trial_budgets", "output_dir"):  # "" is the working directory
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -169,7 +169,6 @@ def write_jsonl(path: str | Path, rows: list[dict]) -> None:
 
 @dataclass
 class ResultTable:
-    rows: list[dict]
     summary: list[dict]
     failures: list[dict]
 
@@ -250,24 +249,27 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute the whole grid and write artifacts under spec.output_dir.
 
     Writes results.csv (per-run rows), results_summary.csv (mean/std/best
-    per cell), convergence/*.csv for GA methods, traces/*.jsonl for
-    LLM runs, and manifest.json with every seed used. A cell that raises
-    is recorded in the failures with its exception type and message, and
-    the grid keeps going; an LLM run whose provider failed still writes the
-    trace of the iterations that ran.
+    per case, method and budget), convergence/*.csv for GA methods,
+    traces/*.jsonl for LLM runs, and manifest.json with every seed used. A
+    cell that raises is recorded in the failures with its exception type and
+    message, and the grid keeps going; an LLM run whose provider failed
+    still writes the trace of the iterations that ran.
     """
     # a bad case file, or an unwritable output dir, fails before any cell runs
     cases = {Path(case_path).stem: load_case(case_path) for case_path in spec.cases}
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [spec.base_seed + run for run in range(spec.runs_per_method)]
-    rows: list[dict] = []
+    results: list[list] = []  # the results.csv lines
+    summary: list[dict] = []
     failures: list[dict] = []
 
     for case_name, case in cases.items():
         matrix = build_adjacency(case)
         for method in spec.methods:
             curves: list[list[tuple[int, int]]] = []
+            scores: dict[int | None, list[float]] = {}
+            failed = 0
             for run, seed in enumerate(seeds):
                 cell = f"{case_name}__{method}__run{run}"
                 try:
@@ -275,6 +277,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                 except Exception as exc:  # one bad cell must not lose the grid
                     if isinstance(exc, OptimizationAborted):
                         write_jsonl(out / "traces" / f"{cell}.jsonl", exc.trace)
+                    failed += 1
                     failures.append(
                         {"case": case_name, "method": method, "run": run,
                          "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
@@ -288,42 +291,22 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                 if result.trace is not None:
                     write_jsonl(out / "traces" / f"{cell}.jsonl", result.trace)
                 for budget, score in result.scores.items():
-                    rows.append(
-                        {"case": case_name, "method": method, "budget": budget,
-                         "run": run, "seed": seed, "score": score}
-                    )
+                    scores.setdefault(budget, []).append(score)
+                    results.append([case_name, method, "" if budget is None else budget, run, seed, score])
             if curves:
                 write_csv(
                     out / "convergence" / f"{case_name}__{method}__mean.csv",
                     ["unique_count", "mean_best_score"],
                     merge_curves(curves),
                 )
+            summary += [
+                {"case": case_name, "method": method, "budget": budget,
+                 "runs": len(group), "failed": failed, **aggregate_stats(group)}
+                for budget, group in scores.items()
+            ]
+    summary.sort(key=lambda s: (s["case"], s["method"], -1 if s["budget"] is None else s["budget"]))
 
-    summary: list[dict] = []
-    cells: dict[tuple, list[float]] = {}
-    for row in rows:
-        cells.setdefault((row["case"], row["method"], row["budget"]), []).append(row["score"])
-    failed_counts = Counter((failure["case"], failure["method"]) for failure in failures)
-    for (case_name, method, budget), scores in sorted(
-        cells.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] if kv[0][2] is not None else -1)
-    ):
-        stats = aggregate_stats(scores)
-        summary.append(
-            {"case": case_name, "method": method, "budget": budget,
-             "runs": len(scores),
-             "failed": failed_counts[(case_name, method)],
-             **stats}
-        )
-
-    write_csv(
-        out / "results.csv",
-        ["case", "method", "budget", "run", "seed", "score"],
-        [
-            [r["case"], r["method"], "" if r["budget"] is None else r["budget"],
-             r["run"], r["seed"], r["score"]]
-            for r in rows
-        ],
-    )
+    write_csv(out / "results.csv", ["case", "method", "budget", "run", "seed", "score"], results)
     write_csv(
         out / "results_summary.csv",
         ["case", "method", "budget", "runs", "failed", "mean", "std", "best"],
@@ -345,4 +328,4 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "failures": failures,
     }
     _atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return ResultTable(rows=rows, summary=summary, failures=failures)
+    return ResultTable(summary=summary, failures=failures)

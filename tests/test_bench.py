@@ -50,20 +50,20 @@ class EchoProvider:
         return ChatResult(text=text, usage={}, retries=0, model=self.model)
 
 
-def scores_for(table, case, method, budget=None):
-    """The scores of one grid cell, at one trial budget or at all of them."""
-    return [
-        row["score"]
-        for row in table.rows
-        if row["case"] == case
-        and row["method"] == method
-        and (budget is None or row["budget"] == budget)
-    ]
-
-
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def scores_for(out, case, method, budget=None):
+    """The results.csv scores of one grid cell, at one trial budget or at all of them."""
+    return [
+        float(score)
+        for row_case, row_method, row_budget, _, _, score in read_csv(out / "results.csv")[1:]
+        if row_case == case
+        and row_method == method
+        and (budget is None or row_budget == str(budget))
+    ]
 
 
 class TestAggregateStats:
@@ -180,10 +180,19 @@ class TestSpec:
         with pytest.raises(ValueError, match=expected):
             ExperimentSpec(**fields)
 
-    def test_method_listed_twice_rejected(self, tmp_path):
-        # its cells would run twice, and write the same files twice
-        with pytest.raises(ValueError, match=r"^methods\[2\] 'det-outin' is listed twice$"):
-            ExperimentSpec(cases=["x.json"], methods=["det-outin", "det-eig", "det-outin"], output_dir=tmp_path)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # its cells would run twice, and write the same files twice
+            ("methods", ["det-outin", "det-eig", "det-outin"], r"methods\[2\] 'det-outin' is listed twice"),
+            # its one row per run would stand for two budgets in the manifest
+            ("trial_budgets", [2, 2], r"trial_budgets\[1\] 2 is listed twice"),
+        ],
+        ids=["methods", "trial_budgets"],
+    )
+    def test_method_listed_twice_rejected(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentSpec(cases=["x.json"], output_dir=tmp_path, **{field: value})
 
     def test_a_provider_instance_is_refused(self, tmp_path):
         # a factory is called once per LLM run; an instance would be called as one
@@ -303,10 +312,9 @@ class TestSpec:
         assert spec.cases == [spec_dir / "cases" / "gearbox.json", absolute]
         table = run_experiment(spec)
         assert table.failures == []
-        assert len(scores_for(table, "gearbox", "det-outin")) == 1
-        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 1
         # output_dir stays relative to the working directory
-        assert (elsewhere / "out" / "results.csv").is_file()
+        assert len(scores_for(elsewhere / "out", "gearbox", "det-outin")) == 1
+        assert len(scores_for(elsewhere / "out", "demo_gearbox_7", "det-outin")) == 1
         assert not (spec_dir / "out").exists()
 
 
@@ -332,8 +340,8 @@ class TestRunExperiment:
             assert (out / "convergence" / f"demo_gearbox_7__ga-balanced__run{run}.csv").is_file()
         assert (out / "convergence" / "demo_gearbox_7__ga-balanced__mean.csv").is_file()
 
-        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 3
-        assert len(scores_for(table, "demo_gearbox_7", "ga-balanced")) == 3
+        assert len(scores_for(out, "demo_gearbox_7", "det-outin")) == 3
+        assert len(scores_for(out, "demo_gearbox_7", "ga-balanced")) == 3
         assert table.failures == []
         for entry in table.summary:
             assert entry["runs"] == 3
@@ -439,12 +447,12 @@ class TestRunExperiment:
         table = run_experiment(spec)
         assert table.failures == []
         # one row per (run, budget)
-        assert len(scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 1)) == 2
-        assert len(scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 3)) == 2
+        assert len(scores_for(out, "demo_gearbox_7", "llm-with-knowledge", 1)) == 2
+        assert len(scores_for(out, "demo_gearbox_7", "llm-with-knowledge", 3)) == 2
         # larger budgets can only match or improve on smaller ones
         for run in range(2):
-            at_1 = scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 1)[run]
-            at_3 = scores_for(table, "demo_gearbox_7", "llm-with-knowledge", 3)[run]
+            at_1 = scores_for(out, "demo_gearbox_7", "llm-with-knowledge", 1)[run]
+            at_3 = scores_for(out, "demo_gearbox_7", "llm-with-knowledge", 3)[run]
             assert at_3 <= at_1
         for run in range(2):
             path = out / "traces" / f"demo_gearbox_7__llm-with-knowledge__run{run}.jsonl"
@@ -482,13 +490,14 @@ class TestRunExperiment:
             def __init__(self):
                 type(self).built += 1
 
+        out = tmp_path / "out"
         spec = self.make_spec(
-            data_dir, tmp_path / "out", methods=list(LLM_METHODS), runs_per_method=2,
+            data_dir, out, methods=list(LLM_METHODS), runs_per_method=2,
             trial_budgets=[2], provider=Counted,
         )
         table = run_experiment(spec)
         assert table.failures == []
-        assert len(table.rows) == len(LLM_METHODS) * 2
+        assert len(read_csv(out / "results.csv")[1:]) == len(LLM_METHODS) * 2
         assert Counted.built == len(LLM_METHODS) * 2  # one provider per run
 
     def test_a_bad_second_case_fails_before_any_cell(self, data_dir, tmp_path, monkeypatch):
@@ -519,11 +528,55 @@ class TestRunExperiment:
         table = run_experiment(spec)
         assert len(table.failures) == 2
         assert all(f["method"] == "llm-with-knowledge" for f in table.failures)
-        assert len(scores_for(table, "demo_gearbox_7", "det-outin")) == 2
+        assert len(scores_for(out, "demo_gearbox_7", "det-outin")) == 2
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert len(manifest["failures"]) == 2
         # failed cells produced no rows, so no summary entry either
         assert all(s["method"] == "det-outin" for s in table.summary)
+
+    def test_a_group_that_partly_fails_is_summarised_over_its_other_runs(self, data_dir, tmp_path, monkeypatch):
+        # the failing group runs first, so its failure must not count in the next group
+        outin = bench.METHODS["det-outin"]
+
+        def first_run_fails(case, matrix, seed, spec):
+            if seed == spec.base_seed:
+                raise ValueError("no order for this seed")
+            return outin(case, matrix, seed, spec)
+
+        monkeypatch.setitem(bench.METHODS, "det-outin", first_run_fails)
+        out = tmp_path / "out"
+        table = run_experiment(self.make_spec(data_dir, out, methods=["det-outin", "det-eig"]))
+        assert [(f["method"], f["run"], f["error"]) for f in table.failures] == [
+            ("det-outin", 0, "ValueError: no order for this seed")
+        ]
+        assert read_csv(out / "results_summary.csv")[1:] == [
+            ["demo_gearbox_7", "det-eig", "", "3", "0", "4.000000", "0.000000", "4.0"],
+            ["demo_gearbox_7", "det-outin", "", "2", "1", "4.000000", "1.000000", "3.0"],
+        ]
+        assert table.summary == [
+            {"case": "demo_gearbox_7", "method": "det-eig", "budget": None, "runs": 3, "failed": 0,
+             "mean": 4.0, "std": 0.0, "best": 4.0},
+            {"case": "demo_gearbox_7", "method": "det-outin", "budget": None, "runs": 2, "failed": 1,
+             "mean": 4.0, "std": 1.0, "best": 3.0},
+        ]
+        assert scores_for(out, "demo_gearbox_7", "det-outin") == [3.0, 5.0]  # runs 1 and 2
+
+    def test_a_failed_llm_run_counts_in_every_budget_of_its_group(self, data_dir, tmp_path):
+        # the first run's provider runs dry at once; the other two make progress
+        providers = iter([ScriptedProvider([]), EchoProvider(), EchoProvider()])
+        out = tmp_path / "out"
+        spec = self.make_spec(
+            data_dir, out, methods=["llm-with-knowledge"], trial_budgets=[3, 1],
+            provider=lambda: next(providers),
+        )
+        table = run_experiment(spec)
+        assert [(f["method"], f["run"]) for f in table.failures] == [("llm-with-knowledge", 0)]
+        assert [(s["budget"], s["runs"], s["failed"]) for s in table.summary] == [(1, 2, 1), (3, 2, 1)]
+        summary = read_csv(out / "results_summary.csv")[1:]
+        assert [row[2:5] for row in summary] == [["1", "2", "1"], ["3", "2", "1"]]
+        assert sorted((row[2], row[3]) for row in read_csv(out / "results.csv")[1:]) == [
+            ("1", "1"), ("1", "2"), ("3", "1"), ("3", "2")
+        ]
 
     def test_failed_llm_cell_keeps_its_partial_trace(self, data_dir, demo_case, tmp_path):
         # one valid reply in the case's ids, then the script runs dry at iteration 2
@@ -573,7 +626,7 @@ class TestRunExperiment:
             cases=[path], methods=["det-outin", "det-resolvent"], output_dir=out, runs_per_method=1
         )
         table = run_experiment(spec)
-        assert len(scores_for(table, "complete_41", "det-outin")) == 1
+        assert len(scores_for(out, "complete_41", "det-outin")) == 1
         assert [r[1] for r in read_csv(out / "results.csv")[1:]] == ["det-outin"]
         assert [(f["method"], f["run"]) for f in table.failures] == [("det-resolvent", 0)]
         assert table.failures[0]["error"].startswith("ValueError: the attenuated walk series (delta 0.025) diverges")
@@ -589,11 +642,10 @@ class TestRunExperiment:
             return matrix_from_array(1 - np.eye(n, dtype=np.int64), case.node_ids)
 
         monkeypatch.setattr(bench, "build_adjacency", complete)
-        spec = ExperimentSpec(
-            cases=[path], methods=["det-exp", "det-outin"], output_dir=tmp_path / "out", runs_per_method=1
-        )
+        out = tmp_path / "out"
+        spec = ExperimentSpec(cases=[path], methods=["det-exp", "det-outin"], output_dir=out, runs_per_method=1)
         table = run_experiment(spec)
-        assert len(scores_for(table, "complete_720", "det-outin")) == 1
+        assert len(scores_for(out, "complete_720", "det-outin")) == 1
         assert [(f["method"], f["run"]) for f in table.failures] == [("det-exp", 0)]
         assert table.failures[0]["error"].startswith("ValueError: exp(A) overflows float64")
         assert table.failures[0]["error"].endswith("at n=720; rank this network another way")
@@ -601,12 +653,13 @@ class TestRunExperiment:
     def test_ga_cells_past_the_node_limit_fail_alone(self, tmp_path):
         # the GA holds one byte per node; the deterministic cells still run
         path = write_case(tmp_path / "wide_257.json", make_case(257, []))
+        out = tmp_path / "out"
         spec = ExperimentSpec(
-            cases=[path], methods=["det-outin", "ga-balanced"], output_dir=tmp_path / "out",
+            cases=[path], methods=["det-outin", "ga-balanced"], output_dir=out,
             runs_per_method=1, ga_generations=1,
         )
         table = run_experiment(spec)
-        assert len(scores_for(table, "wide_257", "det-outin")) == 1
+        assert len(scores_for(out, "wide_257", "det-outin")) == 1
         assert [(f["method"], f["run"]) for f in table.failures] == [("ga-balanced", 0)]
         assert "at most 256 nodes, got 257" in table.failures[0]["error"]
 

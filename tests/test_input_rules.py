@@ -333,3 +333,26 @@ def test_an_empty_output_path_is_one_line_and_writes_nothing(command, tmp_path, 
     assert info.value.code == f"dsm-seq: error: {expected}"
     assert list(cwd.iterdir()) == []
     assert capsys.readouterr().out == ""
+
+
+# --- a method or trial budget listed twice in a spec ---
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("methods", ["det-outin", "ga-balanced", "det-outin"], "methods[2] 'det-outin' is listed twice"),
+        ("trial_budgets", [2, 2], "trial_budgets[1] 2 is listed twice"),
+    ],
+    ids=["methods", "trial_budgets"],
+)
+def test_a_spec_value_listed_twice_is_one_line_and_writes_nothing(field, value, expected, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT), encoding="utf-8")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, "cases": [str(DATA_DIR / "demo_gearbox_7.json")],
+                                     "output_dir": str(tmp_path / "grid"), field: value}), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--spec", str(spec_path), "--script", str(script)])
+    assert info.value.code == f"dsm-seq: error: spec {spec_path}: {expected}"
+    assert not (tmp_path / "grid").exists()
+    assert capsys.readouterr().out == ""

@@ -1,6 +1,5 @@
 """Deterministic orderings, each checked against an independent computation."""
 
-import dataclasses
 import math
 import random
 import time
@@ -13,7 +12,6 @@ import pytest
 
 from dsmseq import (
     DETERMINISTIC_METHODS,
-    AdjacencyMatrix,
     DsmCase,
     Edge,
     Node,
@@ -602,24 +600,6 @@ class TestSharedBehavior:
         assert isinstance(ranking, NodeRanking)
         assert sorted(ranking.order) == sorted(matrix.ids)
         assert set(ranking.primary_keys) == set(matrix.ids)
-
-    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_METHODS))
-    def test_keys_come_from_the_edge_lists(self, name, data_dir):
-        """No ranking reads the dense matrix: on a matrix whose a raises,
-        every ranking gives the same result as on the plain one."""
-
-        class EdgesOnly(AdjacencyMatrix):
-            @property
-            def a(self):
-                raise AssertionError("a ranking read the dense matrix")
-
-        matrices = [build_adjacency(load_case(path)) for path in sorted(data_dir.glob("*.json"))]
-        matrices.append(adjacency(random_case(random.Random(5), 40, 0.1)))
-        for matrix in matrices:
-            edges_only = EdgesOnly(**{f.name: getattr(matrix, f.name) for f in dataclasses.fields(matrix)})
-            with quiet_runtime_warnings():
-                ranking = DETERMINISTIC_METHODS[name](edges_only, seed=0)
-                assert ranking == DETERMINISTIC_METHODS[name](matrix, seed=0)
 
     @pytest.mark.parametrize("name", sorted(DETERMINISTIC_METHODS))
     def test_empty_matrix_gives_an_empty_order(self, name):
