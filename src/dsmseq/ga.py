@@ -4,12 +4,11 @@ shuffle-index mutation, plain generational replacement (no elitism).
 The operators are pure functions of explicit random draws (an entrant
 matrix, a cut pair, a swap list). run_ga searches over byte strings of
 matrix row indices, one byte per node, so it takes at most 256 nodes. It
-takes every draw from one numpy Generator in bulk per block of generations,
-as flat event lists that each generation reads with a cursor; it crosses
-parents with the same kernel as order_crossover, skipping the argument
-checks, and checks each generation's new orders as permutations once,
-before scoring them in one batch. It maps back to node ids only for the
-returned best.
+takes every draw from one numpy Generator in bulk per block of generations
+and hands each generation its own slice of them; it crosses parents with
+the same kernel as order_crossover, skipping the argument checks, and
+checks each generation's new orders as permutations once, before scoring
+them in one batch. It maps back to node ids only for the returned best.
 
 A generation that starts with every individual the same order skips the
 tournament and the crossovers: every winner is that order, and crossing it
@@ -176,17 +175,14 @@ def _permutation_stack(orders: list[bytes], identity: bytes) -> np.ndarray:
 
 
 def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
-    """Yield the random draws of _DRAW_BLOCK generations at a time.
+    """Yield each generation's draws, taken in blocks of _DRAW_BLOCK generations.
 
-    Each item is (size, entrants, crossovers, mutations) for the block's
-    size generations. entrants is the (size, population, tournament) entrant
-    array. crossovers is a flat list of (generation, first offspring index,
-    a, b), one per crossing pair, with the cut a < b; mutations is a flat
-    list of (generation, offspring index, i, j), one per position swap, in
-    the order each offspring applies them. Both are sorted by generation
-    and end with a sentinel whose generation is size, so a cursor can walk
-    them without a bounds check. A mutation that draws no swap is left
-    out: it is the identity.
+    Each item is (entrants, crossovers, mutations). entrants is the
+    (population, tournament) entrant array. crossovers is a list of
+    (first offspring index, a, b), one per crossing pair, with the cut
+    a < b; mutations is a list of (offspring index, i, j), one per position
+    swap, sorted by offspring, in the order each offspring applies them. A
+    mutation that draws no swap is left out: it is the identity.
     """
     pop = cfg.population_size
     for done in range(0, cfg.generations, _DRAW_BLOCK):
@@ -198,14 +194,8 @@ def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
         second = rng.integers(n - 1, size=len(cx_gen))
         second += second >= first
         crossovers = list(
-            zip(
-                cx_gen.tolist(),
-                (2 * cx_pair).tolist(),
-                np.minimum(first, second).tolist(),
-                np.maximum(first, second).tolist(),
-            )
+            zip((2 * cx_pair).tolist(), np.minimum(first, second).tolist(), np.maximum(first, second).tolist())
         )
-        crossovers.append((size, 0, 0, 0))
 
         mutating = rng.random((size, pop)) < cfg.mutpb
         # np.nonzero's order; the flat indices unravel several times faster
@@ -216,10 +206,14 @@ def _draws(rng: np.random.Generator, cfg: GaConfig, n: int):
         )
         partner = rng.integers(n - 1, size=len(swap_pos))
         partner += partner >= swap_pos
-        mutations = list(zip(mut_gen.tolist(), mut_row.tolist(), swap_pos.tolist(), partner.tolist()))
-        mutations.append((size, 0, 0, 0))
+        mutations = list(zip(mut_row.tolist(), swap_pos.tolist(), partner.tolist()))
 
-        yield size, entrants, crossovers, mutations
+        # both generation arrays come out sorted: each generation's events
+        # run from its bound to the next
+        cx = np.searchsorted(cx_gen, np.arange(size + 1)).tolist()
+        mut = np.searchsorted(mut_gen, np.arange(size + 1)).tolist()
+        for g in range(size):
+            yield entrants[g], crossovers[cx[g] : cx[g + 1]], mutations[mut[g] : mut[g + 1]]
 
 
 def run_ga(
@@ -234,15 +228,17 @@ def run_ga(
     (unique_count, best_score) change points: one point when the first
     individual is scored and one per strict improvement, each stamped with
     the number of distinct permutations evaluated so far. stop_score, when
-    given, ends the run as soon as best <= stop_score (the series still
-    reflects everything evaluated). Every random number comes from
-    numpy.random.default_rng(cfg.seed), so a seed fixes the run.
+    given, is an int >= 0 that ends the run as soon as best <= stop_score
+    (the series still reflects everything evaluated). Every random number
+    comes from numpy.random.default_rng(cfg.seed), so a seed fixes the run.
     """
     n = matrix.n
     if n < 2:
         raise ValueError(f"the GA needs at least 2 nodes, got {n}")
     if n > MAX_NODES:
         raise ValueError(f"the GA stores one byte per node and takes at most {MAX_NODES} nodes, got {n}")
+    if stop_score is not None:
+        check_int("stop_score", stop_score, 0)
     rng = np.random.default_rng(cfg.seed)
     identity = bytes(range(n))
     pop = cfg.population_size
@@ -273,43 +269,34 @@ def run_ga(
     population = list(map(bytes, start.astype(np.uint8)))
     scores = evaluate(population)
 
-    for size, entrants, crossovers, mutations in _draws(rng, cfg, n):
-        cx = mut = 0  # cursors into the block's event lists
-        for generation in range(size):
-            if stop_score is not None and best_score <= stop_score:
-                break
-            first = population[0]
-            if first == population[-1] and population.count(first) == pop:
-                # a collapsed population: every tournament winner is first and
-                # every crossover crosses it with itself, so only this
-                # generation's swaps can make a new order
-                while crossovers[cx][0] == generation:
-                    cx += 1
-                if mutations[mut][0] != generation:
-                    continue  # the population and its scores stay as they are
-                offspring = [first] * pop
-            else:
-                offspring = tournament_select(population, scores, entrants[generation])
-                g, i, a, b = crossovers[cx]
-                while g == generation:
-                    # crossing a parent with itself reproduces it: skip the work
-                    if offspring[i] != offspring[i + 1]:
-                        offspring[i], offspring[i + 1] = _ox(offspring[i], offspring[i + 1], a, b)
-                    cx += 1
-                    g, i, a, b = crossovers[cx]
-            g, row, i, j = mutations[mut]
-            while g == generation:
-                mutant, out = row, bytearray(offspring[row])
-                while g == generation and row == mutant:
-                    out[i], out[j] = out[j], out[i]
-                    mut += 1
-                    g, row, i, j = mutations[mut]
-                offspring[mutant] = bytes(out)
-            population = offspring
-            scores = evaluate(population)
+    for entrants, crossovers, mutations in _draws(rng, cfg, n):
+        if stop_score is not None and best_score <= stop_score:
+            break
+        first = population[0]
+        if first == population[-1] and population.count(first) == pop:
+            # a collapsed population: every tournament winner is first and
+            # every crossover crosses it with itself, so only this
+            # generation's swaps can make a new order
+            if not mutations:
+                continue  # the population and its scores stay as they are
+            offspring = [first] * pop
         else:
-            continue
-        break  # stop_score reached
+            offspring = tournament_select(population, scores, entrants)
+            for i, a, b in crossovers:
+                # crossing a parent with itself reproduces it: skip the work
+                if offspring[i] != offspring[i + 1]:
+                    offspring[i], offspring[i + 1] = _ox(offspring[i], offspring[i + 1], a, b)
+        mutant = None
+        for row, i, j in mutations:
+            if row != mutant:
+                if mutant is not None:
+                    offspring[mutant] = bytes(out)
+                mutant, out = row, bytearray(offspring[row])
+            out[i], out[j] = out[j], out[i]
+        if mutant is not None:
+            offspring[mutant] = bytes(out)
+        population = offspring
+        scores = evaluate(population)
 
     best_ids = tuple(matrix.ids[i] for i in best_seq)
     rescored = score_sequence(matrix, best_ids)

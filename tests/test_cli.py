@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dsmseq import brute_force_optimum, cli, llm
+from dsmseq import brute_force_optimum, bundled_case, bundled_case_names, cli, llm
 from dsmseq.cli import main
 from conftest import DATA_DIR, adjacency, make_case, naive_score, write_case
 
@@ -335,6 +335,14 @@ class TestOracle:
         assert payload["optimal_score"] == 2
         assert naive_score(demo_case, payload["optimal_order"]) == 2
         assert sorted(payload["optimal_order"]) == sorted(demo_case.node_ids)
+
+    @pytest.mark.parametrize("name", bundled_case_names())
+    def test_every_bundled_case_gets_its_declared_optimum(self, capsys, data_dir, name):
+        case = bundled_case(name)
+        code, payload = run_cli(capsys, "oracle", "--case", str(data_dir / f"{name}.json"))
+        assert code == 0
+        assert payload["optimal_score"] == case.known_optimum
+        assert naive_score(case, payload["optimal_order"]) == case.known_optimum
 
 
 class TestMetrics:

@@ -134,8 +134,8 @@ class TestMutation:
         cfg = GaConfig(population_size=6, generations=40, indpb=1.0, tournament_size=2, cxpb=0.0, mutpb=1.0)
         swaps = [
             (i, j)
-            for _, _, _, mutations in _draws(np.random.default_rng(0), cfg, 2)
-            for _, _, i, j in mutations[:-1]
+            for _, _, mutations in _draws(np.random.default_rng(0), cfg, 2)
+            for _, i, j in mutations
         ]
         assert len(swaps) == 40 * 6 * 2
         assert set(swaps) == {(0, 1), (1, 0)}
@@ -263,7 +263,7 @@ class TestTournament:
         assert tournament_select(pop, [5, 1, 3], [[2], [0], [1], [0]]) == [("c",), ("a",), ("b",), ("a",)]
         # and run_ga draws each entrant uniformly over the population
         cfg = GaConfig(population_size=3, generations=200, indpb=0.0, tournament_size=1, cxpb=0.0, mutpb=0.0)
-        entrants = np.concatenate([e for _, e, _, _ in _draws(np.random.default_rng(0), cfg, 4)])
+        entrants = np.concatenate([e for e, _, _ in _draws(np.random.default_rng(0), cfg, 4)])
         counts = np.bincount(entrants.ravel(), minlength=3)
         assert counts.sum() == 600
         assert counts.min() > 150
@@ -346,6 +346,13 @@ class TestRunGa:
         # far fewer evaluations than the full budget would allow
         assert convergence[-1][0] < cfg.population_size * (cfg.generations + 1) / 10
 
+    @pytest.mark.parametrize("bad", ["3", True, 2.5, -1])
+    def test_stop_score_must_be_a_non_negative_int(self, bad):
+        # unchecked, "3" fails only after the initial population is scored,
+        # and True stops the run at a score of 1
+        with pytest.raises(ValueError, match=r"^stop_score must be"):
+            run_ga(chain_matrix(6), preset_config("balanced", generations=5), stop_score=bad)
+
     def test_single_node_rejected(self):
         matrix = matrix_from_array(np.zeros((1, 1), dtype=int), ("a",))
         with pytest.raises(ValueError, match="at least 2 nodes"):
@@ -373,19 +380,33 @@ class TestRunGa:
             run_ga(chain_matrix(6), preset_config("balanced", seed=0, generations=20))
 
 
+@pytest.mark.parametrize("generations", [1, 31, 32, 33, 64, 65])
+def test_draws_yield_one_item_per_generation(generations):
+    # an odd population leaves its last offspring out of every pair
+    pop, n = 7, 5
+    cfg = GaConfig(population_size=pop, generations=generations, indpb=0.3, tournament_size=3, cxpb=0.7, mutpb=0.5)
+    items = list(_draws(np.random.default_rng(generations), cfg, n))
+    assert len(items) == generations
+    for entrants, crossovers, mutations in items:
+        assert entrants.shape == (pop, 3)
+        for i, a, b in crossovers:
+            assert i % 2 == 0 and i + 1 < pop and 0 <= a < b < n
+        rows = [row for row, _, _ in mutations]
+        assert rows == sorted(rows)
+        for row, i, j in mutations:
+            assert 0 <= row < pop and i != j and {i, j} <= set(range(n))
+    assert any(crossovers for _, crossovers, _ in items) and any(mutations for _, _, mutations in items)
+
+
 def reference_generations(rng, cfg, n):
     """Each generation's draws from _draws: its entrant matrix, its
     crossovers as (first offspring index, cut) and its mutations as
     {offspring index: swap list}."""
-    for size, entrants, crossovers, mutations in _draws(rng, cfg, n):
-        assert crossovers[-1][0] == mutations[-1][0] == size
-        cuts, swaps = defaultdict(list), defaultdict(lambda: defaultdict(list))
-        for g, i, a, b in crossovers[:-1]:
-            cuts[g].append((i, (a, b)))
-        for g, row, i, j in mutations[:-1]:
-            swaps[g][row].append((i, j))
-        for g in range(size):
-            yield entrants[g], cuts[g], swaps[g]
+    for entrants, crossovers, mutations in _draws(rng, cfg, n):
+        swaps = defaultdict(list)
+        for row, i, j in mutations:
+            swaps[row].append((i, j))
+        yield entrants, [(i, (a, b)) for i, a, b in crossovers], swaps
 
 
 def reference_ga(matrix, cfg, stop_score=None):
@@ -424,13 +445,13 @@ def reference_ga(matrix, cfg, stop_score=None):
 
 @pytest.mark.parametrize("name", bundled_case_names())
 def test_run_ga_matches_the_public_operators(name):
-    """run_ga walks flat event lists through the unchecked crossover kernel;
-    replaying the same draws through the public operators gives the same
-    runs. The budgets sit on both sides of the _DRAW_BLOCK = 32 boundary,
-    and each run is repeated with stop_score at its own best, which stops
-    it after the generation that first reaches that score. The full
-    exploitation budget runs mostly through run_ga's path for a collapsed
-    population, which reference_ga does not have."""
+    """run_ga applies each generation's draws through the unchecked
+    crossover kernel; replaying the same draws through the public
+    operators gives the same runs. The budgets sit on both sides of the
+    _DRAW_BLOCK = 32 boundary, and each run is repeated with stop_score at
+    its own best, which stops it after the generation that first reaches
+    that score. The full exploitation budget runs mostly through run_ga's
+    path for a collapsed population, which reference_ga does not have."""
     matrix = build_adjacency(bundled_case(name))
     runs = [
         preset_config(preset, seed=seed, generations=generations)

@@ -16,7 +16,6 @@ from dsmseq import (
     reorder_matrix,
     score_sequence,
 )
-from dsmseq import scoring
 from dsmseq.model import matrix_from_array
 from dsmseq.scoring import feedback_count
 
@@ -260,8 +259,8 @@ class TestBruteForce:
         assert score == 2
 
     def test_guard_refuses_large(self):
-        case = make_case(11, [(1, 0)])
-        with pytest.raises(ValueError, match="n <= 10"):
+        case = make_case(21, [(1, 0)])
+        with pytest.raises(ValueError, match="n <= 20"):
             brute_force_optimum(build_adjacency(case))
 
     def test_matches_literal_enumeration(self):
@@ -296,10 +295,8 @@ class TestBruteForce:
             assert brute_force_optimum(m) == reference_optimum(m), trial
 
     @pytest.mark.parametrize("name", bundled_case_names())
-    def test_declared_optima_are_exact(self, name, monkeypatch):
-        # the subset DP is exact at any n; its guard only bounds the time,
-        # about 20 ms at the largest bundled case (n = 17)
-        monkeypatch.setattr(scoring, "EXHAUSTIVE_LIMIT", 17)
+    def test_declared_optima_are_exact(self, name):
+        # about 15 ms at the largest bundled case (n = 17)
         case = bundled_case(name)
         m = build_adjacency(case)
         score, order = brute_force_optimum(m)
