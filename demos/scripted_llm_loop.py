@@ -114,7 +114,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as audit:
         cfg = OptimizerConfig(
-            termination=TerminationPolicy(max_iterations=5, optimal_threshold=2),
+            termination=TerminationPolicy(max_iterations=5),
             seed=42,
             audit_dir=audit,
         )

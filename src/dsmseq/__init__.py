@@ -17,7 +17,6 @@ _EXPORTS = {
         "load_experiment_spec",
         "merge_curves",
         "run_experiment",
-        "run_llm",
     ),
     "ga": ("GaConfig", "order_crossover", "pmx_crossover", "preset_config", "run_ga", "shuffle_mutation", "tournament_select"),
     "llm": ("ChatRequest", "ChatResult", "OpenAIChatProvider", "ProviderError", "ScriptedProvider"),

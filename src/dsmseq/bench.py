@@ -201,29 +201,15 @@ def _ga_cell(
     return CellResult(scores={None: best.score}, curve=curve)
 
 
-def run_llm(case: DsmCase, seed: int, knowledge_mode: str, iterations: int, provider,
-            audit_dir: str | Path | None = None) -> list[dict]:
-    """The one LLM run of the grid and the CLI; returns the trace.
-
-    The run stops after `iterations` or at the case's known_optimum.
-    """
-    cfg = OptimizerConfig(
-        termination=TerminationPolicy(max_iterations=iterations, optimal_threshold=case.known_optimum),
-        knowledge_mode=knowledge_mode,
-        seed=seed,
-        audit_dir=audit_dir,
-    )
-    return run_optimization(case, cfg, provider)[1]
-
-
 def _llm_cell(
     case: DsmCase, matrix: AdjacencyMatrix, seed: int, spec: ExperimentSpec, knowledge_mode: str
 ) -> CellResult:
-    """One run_llm, read off at every trial budget."""
+    """One LLM run up to the largest trial budget, read off at every budget."""
     if spec.provider is None:
         raise ProviderError("auth", "LLM methods need a provider factory")
     budgets = sorted(spec.trial_budgets)
-    trace = run_llm(case, seed, knowledge_mode, budgets[-1], spec.provider())
+    cfg = OptimizerConfig(TerminationPolicy(max_iterations=budgets[-1]), knowledge_mode, seed)
+    _, trace = run_optimization(case, cfg, spec.provider())
     # row i is iteration i; a run that stopped early keeps its best for the larger budgets
     scores = {budget: trace[min(budget, len(trace) - 1)]["best_score"] for budget in budgets}
     return CellResult(scores=scores, trace=trace)

@@ -14,11 +14,12 @@ from pathlib import Path
 
 from . import bench, ga
 from .llm import OpenAIChatProvider, ProviderError, ScriptedProvider
-from .model import build_adjacency, load_case, network_metrics, read_json
-from .optimizer import OptimizationAborted
+from .model import build_adjacency, check_int, load_case, network_metrics, read_json
+from .optimizer import OptimizationAborted, OptimizerConfig, run_optimization
 from .prompts import WITH_KNOWLEDGE, WITHOUT_KNOWLEDGE
 from .ranking import DETERMINISTIC_METHODS
 from .scoring import brute_force_optimum, score_sequence
+from .solutions import TerminationPolicy
 
 
 def _emit(payload) -> None:
@@ -102,15 +103,17 @@ def _cmd_ga(args) -> int:
 
 
 def _cmd_llm(args) -> int:
+    check_int("--trials", args.trials, 1)
     case = load_case(args.case)
+    knowledge_mode = WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE
+    cfg = OptimizerConfig(TerminationPolicy(max_iterations=args.trials), knowledge_mode, args.seed, args.audit_dir)
     if args.script:
         provider = ScriptedProvider(_load_script(args.script))
     else:
         provider = OpenAIChatProvider.from_env(model=args.model)
-    knowledge_mode = WITH_KNOWLEDGE if args.knowledge == "on" else WITHOUT_KNOWLEDGE
     _make_output_parent("--trace-out", args.trace_out)
     try:
-        trace = bench.run_llm(case, args.seed, knowledge_mode, args.trials, provider, args.audit_dir)
+        _, trace = run_optimization(case, cfg, provider)
     except OptimizationAborted as exc:
         if args.trace_out:  # the partial trace is the record of the aborted run
             bench.write_jsonl(args.trace_out, exc.trace)

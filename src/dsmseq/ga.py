@@ -56,11 +56,10 @@ class GaConfig:
             check_real(name, getattr(self, name), 0, 1)
 
 
-# population / indpb / tournament size / cxpb / mutpb
 PRESETS = {
-    "exploration": (50, 0.05, 5, 0.6, 0.4),
-    "exploitation": (10, 0.01, 20, 0.9, 0.1),
-    "balanced": (20, 0.02, 10, 0.7, 0.3),
+    "exploration": dict(population_size=50, indpb=0.05, tournament_size=5, cxpb=0.6, mutpb=0.4),
+    "exploitation": dict(population_size=10, indpb=0.01, tournament_size=20, cxpb=0.9, mutpb=0.1),
+    "balanced": dict(population_size=20, indpb=0.02, tournament_size=10, cxpb=0.7, mutpb=0.3),
 }
 
 
@@ -68,16 +67,7 @@ def preset_config(name: str, seed: int = 0, generations: int = GENERATIONS_DEFAU
     """One of the three tuned presets: exploration, exploitation, balanced."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
-    pop, indpb, tourn, cxpb, mutpb = PRESETS[name]
-    return GaConfig(
-        population_size=pop,
-        generations=generations,
-        indpb=indpb,
-        tournament_size=tourn,
-        cxpb=cxpb,
-        mutpb=mutpb,
-        seed=seed,
-    )
+    return GaConfig(**PRESETS[name], generations=generations, seed=seed)
 
 
 def tournament_select(population, scores, entrants) -> list:

@@ -3,7 +3,7 @@
 Each iteration samples precedent solutions from the archive, renders the
 prompt, asks the provider for one candidate order, parses it, and files it
 in the archive, which scores each new order once. The loop stops at the
-iteration budget or when the best score reaches a known optimal threshold.
+iteration budget or when the best score reaches the case's known_optimum.
 
 Inside the loop an order is a list of matrix row indices: the parser maps a
 reply's ids to rows and checks them once, and the archive scores the rows.
@@ -78,7 +78,10 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     The trace has one entry for iteration 0 (the random seed order) and one
     per LLM iteration after that, with the hashes of the last prompt sent in
     the iteration and of its reply, the parsed sequence or failure kind,
-    and the running unique count and best-so-far.
+    and the running unique count and best-so-far. The run ends after
+    cfg.termination.max_iterations iterations, or earlier once the best
+    score reaches case.known_optimum; a case with no known_optimum spends
+    the whole budget.
     Raises OptimizationAborted if the provider fails; the exception carries
     the partial trace. The archive scores each distinct order once and
     answers a repeat from its record; the returned best is re-scored
@@ -132,11 +135,9 @@ def run_optimization(case: DsmCase, cfg: OptimizerConfig, client) -> tuple[Solut
     trace = [entry(0, initial)]
 
     model_name = getattr(client, "model", "") or ""
-    policy = cfg.termination
+    optimum = case.known_optimum  # nothing beats it, so the iterations after it are waste
     iteration = 0
-    while iteration < policy.max_iterations and (
-        policy.optimal_threshold is None or base.best().score > policy.optimal_threshold
-    ):
+    while iteration < cfg.termination.max_iterations and (optimum is None or base.best().score > optimum):
         iteration += 1
         records = base.sample_for_prompt(rng)
         prompt = sent = build_prompt(PromptContext(frame, tuple(records)))

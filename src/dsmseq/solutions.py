@@ -45,14 +45,14 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class TerminationPolicy:
+    """The LLM loop's iteration budget; the loop also stops at the case's
+    known_optimum."""
+
     max_iterations: int = 20
-    optimal_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        # 2.5 iterations would run 3; a threshold of "3" would fail after the first reply
+        # 2.5 iterations would run 3
         check_int("max_iterations", self.max_iterations, 1)
-        if self.optimal_threshold is not None:
-            check_int("optimal_threshold", self.optimal_threshold, 0)
 
 
 class SolutionBase:

@@ -5,6 +5,7 @@ here is either derived independently inside the test (naive loops, series
 oracles, graph search) or frozen as a literal.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -278,19 +279,17 @@ def test_06_scripted_loop_end_to_end():
         matrix = adjacency(case)
         optimum, _ = brute_force_optimum(matrix)
         assert optimum == 0
+        case = dataclasses.replace(case, known_optimum=optimum)
 
         responses = [
             "<order> v01, v00, v03, v02, v05, v04 </order>",  # 3 feedbacks
             "<order> v05, v00, v01, v02, v03, v04 </order>",  # 1 feedback
             "<order> v00, v01, v02, v03, v04, v05 </order>",  # optimal
         ]
-        cfg = OptimizerConfig(
-            termination=TerminationPolicy(max_iterations=20, optimal_threshold=optimum),
-            seed=77,
-        )
+        cfg = OptimizerConfig(termination=TerminationPolicy(max_iterations=20), seed=77)
         best, trace = run_optimization(case, cfg, ScriptedProvider(list(responses)))
         assert best.score == optimum
-        assert trace[-1]["iteration"] == 3  # stopped at the threshold, not the budget
+        assert trace[-1]["iteration"] == 3  # stopped at the declared optimum, not the budget
         assert [row["score"] for row in trace[1:]] == [3, 1, 0]
         best_line = [row["best_score"] for row in trace]
         assert all(b <= a for a, b in zip(best_line, best_line[1:]))

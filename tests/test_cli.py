@@ -309,6 +309,18 @@ class TestLlm:
         assert info.value.code == "dsm-seq: error: no API key configured"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "--trials must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_a_bad_count_is_one_line_before_the_key_is_read(self, capsys, demo_path, monkeypatch,
+                                                             flag, value, message):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        with pytest.raises(SystemExit) as info:
+            main(["llm", "--knowledge", "on", "--case", demo_path, flag, value])
+        assert info.value.code == f"dsm-seq: error: {message}"
+        assert capsys.readouterr().out == ""
+
     def test_aborted_run_writes_its_trace_and_one_line(self, capsys, demo_path, demo_case, tmp_path):
         script = write_script(tmp_path, ["<order> " + ", ".join(demo_case.node_ids) + " </order>"])
         trace_out = tmp_path / "t.jsonl"

@@ -91,7 +91,7 @@ class TestWriteSnapshots:
 
     def test_the_demo_trace_snapshots_keep_their_bytes(self, llm_loop, tmp_path):
         case = bundled_case("demo_gearbox_7")
-        cfg = OptimizerConfig(termination=TerminationPolicy(max_iterations=5, optimal_threshold=2), seed=42)
+        cfg = OptimizerConfig(termination=TerminationPolicy(max_iterations=5), seed=42)
         _, trace = run_optimization(case, cfg, ScriptedProvider(list(llm_loop.REPLIES)))
         written = llm_loop.write_snapshots(case, trace, [0, 3], tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}

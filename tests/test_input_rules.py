@@ -1,6 +1,7 @@
-"""The input rules at the edges: every numeric config field is checked when
-the config is made, and every mutant of a case, spec or --script file
-either runs or ends in one error line that names the file."""
+"""The input rules at the edges: every numeric config field, and the case's
+known_optimum that stops a run, is checked when it is made, and every mutant
+of a case, spec or --script file either runs or ends in one error line that
+names the file."""
 
 import copy
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dsmseq
-from dsmseq import ExperimentSpec, GaConfig, OptimizerConfig, TerminationPolicy
+from dsmseq import DsmCase, Edge, ExperimentSpec, GaConfig, Node, OptimizerConfig, TerminationPolicy
 from dsmseq.cli import main
 from dsmseq.ranking import DETERMINISTIC_METHODS
 
@@ -36,6 +37,11 @@ def ga_config(**value):
     return GaConfig(**{**fields, **value})
 
 
+def dsm_case(**value):
+    # one edge and no 2-cycle, so 0 is the one optimum in range
+    return DsmCase(nodes=(Node("a"), Node("b")), edges=(Edge("a", "b"),), **value)
+
+
 # each numeric field with the probes it accepts; it must refuse the others
 FIELDS = [
     (spec, "runs_per_method", ()),
@@ -49,8 +55,8 @@ FIELDS = [
     (ga_config, "cxpb", ("0",)),
     (ga_config, "mutpb", ("0",)),
     (TerminationPolicy, "max_iterations", ()),
-    (TerminationPolicy, "optimal_threshold", ("None", "0")),
     (OptimizerConfig, "seed", ("0",)),
+    (dsm_case, "known_optimum", ("None", "0")),
 ]
 
 

@@ -1,27 +1,31 @@
 """Search loop: termination, retries, duplicates, auditing, abort semantics."""
 
 import hashlib
+import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from dsmseq import (
-    ChatResult,
+    ExperimentSpec,
     OpenAIChatProvider,
     OptimizationAborted,
     OptimizerConfig,
     ScriptedProvider,
     TerminationPolicy,
     anonymize_ids,
+    brute_force_optimum,
     build_adjacency,
-    run_llm,
+    run_experiment,
     run_optimization,
     score_sequence,
 )
 from dsmseq import optimizer
+from dsmseq.cli import main
 from dsmseq.prompts import rename_order_ids
-from conftest import make_case, naive_score
+from conftest import DATA_DIR, make_case, naive_score
 
 # v00 -> v01 -> ... -> v05; each task needs the previous one's output
 CHAIN_EDGES = [(i + 1, i) for i in range(5)]
@@ -29,13 +33,13 @@ TOPO_ORDER = "v00, v01, v02, v03, v04, v05"
 REVERSED_ORDER = "v05, v04, v03, v02, v01, v00"
 
 
-def chain_case(n=6):
-    return make_case(n, [(i + 1, i) for i in range(n - 1)])
+def chain_case(n=6, known_optimum=None):
+    return replace(make_case(n, [(i + 1, i) for i in range(n - 1)]), known_optimum=known_optimum)
 
 
 def config(**overrides):
     defaults = dict(
-        termination=TerminationPolicy(max_iterations=20, optimal_threshold=None),
+        termination=TerminationPolicy(max_iterations=20),
         seed=11,
     )
     defaults.update(overrides)
@@ -65,33 +69,32 @@ class TestConfig:
 
 
 class TestHappyPath:
-    def test_stops_at_optimal_threshold(self):
-        case = chain_case()
+    def test_stops_at_the_declared_optimum(self):
+        case = chain_case(known_optimum=0)
         stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"] * 5)
-        cfg = config(termination=TerminationPolicy(max_iterations=20, optimal_threshold=0))
-        best, trace = run_optimization(case, cfg, stub)
+        best, trace = run_optimization(case, config(), stub)
         assert trace[0]["score"] > 0  # seeded start is not already optimal
         assert best.score == 0
         assert best.sequence == tuple(TOPO_ORDER.split(", "))
         assert len(trace) == 2  # iteration 0 plus one model call
         assert len(stub.prompts) == 1
 
-    @pytest.mark.parametrize("threshold, calls", [(1, 1), (0, 3)])
-    def test_stops_once_the_best_is_at_or_below_the_threshold(self, threshold, calls):
-        # the reply scores 1: it ends the run at threshold 1, not at 0
-        stub = ScriptedProvider(["<order> v01, v00, v02, v03, v04, v05 </order>"] * 3)
-        cfg = config(termination=TerminationPolicy(max_iterations=3, optimal_threshold=threshold))
-        _, trace = run_optimization(chain_case(), cfg, stub)
+    @pytest.mark.parametrize("known_optimum, calls", [(1, 1), (0, 2), (None, 20)])
+    def test_stops_at_the_first_iteration_whose_best_reaches_the_optimum(self, known_optimum, calls):
+        # the first reply scores 1 and the rest 0; with no optimum the default budget runs out
+        replies = ["<order> v01, v00, v02, v03, v04, v05 </order>"] + [f"<order> {TOPO_ORDER} </order>"] * 19
+        stub = ScriptedProvider(replies)
+        _, trace = run_optimization(chain_case(known_optimum=known_optimum), OptimizerConfig(), stub)
         assert trace[0]["score"] > 1
         assert len(stub.prompts) == calls == len(trace) - 1
 
-    def test_seed_order_within_the_threshold_sends_nothing(self):
-        stub = ScriptedProvider([f"<order> {TOPO_ORDER} </order>"])
-        # 5 is the most feedback a chain of 6 can have
-        cfg = config(termination=TerminationPolicy(max_iterations=3, optimal_threshold=5))
-        best, trace = run_optimization(chain_case(), cfg, stub)
+    def test_seed_order_at_the_optimum_sends_nothing(self):
+        # every order of a lone 2-cycle scores 1
+        case = replace(make_case(2, [(0, 1), (1, 0)]), known_optimum=1)
+        stub = ScriptedProvider(["<order> v00, v01 </order>"])
+        best, trace = run_optimization(case, config(), stub)
         assert len(trace) == 1 and stub.prompts == []
-        assert best.score == trace[0]["score"]
+        assert best.score == trace[0]["score"] == 1
 
     def test_runs_to_iteration_budget(self):
         case = chain_case()
@@ -325,44 +328,29 @@ class TestDeterminism:
         assert trace_a[0]["sequence"] != trace_b[0]["sequence"]
 
 
-class SwapClient:
-    """Answers with the best order its prompt lists, two seeded positions
-    swapped, in whatever ids the prompt uses; records every prompt."""
-
-    model = "swap"
-
-    def __init__(self, seed):
-        self._rng = random.Random(seed)
-        self.prompts = []
-
-    def complete(self, request):
-        prompt = request.messages[-1]["content"]
-        self.prompts.append(prompt)
-        order = re.findall(r"'solution': '([^']*)'", prompt)[-1].split(", ")
-        i, j = self._rng.sample(range(len(order)), 2)
-        order[i], order[j] = order[j], order[i]
-        return ChatResult(text=f"<order> {', '.join(order)} </order>", usage={}, retries=0, model=self.model)
-
-
 class TestAnonymization:
-    """A direct run hides the case's ids from the model and answers in them."""
+    """Every entry point hides the case's ids from the model and gives one trace."""
 
     @pytest.mark.parametrize("mode", ["with", "without"])
-    def test_direct_run_hides_ids_and_matches_the_grid_run(self, demo_case, mode):
+    def test_direct_grid_and_cli_runs_hide_ids_and_give_one_trace(self, demo_case, mode, tmp_path, capsys):
         seed, budget = 4, 12
-        cfg = OptimizerConfig(
-            termination=TerminationPolicy(max_iterations=budget, optimal_threshold=demo_case.known_optimum),
-            knowledge_mode=mode,
-            seed=seed,
-        )
-        client = SwapClient(seed)
-        best, trace = run_optimization(demo_case, cfg, client)
+        rng = random.Random(seed)
+        shuffles = [rng.sample(demo_case.node_ids, demo_case.n) for _ in range(budget - 1)]
+        _, optimal = brute_force_optimum(build_adjacency(demo_case))
+        # an optimal order halfway through the script ends every run there
+        orders = [*shuffles[:5], optimal, *shuffles[5:]]
+        script = [f"<order> {', '.join(order)} </order>" for order in orders]
+        stub = ScriptedProvider(script)
+        cfg = OptimizerConfig(TerminationPolicy(max_iterations=budget), mode, seed)
+        best, trace = run_optimization(demo_case, cfg, stub)
+        assert trace[-1]["iteration"] <= 6
+        assert best.score == demo_case.known_optimum
 
         # the case's own text may share a word with an id ("housing"); the
         # rest of the prompt must not name any node by its case id
         knowledge = [demo_case.description, *(node.name for node in demo_case.nodes)]
-        assert client.prompts
-        for prompt in client.prompts:
+        assert stub.prompts
+        for prompt in stub.prompts:
             for text in knowledge:
                 prompt = prompt.replace(text, "")
             for node_id in demo_case.node_ids:
@@ -379,7 +367,27 @@ class TestAnonymization:
         assert best.sequence == trace[-1]["best_sequence"]
         assert score_sequence(matrix, best.sequence) == best.score
 
-        assert trace == run_llm(demo_case, seed, mode, budget, SwapClient(seed))
+        # the grid cell and the command line each build their own config
+        path = DATA_DIR / "demo_gearbox_7.json"
+        spec = ExperimentSpec(
+            cases=[path], methods=[f"llm-{mode}-knowledge"], output_dir=tmp_path / "grid",
+            runs_per_method=1, trial_budgets=[budget], base_seed=seed,
+            provider=lambda: ScriptedProvider(script),
+        )
+        run_experiment(spec)
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        main(["llm", "--knowledge", "on" if mode == "with" else "off", "--trials", str(budget),
+              "--case", str(path), "--seed", str(seed), "--script", str(script_path),
+              "--trace-out", str(tmp_path / "cli.jsonl")])
+        capsys.readouterr()
+
+        def read(jsonl):
+            return [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
+
+        expected = json.loads(json.dumps(trace))
+        assert read(tmp_path / "grid" / "traces" / f"demo_gearbox_7__llm-{mode}-knowledge__run0.jsonl") == expected
+        assert read(tmp_path / "cli.jsonl") == expected
 
 
 class TestEdgeShuffling:
